@@ -1,8 +1,8 @@
 """Seeded loss generators and comparator constructions.
 
 Randomness comes from numpy's PCG64 generator seeded through
-``SeedSequence((seed, stream))``, so parallel repetitions get
-independent, reproducible streams.  Loss entries are always in [0, 1].
+``SeedSequence((seed, stream))``, so repetitions get independent,
+reproducible streams.  Loss entries are always in [0, 1].
 """
 
 from __future__ import annotations

@@ -9,16 +9,14 @@ verdict row; a summary row (worst regret vs. smallest bound) is
 appended.  Every verdict is recomputable from the emitted columns
 alone.
 
-Parallelism across repetitions is capped by the THREADS environment
-variable; rows are identical between serial and parallel execution.
+All repetitions of a config run as one lockstep batch, and each row is
+bit for bit the row its repetition would give alone.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -378,18 +376,33 @@ def _adaptive_bound(spec: ExperimentSpec, d: int, T: int) -> float:
                       f"forecaster rule {fc.variant!r}")
 
 
-def _run_one(spec: ExperimentSpec, rep: int) -> RegretReport:
-    start = time.perf_counter()
+def _run_batch(spec: ExperimentSpec) -> Trajectory:
+    """All repetitions of the run, stepped in lockstep.
+
+    Repetition i uses stream i: its own loss stream, or its own
+    adversary (one generator per stream) for adaptive environments.
+    """
     env = spec.environment
     fc = spec.forecaster
     rule = _build_rule(fc, env.d)
+    reps = spec.repetitions
     if env.kind == "adversarial_flip":
-        adversary = make_adversary(env, stream=rep)
-        traj = run_forecaster(rule, fc.eta, adversary, d=env.d, horizon=env.T)
-        losses = traj.losses
-    else:
-        losses = gen_losses(env, stream=rep)
-        traj = run_forecaster(rule, fc.eta, losses)
+        adversaries = [make_adversary(env, stream=rep) for rep in range(reps)]
+        return run_forecaster(rule, fc.eta, adversaries, d=env.d,
+                              horizon=env.T)
+    losses = np.empty((reps, env.T, env.d))
+    for rep in range(reps):
+        losses[rep] = gen_losses(env, stream=rep)
+    return run_forecaster(rule, fc.eta, losses)
+
+
+def _evaluate(spec: ExperimentSpec, traj: Trajectory, rep: int,
+              shared_ms: float) -> RegretReport:
+    """The report row of one repetition; ``shared_ms`` is its share of
+    the batched generation and forecaster time."""
+    start = time.perf_counter()
+    fc = spec.forecaster
+    losses = traj.losses
     d, T = traj.d, traj.T
 
     if spec.regret_kind == "shifting":
@@ -415,24 +428,11 @@ def _run_one(spec: ExperimentSpec, rep: int) -> RegretReport:
         else:
             bound = _shifting_bound(spec, traj, u, m, U_sum)
 
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return RegretReport(run_id=f"{rep:04d}", seed=env.seed, T=T, d=d,
-                        regret_kind=spec.regret_kind, regret=regret, m=m, n=n,
-                        U_sum=U_sum, L_sum=L_sum, bound=bound,
+    wall_ms = shared_ms + (time.perf_counter() - start) * 1e3
+    return RegretReport(run_id=f"{rep:04d}", seed=spec.environment.seed, T=T,
+                        d=d, regret_kind=spec.regret_kind, regret=regret, m=m,
+                        n=n, U_sum=U_sum, L_sum=L_sum, bound=bound,
                         verdict=verdict_for(regret, bound), wall_ms=wall_ms)
-
-
-def thread_cap() -> int:
-    value = os.environ.get("THREADS", "").strip()
-    if value:
-        try:
-            cap = int(value)
-        except ValueError as exc:
-            raise ConfigError("THREADS: expected a positive integer") from exc
-        if cap < 1:
-            raise ConfigError("THREADS: expected a positive integer")
-        return cap
-    return min(8, os.cpu_count() or 1)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
@@ -440,16 +440,15 @@ def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
 
     The summary holds the worst (largest) regret against the smallest
     bound, with its verdict recomputed by the standard rule, so a
-    passing summary is conservative.
+    passing summary is conservative.  Its ``wall_ms`` is the elapsed
+    time of this call; a repetition's is its own evaluation time plus
+    1/R of the batched generation and forecaster time.
     """
-    workers = min(spec.repetitions, thread_cap())
-    if workers <= 1:
-        reports = [_run_one(spec, rep) for rep in range(spec.repetitions)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda rep: _run_one(spec, rep),
-                                    range(spec.repetitions)))
-    reports.sort(key=lambda r: r.run_id)
+    start = time.perf_counter()
+    batch = _run_batch(spec)
+    shared_ms = (time.perf_counter() - start) * 1e3 / spec.repetitions
+    reports = [_evaluate(spec, batch.rep(rep), rep, shared_ms)
+               for rep in range(spec.repetitions)]
     worst_regret = max(r.regret for r in reports)
     min_bound = min(r.bound for r in reports)
     summary = RegretReport(
@@ -459,7 +458,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
         U_sum=max(r.U_sum for r in reports),
         L_sum=max(r.L_sum for r in reports), bound=min_bound,
         verdict=verdict_for(worst_regret, min_bound),
-        wall_ms=sum(r.wall_ms for r in reports))
+        wall_ms=(time.perf_counter() - start) * 1e3)
     reports.append(summary)
     return reports
 

@@ -18,14 +18,21 @@ the hundreds, where naive exponentials underflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .simplex_core import as_distribution, kl_project_clipped, uniform
+from .simplex_core import as_distribution, kl_project_clipped, kl_project_rows
 
 Schedule = Union[Callable[[int], float], Sequence[float]]
+
+
+def _check_loss_entries(v: np.ndarray) -> None:
+    if not np.all(np.isfinite(v)):
+        raise ValueError("loss entries must be finite")
+    if np.any(v < 0.0) or np.any(v > 1.0):
+        raise ValueError("loss entries must lie in [0, 1]")
 
 
 def as_loss_vector(loss, d: int | None = None) -> np.ndarray:
@@ -38,34 +45,31 @@ def as_loss_vector(loss, d: int | None = None) -> np.ndarray:
     v = np.asarray(loss, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("loss must be a 1-d vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("loss entries must be finite")
-    if np.any(v < 0.0) or np.any(v > 1.0):
-        raise ValueError("loss entries must lie in [0, 1]")
+    _check_loss_entries(v)
     if d is not None and v.size != d:
         raise ValueError(f"loss has dimension {v.size}, expected {d}")
     return v
 
 
 # ---------------------------------------------------------------------------
-# log-domain kernels (single code path shared by the public ops and the
-# run loop, so equivalences between rules hold bitwise)
+# log-domain kernels over a trailing d axis (one code path shared by the
+# public ops, ForecasterState and the batched driver, so equivalences
+# between rules and between single and batched runs hold bitwise)
 # ---------------------------------------------------------------------------
 
 
+def _logsumexp(logw: np.ndarray) -> np.ndarray:
+    m = np.maximum.reduce(logw, axis=-1, keepdims=True)
+    return m + np.log(np.add.reduce(np.exp(logw - m), axis=-1, keepdims=True))
+
+
 def _log_normalize(logw: np.ndarray) -> np.ndarray:
-    m = logw.max()
-    return logw - (m + np.log(np.exp(logw - m).sum()))
-
-
-def _logsumexp(logw: np.ndarray) -> float:
-    m = logw.max()
-    return float(m + np.log(np.exp(logw - m).sum()))
+    return logw - _logsumexp(logw)
 
 
 def _to_linear(logw: np.ndarray) -> np.ndarray:
     p = np.exp(_log_normalize(logw))
-    return p / p.sum()
+    return p / np.add.reduce(p, axis=-1, keepdims=True)
 
 
 def _log_loss_step(log_p: np.ndarray, loss: np.ndarray, eta: float,
@@ -74,11 +78,11 @@ def _log_loss_step(log_p: np.ndarray, loss: np.ndarray, eta: float,
 
 
 def _log_fixed_share(log_v: np.ndarray, alpha: float) -> np.ndarray:
-    d = log_v.size
+    d = log_v.shape[-1]
     if alpha == 0.0:
         return log_v
     if alpha == 1.0:
-        return np.full(d, -np.log(d))
+        return np.full(log_v.shape, -np.log(d))
     mixed = np.logaddexp(np.log(alpha / d), np.log1p(-alpha) + log_v)
     return _log_normalize(mixed)
 
@@ -86,7 +90,9 @@ def _log_fixed_share(log_v: np.ndarray, alpha: float) -> np.ndarray:
 def _log_projected(log_v: np.ndarray, alpha: float) -> np.ndarray:
     if alpha == 0.0:
         return log_v
-    return np.log(kl_project_clipped(_to_linear(log_v), alpha))
+    v = _to_linear(log_v)
+    # renormalize as kl_project_clipped does, so the rows match it bitwise
+    return np.log(kl_project_rows(v / v.sum(axis=-1, keepdims=True), alpha))
 
 
 def _log_max_share(log_w: np.ndarray, log_v_next: np.ndarray, alpha: float,
@@ -248,14 +254,17 @@ def _schedule_value(sched: Schedule, t: int) -> float:
 
 
 class ForecasterState:
-    """Single-owner mutable state of one forecaster run.
+    """Single-owner mutable state of one forecaster run, or of ``reps``
+    runs stepped in lockstep (every weight array then gains a leading
+    reps axis).
 
     Must not be advanced from two threads simultaneously; distinct
-    states are independent.  Internal storage is O(d) regardless of the
-    horizon.
+    states are independent.  Internal storage is O(reps * d) regardless
+    of the horizon.
     """
 
-    def __init__(self, d: int, rule: MixingRule, eta: float | None = None):
+    def __init__(self, d: int, rule: MixingRule, eta: float | None = None,
+                 reps: int | None = None):
         if d < 1:
             raise ValueError("dimension must be >= 1")
         self.d = d
@@ -267,7 +276,7 @@ class ForecasterState:
                 raise ValueError("eta must be positive")
             self.eta = float(eta)
         self.t = 1
-        log_u = np.full(d, -np.log(d))
+        log_u = np.full((d,) if reps is None else (reps, d), -np.log(d))
         self.log_p = log_u
         self.log_v = log_u.copy()
         self.log_w = log_u.copy() if rule.variant in ("max_share",
@@ -302,31 +311,32 @@ class ForecasterState:
 
     def update(self, loss) -> None:
         """Observe the loss for the current round and advance one step."""
-        lv = as_loss_vector(loss, self.d)
+        self._advance(as_loss_vector(loss, self.d), *self.round_params())
+
+    def _advance(self, loss: np.ndarray, eta_t: float, alpha_t: float) -> None:
+        """One step on an already validated loss of the state's shape.
+
+        Constant-rate rules are time-varying ones with constant
+        schedules: their power eta_t / eta_prev is exactly 1.
+        """
+        eta_prev = self._eta_prev if self._eta_prev is not None else eta_t
+        if eta_t > eta_prev * (1.0 + 1e-12):
+            raise ValueError("schedule violation: eta_t > eta_prev")
+        if self._alpha_prev is not None and alpha_t > self._alpha_prev + 1e-12:
+            raise ValueError("schedule violation: alpha_t > alpha_prev")
+        self.log_v = _log_loss_step(self.log_p, loss, eta_t,
+                                    pow_ratio=eta_t / eta_prev)
         rule = self.rule
-        if rule.variant == "time_varying":
-            eta_t, alpha_t = self.round_params()
-            eta_prev = self._eta_prev if self._eta_prev is not None else eta_t
-            if eta_t > eta_prev * (1.0 + 1e-12):
-                raise ValueError("schedule violation: eta_t > eta_prev")
-            if (self._alpha_prev is not None
-                    and alpha_t > self._alpha_prev + 1e-12):
-                raise ValueError("schedule violation: alpha_t > alpha_prev")
-            self.log_v = _log_loss_step(self.log_p, lv, eta_t,
-                                        pow_ratio=eta_t / eta_prev)
+        if rule.variant in ("fixed_share", "time_varying"):
             self.log_p = _log_fixed_share(self.log_v, alpha_t)
-            self._eta_prev = eta_t
-            self._alpha_prev = alpha_t
+        elif rule.variant == "projected":
+            self.log_p = _log_projected(self.log_v, alpha_t)
         else:
-            self.log_v = _log_loss_step(self.log_p, lv, self.eta)
-            if rule.variant == "fixed_share":
-                self.log_p = _log_fixed_share(self.log_v, rule.alpha)
-            elif rule.variant == "projected":
-                self.log_p = _log_projected(self.log_v, rule.alpha)
-            else:
-                gamma = rule.gamma if rule.variant == "decayed_max_share" else 0.0
-                self.log_p, self.log_w = _log_max_share(
-                    self.log_w, self.log_v, rule.alpha, gamma)
+            gamma = rule.gamma if rule.variant == "decayed_max_share" else 0.0
+            self.log_p, self.log_w = _log_max_share(self.log_w, self.log_v,
+                                                    alpha_t, gamma)
+        self._eta_prev = eta_t
+        self._alpha_prev = alpha_t
         self.t += 1
 
 
@@ -337,7 +347,9 @@ class Trajectory:
     ``p`` holds the T+1 played/next distributions p_1..p_{T+1}; ``v``
     the T pre-weights v_2..v_{T+1}; ``w`` (max-share rules only) the
     auxiliary weights w_1..w_{T+1}.  ``etas``/``alphas`` record the
-    per-round parameters actually used.
+    per-round parameters actually used.  A batch of R lockstep runs
+    gives every per-run array a leading R axis and shares ``etas`` and
+    ``alphas``; ``rep(i)`` views run i.
     """
 
     rule: MixingRule
@@ -356,7 +368,7 @@ class Trajectory:
     @property
     def played(self) -> np.ndarray:
         """The distributions actually played, one row per round."""
-        return self.p[: self.T]
+        return self.p[..., : self.T, :]
 
     @property
     def eta_prevs(self) -> np.ndarray:
@@ -364,6 +376,17 @@ class Trajectory:
         if self.T == 0:
             return np.empty(0)
         return np.concatenate([[self.etas[0]], self.etas[:-1]])
+
+    def rep(self, i: int) -> "Trajectory":
+        """Run ``i`` of a batched trajectory, as views into the batch."""
+        return replace(self, p=self.p[i], v=self.v[i], log_p=self.log_p[i],
+                       log_v=self.log_v[i], losses=self.losses[i],
+                       realized=self.realized[i],
+                       w=None if self.w is None else self.w[i])
+
+
+# Entries per block when converting recorded log weights to linear ones.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
@@ -373,61 +396,91 @@ def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
 
     ``losses`` is either an array-like of shape (T, d) or a callable
     ``(t, p_t) -> loss`` for adaptive environments (then ``d`` and
-    ``horizon`` are required).  ``eta`` is ignored by the time_varying
-    rule, whose schedules carry the rates.
+    ``horizon`` are required).  An (R, T, d) array or a list of R
+    callables runs R repetitions in lockstep and returns one batched
+    Trajectory (see ``Trajectory.rep``); each repetition equals its
+    single run bit for bit.  Array losses are validated once, up front;
+    each callable's output is validated every round.  ``eta`` is
+    ignored by the time_varying rule, whose schedules carry the rates.
     """
-    adversary = None
+    adversaries = None
     if callable(losses):
+        adversaries = [losses]
+    elif (isinstance(losses, (list, tuple)) and losses
+          and all(callable(f) for f in losses)):
+        adversaries = list(losses)
+    if adversaries is not None:
         if d is None or horizon is None:
             raise ValueError("callable losses require d and horizon")
-        T = int(horizon)
-        loss_matrix = np.empty((T, d))
-        adversary = losses
+        single = callable(losses)
+        loss = np.empty((len(adversaries), int(horizon), d))
     else:
-        loss_matrix = np.asarray(losses, dtype=float)
-        if loss_matrix.size == 0 and loss_matrix.ndim < 2:
+        loss = np.asarray(losses, dtype=float)
+        if loss.size == 0 and loss.ndim < 2:
             raise ValueError("empty loss sequence: dimension cannot be inferred")
-        if loss_matrix.ndim == 1:
-            loss_matrix = loss_matrix.reshape(1, -1)
-        if loss_matrix.ndim != 2:
-            raise ValueError("losses must be a (T, d) array")
-        T = loss_matrix.shape[0]
+        if loss.ndim == 1:
+            loss = loss.reshape(1, -1)
+        if loss.ndim not in (2, 3):
+            raise ValueError("losses must be a (T, d) or (R, T, d) array")
         if d is None:
-            d = loss_matrix.shape[1]
-        elif d != loss_matrix.shape[1]:
+            d = loss.shape[-1]
+        elif d != loss.shape[-1]:
             raise ValueError("losses do not match the requested dimension")
+        _check_loss_entries(loss)
+        single = loss.ndim == 2
+        if single:
+            loss = loss[None]
+    R, T, _ = loss.shape
 
-    state = ForecasterState(d, rule, eta)
+    state = ForecasterState(d, rule, eta, reps=R)
     track_w = state.log_w is not None
-    p = np.empty((T + 1, d))
-    log_p = np.empty((T + 1, d))
-    v = np.empty((T, d))
-    log_v = np.empty((T, d))
-    realized = np.empty(T)
+    p = np.empty((R, T + 1, d))
+    log_p = np.empty((R, T + 1, d))
+    v = np.empty((R, T, d))
+    log_v = np.empty((R, T, d))
+    realized = np.empty((R, T))
     etas = np.empty(T)
     alphas = np.empty(T)
-    w = np.empty((T + 1, d)) if track_w else None
+    # w records log weights until the exponentiation after the loop
+    w = np.empty((R, T + 1, d)) if track_w else None
     if track_w:
-        w[0] = np.exp(state.log_w)
+        w[:, 0] = state.log_w
 
     for t in range(T):
-        p[t] = state.p
-        log_p[t] = state.log_p
-        if adversary is not None:
-            loss_matrix[t] = as_loss_vector(adversary(t + 1, p[t]), d)
-        etas[t], alphas[t] = state.round_params()
-        state.update(loss_matrix[t])
-        realized[t] = float(p[t] @ loss_matrix[t])
-        v[t] = state.v
-        log_v[t] = state.log_v
+        log_p[:, t] = state.log_p
+        if adversaries is not None:
+            p_t = state.p
+            for i, adversary in enumerate(adversaries):
+                row = np.asarray(adversary(t + 1, p_t[i]), dtype=float)
+                if row.shape != (d,):
+                    raise ValueError(f"loss has shape {row.shape}, "
+                                     f"expected ({d},)")
+                loss[i, t] = row
+            _check_loss_entries(loss[:, t])
+        eta_t, alpha_t = state.round_params()
+        etas[t], alphas[t] = eta_t, alpha_t
+        state._advance(loss[:, t], eta_t, alpha_t)
+        log_v[:, t] = state.log_v
         if track_w:
-            w[t + 1] = np.exp(state.log_w)
+            w[:, t + 1] = state.log_w
+    log_p[:, T] = state.log_p
 
-    p[T] = state.p
-    log_p[T] = state.log_p
-    return Trajectory(rule=rule, d=d, T=T, p=p, v=v, log_p=log_p, log_v=log_v,
-                      losses=loss_matrix, realized=realized, etas=etas,
-                      alphas=alphas, w=w)
+    # Linear-domain records, converted in blocks of rows so that no
+    # temporary grows with the horizon.
+    block = max(1, _BLOCK_ENTRIES // (R * d))
+    for lo in range(0, T + 1, block):
+        hi = lo + block
+        p[:, lo:hi] = _to_linear(log_p[:, lo:hi])
+        v[:, lo:hi] = _to_linear(log_v[:, lo:hi])
+        # stacked vector products: bitwise equal to p[i, t] @ loss[i, t]
+        realized[:, lo:hi] = np.matmul(p[:, lo:min(hi, T), None, :],
+                                       loss[:, lo:hi, :, None])[..., 0, 0]
+    if track_w:
+        np.exp(w, out=w)
+    traj = Trajectory(rule=rule, d=d, T=T, p=p, v=v, log_p=log_p, log_v=log_v,
+                      losses=loss, realized=realized, etas=etas, alphas=alphas,
+                      w=w)
+    return traj.rep(0) if single else traj
 
 
 # ---------------------------------------------------------------------------

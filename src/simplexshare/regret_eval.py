@@ -96,11 +96,18 @@ def adaptive_regret_details(p_traj, losses, tau0: int
                             ) -> tuple[float, int, int, int]:
     """Adaptive regret together with its maximizing (r, s, action).
 
-    Scans all O(T * tau0) windows using prefix sums; the inner minimum
-    over comparison distributions is attained at a corner because the
-    objective is linear.  Returns (value, r, s, j) with 1-based round
-    indices; the degenerate answer (0, 1, 1, 0) is never exceeded for
-    d = 1.
+    The inner minimum over comparison distributions is attained at a
+    corner because the objective is linear.  With G_j = prefix(realized)
+    - prefix(l_j), the regret of window [r, s] against action j is
+    G_j(s) - G_j(r - 1), so the best window ending at s subtracts the
+    minimum of G_j over [s - tau0, s - 1]: a sliding-window minimum
+    (van Herk 1992; Gil & Werman 1993), found for every s and j in
+    O(T * d) time whatever tau0 is.
+
+    Returns (value, r, s, j) with 1-based round indices.  Ties go to the
+    largest regret, then the smallest width, then the earliest start,
+    then the lowest action; when no window has positive regret (always
+    for d = 1) the answer is (0, 1, 1, 0).
     """
     p = _played(p_traj)
     l = np.asarray(losses, dtype=float)
@@ -110,20 +117,51 @@ def adaptive_regret_details(p_traj, losses, tau0: int
     if not 1 <= tau0 <= T:
         raise ValueError("tau0 must satisfy 1 <= tau0 <= T")
     realized = np.einsum("td,td->t", p, l)
-    pref_r = _prefix(realized)
-    pref_l = _prefix(l)
-    best = 0.0
-    best_window = (1, 1, 0)
-    for width in range(1, tau0 + 1):
-        fore = pref_r[width:] - pref_r[:-width]
-        arms = pref_l[width:] - pref_l[:-width]
-        arm_idx = np.argmin(arms, axis=1)
-        reg = fore - arms[np.arange(arms.shape[0]), arm_idx]
-        k = int(np.argmax(reg))
-        if reg[k] > best:
-            best = float(reg[k])
-            best_window = (k + 1, k + width, int(arm_idx[k]))
-    return best, best_window[0], best_window[1], best_window[2]
+    pref = _prefix(np.column_stack([realized, l]))
+    gains = pref[:, :1] - pref[:, 1:]
+    regret = np.empty((T, l.shape[1]))
+    start = np.empty((T, l.shape[1]), dtype=np.intp)
+    for j in range(l.shape[1]):
+        low, start[:, j] = _window_minima(gains[:-1, j], tau0)
+        regret[:, j] = gains[1:, j] - low
+    best = regret.max()
+    if not best > 0.0:
+        return 0.0, 1, 1, 0
+    ends, arms = np.nonzero(regret == best)
+    starts = start[ends, arms]
+    k = np.lexsort((arms, starts, ends - starts))[0]
+    return float(best), int(starts[k]) + 1, int(ends[k]) + 1, int(arms[k])
+
+
+def _window_minima(g: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum of ``g`` over [i - width + 1, i] (clipped at 0) for every
+    i, and the latest index attaining it.
+
+    Blockwise prefix and suffix minima (van Herk / Gil-Werman): a window
+    of ``width`` entries spans the tail of one block and the head of the
+    next, so its minimum is the smaller of a suffix and a prefix minimum.
+    """
+    n = g.size
+    blocks = -(-(n + width - 1) // width)
+    pad = np.full(blocks * width, np.inf)
+    pad[width - 1:width - 1 + n] = g
+    pad = pad.reshape(blocks, width)
+    pos = np.arange(pad.size).reshape(blocks, width)
+    head = np.minimum.accumulate(pad, axis=1)
+    head_at = np.maximum.accumulate(np.where(pad == head, pos, -1), axis=1)
+    tail = np.minimum.accumulate(pad[:, ::-1], axis=1)[:, ::-1]
+    # the latest minimum of a block's tail is its first entry strictly
+    # below everything after it
+    after = np.concatenate([tail[:, 1:], np.full((blocks, 1), np.inf)], axis=1)
+    tail_at = np.minimum.accumulate(
+        np.where(pad < after, pos, pad.size)[:, ::-1], axis=1)[:, ::-1]
+    # the window of entry i is padded entries [i, i + width - 1]
+    right = slice(width - 1, width - 1 + n)
+    head, head_at = head.ravel()[right], head_at.ravel()[right]
+    tail, tail_at = tail.ravel()[:n], tail_at.ravel()[:n]
+    use_head = head <= tail
+    return (np.where(use_head, head, tail),
+            np.where(use_head, head_at, tail_at) - (width - 1))
 
 
 def as_discounts(betas, T: int | None = None) -> np.ndarray:

@@ -100,23 +100,40 @@ def kl_project_clipped(v, alpha: float) -> np.ndarray:
     p = as_distribution(v)
     if alpha == 0.0:
         return p
+    return kl_project_rows(p, alpha)
+
+
+def kl_project_rows(p: np.ndarray, alpha: float) -> np.ndarray:
+    """Row-wise ``kl_project_clipped`` of an (..., d) array of distributions.
+
+    Rows must already sum to 1 and ``0 < alpha <= 1``.  Each row gets the
+    arithmetic of a single projection, so a stack of rows projects bit
+    for bit like the rows one at a time.
+    """
     if np.any(p <= 0.0):
         raise ValueError("projection requires strictly positive entries")
-    d = p.size
+    d = p.shape[-1]
     floor = alpha / d
-    if p.min() >= floor:
+    out = p.reshape(-1, d)
+    todo = np.flatnonzero(out.min(axis=1) < floor)
+    if todo.size == 0:
         return p
-    order = np.argsort(p)
-    ps = p[order]
-    # suffix[k] = mass of the d-k largest entries (the unfloored ones).
-    suffix = np.concatenate([np.cumsum(ps[::-1])[::-1], [0.0]])
-    out = np.empty(d)
-    for k in range(1, d):
-        scale = (1.0 - k * floor) / suffix[k]
-        if scale * ps[k] >= floor * (1.0 - 1e-13):
-            out[order[:k]] = floor
-            out[order[k:]] = np.maximum(scale * ps[k:], floor)
-            return out / out.sum()
-    # k = d - 1 always satisfies the check when alpha <= 1, so we only
-    # reach here for alpha == 1 with everything floored at 1/d.
-    return np.full(d, floor) / (d * floor)
+    out = out.copy()
+    order = np.argsort(out[todo], axis=1)
+    ps = np.take_along_axis(out[todo], order, axis=1)
+    # suffix[:, k] = mass of the d-k largest entries (the unfloored ones).
+    suffix = np.cumsum(ps[:, ::-1], axis=1)[:, ::-1]
+    scales = (1.0 - np.arange(1, d) * floor) / suffix[:, 1:]
+    fits = scales * ps[:, 1:] >= floor * (1.0 - 1e-13)
+    # Floor the k smallest entries for the first k that fits.  k = d - 1
+    # always fits when alpha < 1, so rows where none fits have alpha == 1
+    # and every entry floored at 1/d.
+    last = fits.argmax(axis=1)[:, None]
+    scale = np.take_along_axis(scales, last, axis=1)
+    ps = np.where(np.arange(d) <= last, floor, np.maximum(scale * ps, floor))
+    rows = np.empty_like(ps)
+    np.put_along_axis(rows, order, ps, axis=1)
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows[~fits.any(axis=1)] = floor / (d * floor)
+    out[todo] = rows
+    return out.reshape(p.shape)

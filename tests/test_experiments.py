@@ -1,13 +1,17 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from simplexshare.cli import main as cli_main
+from simplexshare.environments import gen_losses, make_adversary
 from simplexshare.experiments import (CSV_COLUMNS, ConfigError, VERDICT_SLACK,
+                                      _build_rule, _evaluate, _run_batch,
                                       any_failed, parse_experiment,
                                       report_rows, run_experiment,
                                       write_report_csv)
+from simplexshare.forecasters import run_forecaster
 
 
 def rotating_best_arm_config(reps=5, seed=42):
@@ -101,14 +105,66 @@ def test_fixed_seed_runs_are_byte_identical(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_parallel_matches_serial(monkeypatch):
-    cfg = rotating_best_arm_config(reps=6)
-    spec = parse_experiment(cfg)
-    monkeypatch.setenv("THREADS", "1")
-    serial = report_rows(run_experiment(spec), include_timing=False)
-    monkeypatch.setenv("THREADS", "4")
-    parallel = report_rows(run_experiment(spec), include_timing=False)
-    assert serial == parallel
+def _rule_configs(reps):
+    """One config per mixing rule, plus the adaptive flip adversary."""
+    forecasters = [
+        {"rule": "fixed_share", "tune": {"m0": 4, "U0": 1000}},
+        {"rule": "projected", "tune": {"m0": 4, "U0": 1000}},
+        {"rule": "max_share", "eta": 0.3, "alpha": 0.01},
+        {"rule": "decayed_max_share", "eta": 0.3, "alpha": 0.01,
+         "gamma": 0.01},
+        {"rule": "time_varying", "schedules": "anytime"},
+    ]
+    configs = []
+    for fc in forecasters:
+        cfg = rotating_best_arm_config(reps=reps)
+        cfg["forecaster"] = fc
+        configs.append(cfg)
+    configs.append({
+        "environment": {"kind": "adversarial_flip", "d": 10, "T": 300,
+                        "seed": 11},
+        "forecaster": {"rule": "fixed_share"},
+        "regret": {"kind": "discounted", "schedule": "linear_down"},
+        "repetitions": reps,
+    })
+    return configs
+
+
+def test_batched_run_equals_single_runs():
+    reps = 4
+    for cfg in _rule_configs(reps):
+        spec = parse_experiment(cfg)
+        env, fc = spec.environment, spec.forecaster
+        rule = _build_rule(fc, env.d)
+        batch = _run_batch(spec)
+        singles = []
+        for rep in range(reps):
+            if env.kind == "adversarial_flip":
+                traj = run_forecaster(rule, fc.eta,
+                                      make_adversary(env, stream=rep),
+                                      d=env.d, horizon=env.T)
+            else:
+                traj = run_forecaster(rule, fc.eta,
+                                      gen_losses(env, stream=rep))
+            for name in ("p", "log_p", "v", "log_v", "w", "realized",
+                         "losses"):
+                single, batched = getattr(traj, name), getattr(batch.rep(rep), name)
+                assert (single is None and batched is None) or np.array_equal(
+                    single, batched), (fc.variant, env.kind, rep, name)
+            singles.append(_evaluate(spec, traj, rep, 0.0))
+        engine = run_experiment(spec)[:-1]
+        assert report_rows(engine, include_timing=False) == report_rows(
+            singles, include_timing=False), (fc.variant, env.kind)
+
+
+def test_summary_wall_ms_is_elapsed_time():
+    spec = parse_experiment(rotating_best_arm_config(reps=4))
+    start = time.perf_counter()
+    reports = run_experiment(spec)
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    summary = reports[-1]
+    assert 0.0 < summary.wall_ms <= elapsed_ms
+    assert sum(r.wall_ms for r in reports[:-1]) <= summary.wall_ms
 
 
 def test_verdicts_recomputable_from_rows(tmp_path):

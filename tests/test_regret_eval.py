@@ -132,6 +132,38 @@ def test_adaptive_regret_details_window():
     assert (r, s, arm) == (1, 2, 0)
 
 
+def test_adaptive_regret_sliding_minimum_matches_brute_force():
+    rng = np.random.default_rng(37)
+    T = 90
+    for d in (1, 2, 4):
+        for tau0 in (1, T // 2, T):
+            p = rng.dirichlet(np.ones(d), size=T)
+            losses = rng.random((T, d))
+            losses[rng.random(T) < 0.2] = 0.0
+            value, r, s, arm = adaptive_regret_details(p, losses, tau0)
+            assert value == pytest.approx(
+                adaptive_regret_brute(p, losses, tau0), abs=1e-10)
+            assert 1 <= r <= s <= T and s - r + 1 <= tau0
+            window = (np.einsum("td,td->", p[r - 1:s], losses[r - 1:s])
+                      - losses[r - 1:s, arm].sum())
+            assert window == pytest.approx(value, abs=1e-10)
+
+
+def test_adaptive_regret_tie_break_on_zero_loss_rows():
+    # Rounds 2 and 4 have all-zero losses, so every best window can grow
+    # over them at equal regret 0.5: windows (1, 1) and (1, 2) for arms 1
+    # and 2, and (3, 3), (2, 3) and (3, 4) for arm 0.  The rule picks the
+    # smallest width, then the earliest start, then the lowest arm.
+    p = np.tile([0.5, 0.25, 0.25], (4, 1))
+    losses = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                       [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    for tau0 in (1, 2, 4):
+        assert adaptive_regret_details(p, losses, tau0) == (0.5, 1, 1, 1)
+    # with the first round dropped, arm 0's one-round window beats its
+    # equally good widenings over the zero rows on either side
+    assert adaptive_regret_details(p[1:], losses[1:], 3) == (0.5, 2, 2, 0)
+
+
 def test_discounted_regret_examples():
     rng = np.random.default_rng(21)
     T, d = 40, 4
