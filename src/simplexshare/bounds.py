@@ -173,10 +173,10 @@ def bound_shared_weights(d: int, T: int, eta: float, alpha: float, m: float,
 def bound_max_share(d: int, T: int, eta: float, alpha: float, m: float,
                     n: float) -> float:
     """Running-max share guarantee for probability-vector comparators:
-    the normalizers obey Z <= min(d, t) <= T and the weights never decay
-    (C = 1)."""
+    the normalizers obey Z <= min(d, t) <= min(d, T) and the weights
+    never decay (C = 1)."""
     return bound_shared_weights(d, T, eta, alpha, m, n, U_sum=float(T),
-                                C=1.0, Z_max=float(T), u1_norm=1.0)
+                                C=1.0, Z_max=float(min(d, T)), u1_norm=1.0)
 
 
 def bound_decayed_max_share(d: int, T: int, eta: float, alpha: float,

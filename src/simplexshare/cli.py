@@ -16,13 +16,9 @@ import json
 import sys
 
 from . import bounds as bnd
-from .experiments import (ConfigError, any_failed, parse_experiment,
-                          report_rows, run_experiment, write_report_csv)
+from .experiments import (ConfigError, _fmt, any_failed, parse_experiment,
+                          run_experiment, write_report_csv)
 from .simplex_core import kl_project_clipped
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _load_config(path: str) -> dict:

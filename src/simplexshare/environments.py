@@ -3,10 +3,16 @@
 Randomness comes from numpy's PCG64 generator seeded through
 ``SeedSequence((seed, stream))``, so repetitions get independent,
 reproducible streams.  Loss entries are always in [0, 1].
+
+The specs check their own fields, and every error message starts with
+the offending field (``means[1][3]: must be in [0, 1]``), so a config
+parser can report it under the field's config path.
 """
 
 from __future__ import annotations
 
+import numbers
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,9 +27,53 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
         np.random.SeedSequence((int(seed), int(stream)))))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple, np.ndarray))
+
+
+def _check_means(means, d: int, where: str) -> np.ndarray:
+    if not _is_list(means) or len(means) != d:
+        raise ValueError(f"{where}: expected one mean per arm ({d})")
+    for j, value in enumerate(means):
+        if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                or not 0.0 <= value <= 1.0):
+            raise ValueError(f"{where}[{j}]: must be in [0, 1]")
+    return np.asarray(means, dtype=float)
+
+
+def _check_segment_lengths(lengths, T: int) -> None:
+    if not _is_list(lengths) or len(lengths) == 0:
+        raise ValueError("segment_lengths: expected a nonempty list")
+    for i, length in enumerate(lengths):
+        if not _is_int(length) or length < 1:
+            raise ValueError(f"segment_lengths[{i}]: expected a positive "
+                             "integer")
+    if sum(lengths) != T:
+        raise ValueError("segment_lengths: must sum to T")
+
+
+def _floats(value, where: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _check_index(value, d: int, where: str) -> None:
+    if not _is_int(value) or not 0 <= value < d:
+        raise ValueError(f"{where}: expected an arm index in [0, {d})")
+
+
 @dataclass
 class EnvironmentSpec:
-    """Declarative description of a loss sequence source."""
+    """Declarative description of a loss sequence source.
+
+    For ``from_file``, ``d`` and ``T`` of 0 mean "take them from the file".
+    """
 
     kind: str
     d: int = 0
@@ -38,16 +88,30 @@ class EnvironmentSpec:
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
-            raise ValueError(f"unknown environment kind {self.kind!r}")
-
-
-def _check_means(means, d: int, where: str) -> np.ndarray:
-    m = np.asarray(means, dtype=float)
-    if m.shape != (d,):
-        raise ValueError(f"{where}: expected {d} per-arm means")
-    if np.any(m < 0.0) or np.any(m > 1.0):
-        raise ValueError(f"{where}: means must lie in [0, 1]")
-    return m
+            raise ValueError(f"kind: unknown kind {self.kind!r}")
+        min_d = 0 if self.kind == "from_file" else 1
+        for name, least in (("d", min_d), ("T", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name}: expected an integer")
+            if value < least:
+                raise ValueError(f"{name}: must be >= {least}")
+        if self.kind == "from_file":
+            if not isinstance(self.path, (str, os.PathLike)):
+                raise ValueError("path: expected a file path")
+        elif self.kind == "iid_bernoulli":
+            _check_means(self.means, self.d, "means")
+        elif self.kind == "piecewise_stationary":
+            _check_segment_lengths(self.segment_lengths, self.T)
+            if not _is_list(self.means) or (
+                    len(self.means) != len(self.segment_lengths)):
+                raise ValueError("means: expected one mean vector per segment")
+            best = [int(np.argmin(_check_means(row, self.d, f"means[{i}]")))
+                    for i, row in enumerate(self.means)]
+            for i in range(1, len(best)):
+                if best[i] == best[i - 1]:
+                    raise ValueError(f"means[{i}]: consecutive segments "
+                                     "must favour different arms")
 
 
 def gen_losses(spec: EnvironmentSpec, stream: int = 0) -> np.ndarray:
@@ -60,30 +124,14 @@ def gen_losses(spec: EnvironmentSpec, stream: int = 0) -> np.ndarray:
         raise ValueError("adversarial_flip is adaptive; use make_adversary")
     if spec.kind == "from_file":
         return load_losses_csv(spec.path, d=spec.d or None, T=spec.T or None)
-    if spec.d < 1 or spec.T < 0:
-        raise ValueError("environment needs d >= 1 and T >= 0")
     rng = make_rng(spec.seed, stream)
     if spec.kind == "iid_bernoulli":
-        means = _check_means(spec.means, spec.d, "means")
+        means = np.asarray(spec.means, dtype=float)
         return (rng.random((spec.T, spec.d)) < means).astype(float)
     # piecewise_stationary
-    lengths = [int(x) for x in spec.segment_lengths]
-    if not lengths or any(x < 1 for x in lengths):
-        raise ValueError("segment_lengths must be positive integers")
-    if sum(lengths) != spec.T:
-        raise ValueError("segment_lengths must sum to T")
-    if len(spec.means) != len(lengths):
-        raise ValueError("need one per-arm mean vector per segment")
-    seg_means = [_check_means(m, spec.d, f"means[{i}]")
-                 for i, m in enumerate(spec.means)]
-    for i in range(1, len(seg_means)):
-        if int(np.argmin(seg_means[i])) == int(np.argmin(seg_means[i - 1])):
-            raise ValueError(
-                "consecutive segments must favor different arms so that "
-                "shifting comparators are meaningful")
-    rows = []
-    for length, means in zip(lengths, seg_means):
-        rows.append((rng.random((length, spec.d)) < means).astype(float))
+    rows = [(rng.random((length, spec.d)) < np.asarray(means, dtype=float)
+             ).astype(float)
+            for length, means in zip(spec.segment_lengths, spec.means)]
     return np.concatenate(rows, axis=0)
 
 
@@ -153,7 +201,45 @@ class ComparatorSpec:
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
-            raise ValueError(f"unknown comparator kind {self.kind!r}")
+            raise ValueError(f"kind: unknown kind {self.kind!r}")
+
+
+def check_comparator(spec: ComparatorSpec, d: int, T: int) -> None:
+    """Check a comparator spec against the dimension and the horizon.
+
+    Each message starts with the offending field, e.g. ``corners[3]``.
+    """
+    if spec.kind == "piecewise_corner":
+        _check_segment_lengths(spec.segment_lengths, T)
+        if spec.corners is not None:
+            if not _is_list(spec.corners) or (
+                    len(spec.corners) != len(spec.segment_lengths)):
+                raise ValueError("corners: expected one corner per segment")
+            for i, j in enumerate(spec.corners):
+                _check_index(j, d, f"corners[{i}]")
+    elif spec.kind == "adaptive_window":
+        for name in ("r", "s"):
+            if not _is_int(getattr(spec, name)):
+                raise ValueError(f"{name}: expected an integer")
+        if not 1 <= spec.r <= spec.s <= T:
+            raise ValueError("r: window must satisfy 1 <= r <= s <= T")
+        if np.ndim(spec.q) == 0:
+            _check_index(spec.q, d, "q")
+        else:
+            q = _floats(spec.q, "q")
+            if q.shape != (d,) or not np.all(q >= 0.0):
+                raise ValueError("q: expected a nonnegative d-vector")
+    elif spec.kind == "discounted":
+        try:
+            as_discounts(spec.betas, T)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"betas: {exc}") from exc
+        if spec.corner is not None:
+            _check_index(spec.corner, d, "corner")
+    else:  # scaled_arbitrary
+        u = _floats(spec.vectors, "vectors")
+        if u.shape != (T, d) or not np.all(u >= 0.0):
+            raise ValueError("vectors: expected a nonnegative (T, d) matrix")
 
 
 def hindsight_segment_corners(losses: np.ndarray, segment_lengths) -> list[int]:
@@ -175,53 +261,33 @@ def gen_comparator(spec: ComparatorSpec, d: int, T: int,
     Kinds with hindsight defaults (piecewise_corner without explicit
     corners, discounted without an explicit corner) need the loss matrix.
     """
+    check_comparator(spec, d, T)
+    if spec.kind == "scaled_arbitrary":
+        return np.asarray(spec.vectors, dtype=float)
+    u = np.zeros((T, d))
     if spec.kind == "piecewise_corner":
         corners = spec.corners
         if corners is None:
             if losses is None:
                 raise ValueError("hindsight corners need the loss matrix")
             corners = hindsight_segment_corners(losses, spec.segment_lengths)
-        lengths = [int(x) for x in spec.segment_lengths]
-        if sum(lengths) != T:
-            raise ValueError("segment_lengths must sum to T")
-        if len(corners) != len(lengths):
-            raise ValueError("need one corner per segment")
-        u = np.zeros((T, d))
         start = 0
-        for length, j in zip(lengths, corners):
-            if not 0 <= int(j) < d:
-                raise ValueError("corner index out of range")
-            u[start:start + length, int(j)] = 1.0
+        for length, j in zip(spec.segment_lengths, corners):
+            u[start:start + length, j] = 1.0
             start += length
-        return u
-    if spec.kind == "adaptive_window":
-        r, s = int(spec.r), int(spec.s)
-        if not 1 <= r <= s <= T:
-            raise ValueError("window must satisfy 1 <= r <= s <= T")
+    elif spec.kind == "adaptive_window":
         if np.ndim(spec.q) == 0:
-            q = np.zeros(d)
-            q[int(spec.q)] = 1.0
+            u[spec.r - 1:spec.s, spec.q] = 1.0
         else:
-            q = np.asarray(spec.q, dtype=float)
-            if q.shape != (d,) or np.any(q < 0.0):
-                raise ValueError("q must be a nonnegative d-vector")
-        u = np.zeros((T, d))
-        u[r - 1:s] = q
-        return u
-    if spec.kind == "discounted":
+            u[spec.r - 1:spec.s] = np.asarray(spec.q, dtype=float)
+    else:  # discounted
         betas = as_discounts(spec.betas, T)
         corner = spec.corner
         if corner is None:
             if losses is None:
                 raise ValueError("hindsight corner needs the loss matrix")
             corner = int(np.argmin(betas @ losses))
-        u = np.zeros((T, d))
-        u[:, int(corner)] = betas
-        return u
-    # scaled_arbitrary
-    u = np.asarray(spec.vectors, dtype=float)
-    if u.shape != (T, d) or np.any(u < 0.0):
-        raise ValueError("vectors must be a nonnegative (T, d) matrix")
+        u[:, corner] = betas
     return u
 
 

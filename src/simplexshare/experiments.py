@@ -2,10 +2,16 @@
 
 An experiment config is a JSON document with top-level keys
 ``environment``, ``comparator`` (shifting regret only), ``forecaster``,
-``regret``, ``repetitions``, and ``output``.  Each repetition runs the
-forecaster on a freshly seeded loss stream, evaluates the requested
-regret notion, computes the matching theoretical guarantee, and emits a
-verdict row; a summary row (worst regret vs. smallest bound) is
+``regret``, ``repetitions``, and ``output``.  ``parse_experiment``
+turns it into the library's own objects (``EnvironmentSpec``,
+``ComparatorSpec``, ``MixingRule``), whose constructors and checks are
+the only validation; their errors come back as ``ConfigError`` with the
+config path, before anything runs.
+
+Each repetition runs the forecaster on a freshly seeded loss stream,
+evaluates the requested regret notion, and gets the one guarantee that
+``_bound`` picks for its (rule, regret kind) pair, or ``nan`` when no
+guarantee covers it; a summary row (worst regret vs. smallest bound) is
 appended.  Every verdict is recomputable from the emitted columns
 alone.
 
@@ -17,13 +23,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import bounds as bnd
-from .environments import (ComparatorSpec, EnvironmentSpec, gen_comparator,
-                           gen_losses, linear_down_discounts,
+from .environments import (ComparatorSpec, EnvironmentSpec, check_comparator,
+                           gen_comparator, gen_losses, linear_down_discounts,
                            linear_up_discounts, make_adversary)
 from .forecasters import MixingRule, Trajectory, run_forecaster
 from .regret_eval import (adaptive_regret_details, as_discounts,
@@ -51,11 +58,9 @@ def _get(mapping, key, path, required=True, default=None):
     return mapping[key]
 
 
-def _number(value, path, minimum=None):
+def _number(value, path):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected a number")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
     return float(value)
 
 
@@ -67,13 +72,31 @@ def _integer(value, path, minimum=None):
     return value
 
 
+@contextmanager
+def _reported_as(prefix: str):
+    """Re-raise a library ``ValueError`` as a ``ConfigError`` whose
+    message starts with ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _spec(cls, cfg, path: str, required: tuple[str, ...]):
+    """``cls`` built from the config keys that name its fields."""
+    values = {key: _get(cfg, key, path) for key in required}
+    values.update((f.name, cfg[f.name]) for f in fields(cls) if f.name in cfg)
+    with _reported_as(f"{path}."):
+        return cls(**values)
+
+
 @dataclass
 class ForecasterConfig:
-    variant: str
+    """A parsed forecaster; ``tune`` holds the caps (``m0``, ``U0`` and
+    optionally ``L0``) under which ``tuned`` was computed."""
+
+    rule: MixingRule
     eta: float | None = None
-    alpha: float | None = None
-    gamma: float | None = None
-    schedules: str | None = None
     tune: dict | None = None
     tuned: bnd.TuneResult | None = None
 
@@ -118,72 +141,17 @@ def verdict_for(regret: float, bound: float) -> str:
 
 
 def _parse_environment(cfg) -> EnvironmentSpec:
-    kind = _get(cfg, "kind", "environment")
-    if kind not in EnvironmentSpec.KINDS:
-        raise ConfigError(f"environment.kind: unknown kind {kind!r}")
-    if kind == "from_file":
-        path = _get(cfg, "path", "environment")
-        return EnvironmentSpec(
-            kind=kind, path=str(path),
-            d=_integer(_get(cfg, "d", "environment"), "environment.d",
-                       minimum=1),
-            T=_integer(_get(cfg, "T", "environment"), "environment.T",
-                       minimum=1),
-            seed=_integer(cfg.get("seed", 0), "environment.seed"))
-    d = _integer(_get(cfg, "d", "environment"), "environment.d", minimum=1)
-    T = _integer(_get(cfg, "T", "environment"), "environment.T", minimum=0)
-    seed = _integer(cfg.get("seed", 0), "environment.seed")
-    spec = EnvironmentSpec(kind=kind, d=d, T=T, seed=seed,
-                           means=cfg.get("means", []),
-                           segment_lengths=cfg.get("segment_lengths", []))
-    if kind == "iid_bernoulli":
-        means = _get(cfg, "means", "environment")
-        if len(means) != d:
-            raise ConfigError("environment.means: expected one mean per arm")
-        for i, value in enumerate(means):
-            v = _number(value, f"environment.means[{i}]")
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"environment.means[{i}]: must be in [0, 1]")
-    elif kind == "piecewise_stationary":
-        lengths = _get(cfg, "segment_lengths", "environment")
-        means = _get(cfg, "means", "environment")
-        for i, value in enumerate(lengths):
-            _integer(value, f"environment.segment_lengths[{i}]", minimum=1)
-        if sum(lengths) != T:
-            raise ConfigError("environment.segment_lengths: must sum to T")
-        if len(means) != len(lengths):
-            raise ConfigError("environment.means: one mean vector per segment")
-        for i, row in enumerate(means):
-            if len(row) != d:
-                raise ConfigError(f"environment.means[{i}]: expected {d} means")
-            for j, value in enumerate(row):
-                v = _number(value, f"environment.means[{i}][{j}]")
-                if not 0.0 <= v <= 1.0:
-                    raise ConfigError(
-                        f"environment.means[{i}][{j}]: must be in [0, 1]")
+    env = _spec(EnvironmentSpec, cfg, "environment", ("kind", "d", "T"))
+    if env.kind == "from_file" and min(env.d, env.T) < 1:
+        raise ConfigError("environment: from_file needs d >= 1 and T >= 1")
+    return env
+
+
+def _parse_comparator(cfg, d: int, T: int) -> ComparatorSpec:
+    spec = _spec(ComparatorSpec, cfg, "comparator", ("kind",))
+    with _reported_as("comparator."):
+        check_comparator(spec, d, T)
     return spec
-
-
-def _parse_comparator(cfg) -> ComparatorSpec:
-    kind = _get(cfg, "kind", "comparator")
-    if kind not in ComparatorSpec.KINDS:
-        raise ConfigError(f"comparator.kind: unknown kind {kind!r}")
-    if kind == "piecewise_corner":
-        return ComparatorSpec(kind=kind,
-                              segment_lengths=_get(cfg, "segment_lengths",
-                                                   "comparator"),
-                              corners=cfg.get("corners"))
-    if kind == "adaptive_window":
-        return ComparatorSpec(kind=kind,
-                              r=_integer(_get(cfg, "r", "comparator"),
-                                         "comparator.r", minimum=1),
-                              s=_integer(_get(cfg, "s", "comparator"),
-                                         "comparator.s", minimum=1),
-                              q=_get(cfg, "q", "comparator"))
-    if kind == "discounted":
-        return ComparatorSpec(kind=kind, betas=_get(cfg, "betas", "comparator"),
-                              corner=cfg.get("corner"))
-    return ComparatorSpec(kind=kind, vectors=_get(cfg, "vectors", "comparator"))
 
 
 def _parse_regret(cfg, T: int) -> tuple[str, int | None, np.ndarray | None]:
@@ -202,10 +170,8 @@ def _parse_regret(cfg, T: int) -> tuple[str, int | None, np.ndarray | None]:
         elif sched == "linear_down":
             betas = linear_down_discounts(T)
         elif isinstance(sched, (list, tuple)):
-            try:
+            with _reported_as("regret.schedule: "):
                 betas = as_discounts(sched, T)
-            except ValueError as exc:
-                raise ConfigError(f"regret.schedule: {exc}") from exc
         else:
             raise ConfigError("regret.schedule: expected 'linear_up', "
                               "'linear_down', or a list of discounts")
@@ -213,67 +179,57 @@ def _parse_regret(cfg, T: int) -> tuple[str, int | None, np.ndarray | None]:
     raise ConfigError(f"regret.kind: unknown kind {kind!r}")
 
 
-def _parse_forecaster(cfg, d: int, T: int, regret_kind: str,
+def _parse_forecaster(cfg, d: int, regret_kind: str,
                       betas: np.ndarray | None) -> ForecasterConfig:
     variant = _get(cfg, "rule", "forecaster")
-    fc = ForecasterConfig(variant=variant)
     if variant == "time_varying":
-        schedules = _get(cfg, "schedules", "forecaster")
-        if schedules != "anytime":
+        if _get(cfg, "schedules", "forecaster") != "anytime":
             raise ConfigError("forecaster.schedules: only the 'anytime' "
                               "schedule family is supported")
-        fc.schedules = schedules
-        return fc
-    if variant not in ("fixed_share", "projected", "max_share",
-                       "decayed_max_share"):
-        raise ConfigError(f"forecaster.rule: unknown rule {variant!r}")
+        with _reported_as("forecaster.schedules: "):
+            bnd.anytime_schedules(d, 1)  # the family's own domain check
+        return ForecasterConfig(rule=MixingRule.time_varying(
+            lambda t: bnd.anytime_schedules(d, t)[0],
+            lambda t: bnd.anytime_schedules(d, t)[1]))
+    caps = gamma = tuned = None
     tune = cfg.get("tune")
     if tune is not None:
         if variant not in ("fixed_share", "projected"):
             raise ConfigError("forecaster.tune: tuning is only defined for "
                               "fixed_share and projected rules")
-        m0 = _number(_get(tune, "m0", "forecaster.tune"), "forecaster.tune.m0")
-        U0 = _number(_get(tune, "U0", "forecaster.tune"), "forecaster.tune.U0")
-        if not 0.0 < m0 <= U0:
-            raise ConfigError("forecaster.tune: need 0 < m0 <= U0")
-        L0 = tune.get("L0")
-        if L0 is not None:
-            L0 = _number(L0, "forecaster.tune.L0", minimum=0.0)
-            fc.tuned = bnd.tune_small_loss(d, m0, U0, L0)
-            if not math.isfinite(fc.tuned.eta):
-                raise ConfigError("forecaster.tune.L0: L0 = 0 gives an "
-                                  "infinite learning rate; pass a positive cap")
-        else:
-            fc.tuned = bnd.tune_fixed_share(d, m0, U0)
-        fc.tune = dict(tune)
-        fc.eta, fc.alpha = fc.tuned.eta, fc.tuned.alpha
-        return fc
-    if (regret_kind == "discounted" and variant == "fixed_share"
-            and "eta" not in cfg and "alpha" not in cfg):
+        caps = {key: _number(_get(tune, key, "forecaster.tune"),
+                             f"forecaster.tune.{key}") for key in ("m0", "U0")}
+        if tune.get("L0") is not None:
+            caps["L0"] = _number(tune["L0"], "forecaster.tune.L0")
+    elif (regret_kind == "discounted" and variant == "fixed_share"
+          and "eta" not in cfg and "alpha" not in cfg):
         # Auto-tune from the discount schedule: the discounted comparator
         # has regularity mass max(beta_1, beta_T) under monotone ramps.
         diffs = np.diff(betas)
         if not (np.all(diffs >= -1e-15) or np.all(diffs <= 1e-15)):
             raise ConfigError("forecaster: auto-tuning for discounted regret "
                               "needs a monotone schedule")
-        m0 = max(float(betas[0]), float(betas[-1]))
-        U0 = float(betas.sum())
-        fc.tuned = bnd.tune_fixed_share(d, m0, U0)
-        fc.tune = {"m0": m0, "U0": U0}
-        fc.eta, fc.alpha = fc.tuned.eta, fc.tuned.alpha
-        return fc
-    fc.eta = _number(_get(cfg, "eta", "forecaster"), "forecaster.eta")
-    if fc.eta <= 0.0:
-        raise ConfigError("forecaster.eta: must be positive")
-    alpha = _number(_get(cfg, "alpha", "forecaster"), "forecaster.alpha")
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError("forecaster.alpha: must be in [0, 1]")
-    fc.alpha = alpha
-    if variant == "decayed_max_share":
-        fc.gamma = _number(_get(cfg, "gamma", "forecaster"), "forecaster.gamma")
-        if fc.gamma <= 0.0:
-            raise ConfigError("forecaster.gamma: must be positive")
-    return fc
+        caps = {"m0": max(float(betas[0]), float(betas[-1])),
+                "U0": float(betas.sum())}
+    if caps is not None:
+        with _reported_as("forecaster.tune: "):
+            tuned = (bnd.tune_small_loss(d, **caps) if "L0" in caps
+                     else bnd.tune_fixed_share(d, **caps))
+        if not math.isfinite(tuned.eta):
+            raise ConfigError("forecaster.tune.L0: L0 = 0 gives an "
+                              "infinite learning rate; pass a positive cap")
+        eta, alpha = tuned.eta, tuned.alpha
+    else:
+        eta = _number(_get(cfg, "eta", "forecaster"), "forecaster.eta")
+        if eta <= 0.0:
+            raise ConfigError("forecaster.eta: must be positive")
+        alpha = _number(_get(cfg, "alpha", "forecaster"), "forecaster.alpha")
+        if variant == "decayed_max_share":
+            gamma = _number(_get(cfg, "gamma", "forecaster"),
+                            "forecaster.gamma")
+    with _reported_as("forecaster: "):
+        rule = MixingRule(variant, alpha=alpha, gamma=gamma)
+    return ForecasterConfig(rule=rule, eta=eta, tune=caps, tuned=tuned)
 
 
 def parse_experiment(config: dict) -> ExperimentSpec:
@@ -285,9 +241,15 @@ def parse_experiment(config: dict) -> ExperimentSpec:
                                              env.T)
     comparator = None
     if regret_kind == "shifting":
-        comparator = _parse_comparator(_get(config, "comparator", "config"))
+        comparator = _parse_comparator(_get(config, "comparator", "config"),
+                                       env.d, env.T)
     forecaster = _parse_forecaster(_get(config, "forecaster", "config"),
-                                   env.d, env.T, regret_kind, betas)
+                                   env.d, regret_kind, betas)
+    variant = forecaster.rule.variant
+    if regret_kind == "adaptive" and variant not in ("fixed_share", "projected",
+                                                     "time_varying"):
+        raise ConfigError("regret.kind: no certified adaptive-regret bound "
+                          f"for forecaster rule {variant!r}")
     repetitions = _integer(config.get("repetitions", 1), "repetitions",
                            minimum=1)
     output = config.get("output", {})
@@ -307,20 +269,6 @@ def parse_experiment(config: dict) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def _build_rule(fc: ForecasterConfig, d: int) -> MixingRule:
-    if fc.variant == "time_varying":
-        return MixingRule.time_varying(
-            lambda t: bnd.anytime_schedules(d, t)[0],
-            lambda t: bnd.anytime_schedules(d, t)[1])
-    if fc.variant == "fixed_share":
-        return MixingRule.fixed_share(fc.alpha)
-    if fc.variant == "projected":
-        return MixingRule.projected(fc.alpha)
-    if fc.variant == "max_share":
-        return MixingRule.max_share(fc.alpha)
-    return MixingRule.decayed_max_share(fc.alpha, fc.gamma)
-
-
 def _comparator_stats(u: np.ndarray, losses: np.ndarray
                       ) -> tuple[float, float, float, float]:
     m = regularity_m(u)
@@ -330,50 +278,42 @@ def _comparator_stats(u: np.ndarray, losses: np.ndarray
     return m, n, U_sum, L_sum
 
 
-def _shifting_bound(spec: ExperimentSpec, traj: Trajectory, u: np.ndarray,
-                    m: float, U_sum: float) -> float:
-    fc = spec.forecaster
+def _bound(spec: ExperimentSpec, traj: Trajectory, u: np.ndarray, m: float,
+           n: float, U_sum: float, L_sum: float) -> float:
+    """The one guarantee that certifies a row, or nan when none does.
+
+    A row's regret is the shifting regret against ``u``, so the rule's
+    shifting guarantee at u's statistics applies; adaptive rows bound
+    the worst window instead (regularity mass 1, total mass tau0).  A
+    tuned fixed-share value is a worst case over its caps, so it holds
+    only for comparators inside them: m + ||u_1||_1 <= m0, U_sum <= U0
+    and L_sum <= L0, each up to the verdict slack.
+    """
+    fc, rule = spec.forecaster, spec.forecaster.rule
     d, T = traj.d, traj.T
     u1_norm = float(u[0].sum())
-    if fc.variant == "fixed_share":
-        if fc.tuned is not None:
-            return fc.tuned.bound
-        return bnd.bound_fixed_share(d, fc.eta, fc.alpha, m, U_sum, u1_norm)
-    if fc.variant == "projected":
-        return bnd.bound_projected(d, fc.eta, fc.alpha, m, U_sum, u1_norm)
-    if fc.variant == "max_share":
-        n = sparsity_n(u)
-        return bnd.bound_shared_weights(d, T, fc.eta, fc.alpha, m, n, U_sum,
-                                        C=1.0, Z_max=float(min(d, T)),
-                                        u1_norm=u1_norm)
-    if fc.variant == "decayed_max_share":
-        n = sparsity_n(u)
-        return bnd.bound_shared_weights(d, T, fc.eta, fc.alpha, m, n, U_sum,
-                                        C=math.exp(fc.gamma),
-                                        Z_max=min(float(d), 1.0 / fc.gamma),
-                                        u1_norm=u1_norm)
-    # time_varying with the anytime schedules
-    return bnd.bound_time_varying(d, T, traj.etas, traj.alphas, m,
-                                  u.sum(axis=1))
-
-
-def _adaptive_bound(spec: ExperimentSpec, d: int, T: int) -> float:
-    # worst case over window comparators: regularity mass 1, total mass tau0
-    fc = spec.forecaster
-    tau0 = spec.tau0
-    if fc.variant == "time_varying":
-        return bnd.anytime_adaptive_bound(d, T)
-    if fc.variant == "fixed_share":
-        if (fc.tuned is not None and fc.tune.get("L0") is None
-                and fc.tune["m0"] == 1 and fc.tune["U0"] == tau0):
-            return bnd.bound_adaptive(d, tau0)[0]
-        return bnd.bound_fixed_share(d, fc.eta, fc.alpha, m=1.0,
-                                     U_sum=float(tau0), u1_norm=0.0)
-    if fc.variant == "projected":
-        return bnd.bound_projected(d, fc.eta, fc.alpha, m=1.0,
-                                   U_sum=float(tau0), u1_norm=0.0)
-    raise ConfigError("regret.kind: no certified adaptive-regret bound for "
-                      f"forecaster rule {fc.variant!r}")
+    if spec.regret_kind == "adaptive":
+        if rule.variant == "time_varying":
+            return bnd.anytime_adaptive_bound(d, T)
+        m, U_sum, u1_norm = 1.0, float(spec.tau0), 0.0
+    if rule.variant == "fixed_share" and fc.tuned is not None:
+        realized = {"m0": m + u1_norm, "U0": U_sum, "L0": L_sum}
+        inside = all(realized[key] <= cap + VERDICT_SLACK * max(1.0, cap)
+                     for key, cap in fc.tune.items())
+        return fc.tuned.bound if inside else math.nan
+    if rule.variant == "fixed_share":
+        return bnd.bound_fixed_share(d, fc.eta, rule.alpha, m, U_sum, u1_norm)
+    if rule.variant == "projected":
+        return bnd.bound_projected(d, fc.eta, rule.alpha, m, U_sum, u1_norm)
+    if rule.variant == "time_varying":
+        return bnd.bound_time_varying(d, T, traj.etas, traj.alphas, m,
+                                      u.sum(axis=1))
+    if rule.variant == "max_share":
+        C, Z_max = 1.0, float(min(d, T))
+    else:
+        C, Z_max = math.exp(rule.gamma), min(float(d), 1.0 / rule.gamma)
+    return bnd.bound_shared_weights(d, T, fc.eta, rule.alpha, m, n, U_sum,
+                                    C=C, Z_max=Z_max, u1_norm=u1_norm)
 
 
 def _run_batch(spec: ExperimentSpec) -> Trajectory:
@@ -384,16 +324,15 @@ def _run_batch(spec: ExperimentSpec) -> Trajectory:
     """
     env = spec.environment
     fc = spec.forecaster
-    rule = _build_rule(fc, env.d)
     reps = spec.repetitions
     if env.kind == "adversarial_flip":
         adversaries = [make_adversary(env, stream=rep) for rep in range(reps)]
-        return run_forecaster(rule, fc.eta, adversaries, d=env.d,
+        return run_forecaster(fc.rule, fc.eta, adversaries, d=env.d,
                               horizon=env.T)
     losses = np.empty((reps, env.T, env.d))
     for rep in range(reps):
         losses[rep] = gen_losses(env, stream=rep)
-    return run_forecaster(rule, fc.eta, losses)
+    return run_forecaster(fc.rule, fc.eta, losses)
 
 
 def _evaluate(spec: ExperimentSpec, traj: Trajectory, rep: int,
@@ -401,32 +340,23 @@ def _evaluate(spec: ExperimentSpec, traj: Trajectory, rep: int,
     """The report row of one repetition; ``shared_ms`` is its share of
     the batched generation and forecaster time."""
     start = time.perf_counter()
-    fc = spec.forecaster
     losses = traj.losses
     d, T = traj.d, traj.T
 
     if spec.regret_kind == "shifting":
         u = gen_comparator(spec.comparator, d, T, losses=losses)
         regret = generalized_shifting_regret(traj, losses, u)
-        m, n, U_sum, L_sum = _comparator_stats(u, losses)
-        bound = _shifting_bound(spec, traj, u, m, U_sum)
     elif spec.regret_kind == "adaptive":
         regret, r, s, arm = adaptive_regret_details(traj, losses, spec.tau0)
         u = np.zeros((T, d))
         u[r - 1:s, arm] = 1.0
-        m, n, U_sum, L_sum = _comparator_stats(u, losses)
-        bound = _adaptive_bound(spec, d, T)
     else:  # discounted
         regret, arm = discounted_regret_details(traj, losses, spec.betas)
-        # equals the shifting regret against the maximizing discounted
-        # corner, so shifting bounds at its realized statistics apply
+        # the shifting regret against the maximizing discounted corner
         u = np.zeros((T, d))
         u[:, arm] = spec.betas
-        m, n, U_sum, L_sum = _comparator_stats(u, losses)
-        if fc.variant == "fixed_share" and fc.tuned is not None:
-            bound = fc.tuned.bound
-        else:
-            bound = _shifting_bound(spec, traj, u, m, U_sum)
+    m, n, U_sum, L_sum = _comparator_stats(u, losses)
+    bound = _bound(spec, traj, u, m, n, U_sum, L_sum)
 
     wall_ms = shared_ms + (time.perf_counter() - start) * 1e3
     return RegretReport(run_id=f"{rep:04d}", seed=spec.environment.seed, T=T,
@@ -439,10 +369,11 @@ def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
     """Execute every repetition and append the aggregate summary row.
 
     The summary holds the worst (largest) regret against the smallest
-    bound, with its verdict recomputed by the standard rule, so a
-    passing summary is conservative.  Its ``wall_ms`` is the elapsed
-    time of this call; a repetition's is its own evaluation time plus
-    1/R of the batched generation and forecaster time.
+    bound (nan when any row's is), with its verdict recomputed by the
+    standard rule, so a passing summary is conservative.  Its
+    ``wall_ms`` is the elapsed time of this call; a repetition's is its
+    own evaluation time plus 1/R of the batched generation and
+    forecaster time.
     """
     start = time.perf_counter()
     batch = _run_batch(spec)
@@ -450,7 +381,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
     reports = [_evaluate(spec, batch.rep(rep), rep, shared_ms)
                for rep in range(spec.repetitions)]
     worst_regret = max(r.regret for r in reports)
-    min_bound = min(r.bound for r in reports)
+    min_bound = float(np.min([r.bound for r in reports]))
     summary = RegretReport(
         run_id="summary", seed=spec.environment.seed, T=reports[0].T,
         d=reports[0].d, regret_kind=spec.regret_kind, regret=worst_regret,

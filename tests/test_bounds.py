@@ -131,6 +131,12 @@ def test_bound_shared_weights_examples():
         bound_shared_weights(10, 20, 1.0, 0.2, 2.0, 3.0, 20.0, 0.5, 10.0)
 
 
+def test_bound_max_share_caps_normalizers_at_min_d_T():
+    d, T, eta, alpha, m, n = 50, 1000, 0.5, 0.01, 5.0, 3.0
+    assert bound_max_share(d, T, eta, alpha, m, n) == bound_shared_weights(
+        d, T, eta, alpha, m, n, float(T), 1.0, float(min(d, T)), 1.0)
+
+
 def test_decayed_max_share_tuning_identity():
     # at gamma = m0/(n0 T) the decay penalty n0 T ln C equals m0 exactly
     d, T, eta, alpha, m0, n0 = 200, 100, 2.0, 0.1, 9.0, 2.0

@@ -4,13 +4,13 @@ import time
 import numpy as np
 import pytest
 
+from simplexshare.bounds import tune_fixed_share
 from simplexshare.cli import main as cli_main
 from simplexshare.environments import gen_losses, make_adversary
 from simplexshare.experiments import (CSV_COLUMNS, ConfigError, VERDICT_SLACK,
-                                      _build_rule, _evaluate, _run_batch,
-                                      any_failed, parse_experiment,
-                                      report_rows, run_experiment,
-                                      write_report_csv)
+                                      _evaluate, _run_batch, any_failed,
+                                      parse_experiment, report_rows,
+                                      run_experiment, write_report_csv)
 from simplexshare.forecasters import run_forecaster
 
 
@@ -67,7 +67,29 @@ def test_parse_reports_config_paths():
     cfg["regret"] = {"kind": "adaptive", "tau0": 8}
     del cfg["comparator"]
     with pytest.raises(ConfigError, match="adaptive"):
-        run_experiment(parse_experiment(cfg))
+        parse_experiment(cfg)
+    cfg = rotating_best_arm_config()
+    cfg["environment"] = {"kind": "iid_bernoulli", "d": 1, "T": 1000,
+                          "means": [0.5]}
+    cfg["forecaster"] = {"rule": "time_varying", "schedules": "anytime"}
+    with pytest.raises(ConfigError, match="forecaster.schedules"):
+        parse_experiment(cfg)
+
+
+def test_comparator_errors_raise_at_parse_time():
+    cfg = rotating_best_arm_config(reps=4)
+    cfg["environment"]["T"] = 20000
+    cfg["environment"]["segment_lengths"] = [5000] * 4
+    cfg["forecaster"] = {"rule": "projected", "tune": {"m0": 4, "U0": 20000}}
+    cfg["comparator"] = {"kind": "piecewise_corner",
+                         "segment_lengths": [5000] * 4,
+                         "corners": [0, 1, 2, 12]}
+    with pytest.raises(ConfigError, match=r"comparator\.corners\[3\]"):
+        parse_experiment(cfg)
+    cfg["comparator"] = {"kind": "piecewise_corner",
+                         "segment_lengths": [5000] * 3}
+    with pytest.raises(ConfigError, match="comparator.segment_lengths"):
+        parse_experiment(cfg)
 
 
 def test_trivial_single_point_environment_passes():
@@ -135,7 +157,7 @@ def test_batched_run_equals_single_runs():
     for cfg in _rule_configs(reps):
         spec = parse_experiment(cfg)
         env, fc = spec.environment, spec.forecaster
-        rule = _build_rule(fc, env.d)
+        rule = fc.rule
         batch = _run_batch(spec)
         singles = []
         for rep in range(reps):
@@ -150,11 +172,11 @@ def test_batched_run_equals_single_runs():
                          "losses"):
                 single, batched = getattr(traj, name), getattr(batch.rep(rep), name)
                 assert (single is None and batched is None) or np.array_equal(
-                    single, batched), (fc.variant, env.kind, rep, name)
+                    single, batched), (rule.variant, env.kind, rep, name)
             singles.append(_evaluate(spec, traj, rep, 0.0))
         engine = run_experiment(spec)[:-1]
         assert report_rows(engine, include_timing=False) == report_rows(
-            singles, include_timing=False), (fc.variant, env.kind)
+            singles, include_timing=False), (rule.variant, env.kind)
 
 
 def test_summary_wall_ms_is_elapsed_time():
@@ -186,6 +208,49 @@ def test_verdicts_recomputable_from_rows(tmp_path):
 def test_overconfident_caps_fail_certification():
     reports = run_experiment(parse_experiment(overconfident_config()))
     assert any_failed(reports)
+
+
+def test_tuned_bound_applies_only_inside_caps():
+    # 20 segments whose best arm alternates: m reaches 12 to 19, far
+    # above m0 = 1, so the tuned value certifies nothing
+    lengths = [10] * 20
+    reports = run_experiment(parse_experiment({
+        "environment": {"kind": "piecewise_stationary", "d": 2, "T": 200,
+                        "seed": 3, "segment_lengths": lengths,
+                        "means": [[0.2, 0.5] if i % 2 == 0 else [0.5, 0.2]
+                                  for i in range(20)]},
+        "comparator": {"kind": "piecewise_corner",
+                       "segment_lengths": lengths},
+        "forecaster": {"rule": "fixed_share", "tune": {"m0": 1, "U0": 200}},
+        "regret": {"kind": "shifting"},
+        "repetitions": 5,
+    }))
+    assert reports[1].m == 12.0
+    assert reports[1].regret < tune_fixed_share(2, 1.0, 200.0).bound
+    assert all(np.isnan(r.bound) and r.verdict == "fail" for r in reports)
+
+    # m0 caps the regularity mass m + ||u_1||_1: four segments give m = 3
+    # but mass 4, beyond m0 = 3
+    cfg = rotating_best_arm_config(reps=2)
+    cfg["forecaster"]["tune"]["m0"] = 3
+    reports = run_experiment(parse_experiment(cfg))
+    assert reports[0].m == 3.0
+    assert all(np.isnan(r.bound) for r in reports)
+
+
+def test_auto_tuned_discounted_caps_allow_float_rounding():
+    # U_sum exceeds U0 = sum(betas) by float summation alone
+    spec = parse_experiment({
+        "environment": {"kind": "iid_bernoulli", "d": 2, "T": 1001,
+                        "seed": 7, "means": [0.3, 0.6]},
+        "forecaster": {"rule": "fixed_share"},
+        "regret": {"kind": "discounted", "schedule": "linear_up"},
+        "repetitions": 2,
+    })
+    reports = run_experiment(spec)
+    assert reports[0].U_sum > spec.forecaster.tune["U0"]
+    assert all(r.bound == spec.forecaster.tuned.bound and r.verdict == "pass"
+               for r in reports)
 
 
 def test_adaptive_and_discounted_engine_paths():
