@@ -31,7 +31,8 @@ import numpy as np
 from . import bounds as bnd
 from .environments import (ComparatorSpec, EnvironmentSpec, check_comparator,
                            gen_comparator, gen_losses, linear_down_discounts,
-                           linear_up_discounts, make_adversary)
+                           linear_up_discounts, load_losses_csv,
+                           make_adversary)
 from .forecasters import MixingRule, Trajectory, run_forecaster
 from .regret_eval import (adaptive_regret_details, as_discounts,
                           discounted_regret_details,
@@ -142,8 +143,13 @@ def verdict_for(regret: float, bound: float) -> str:
 
 def _parse_environment(cfg) -> EnvironmentSpec:
     env = _spec(EnvironmentSpec, cfg, "environment", ("kind", "d", "T"))
-    if env.kind == "from_file" and min(env.d, env.T) < 1:
-        raise ConfigError("environment: from_file needs d >= 1 and T >= 1")
+    if env.kind == "from_file":
+        if min(env.d, env.T) < 1:
+            raise ConfigError("environment: from_file needs d >= 1 and T >= 1")
+        try:
+            load_losses_csv(env.path, env.d, env.T)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"environment.path: {exc}") from exc
     return env
 
 
@@ -250,6 +256,9 @@ def parse_experiment(config: dict) -> ExperimentSpec:
                                                      "time_varying"):
         raise ConfigError("regret.kind: no certified adaptive-regret bound "
                           f"for forecaster rule {variant!r}")
+    if regret_kind == "adaptive" and variant == "time_varying":
+        with _reported_as("regret.kind: "):
+            bnd.anytime_adaptive_bound(env.d, env.T)  # the bound's domain check
     repetitions = _integer(config.get("repetitions", 1), "repetitions",
                            minimum=1)
     output = config.get("output", {})

@@ -340,35 +340,72 @@ class ForecasterState:
         self.t += 1
 
 
+def _linear(log_w: np.ndarray) -> np.ndarray:
+    """``_to_linear`` of every row of a log-weight record, in blocks of
+    at most 2^15 entries so that no temporary grows with the horizon."""
+    rows = log_w.reshape(-1, log_w.shape[-1])
+    out = np.empty(rows.shape)
+    block = max(1, (1 << 15) // rows.shape[1])
+    for lo in range(0, rows.shape[0], block):
+        out[lo:lo + block] = _to_linear(rows[lo:lo + block])
+    return out.reshape(log_w.shape)
+
+
 @dataclass
 class Trajectory:
     """Full record of one run, for regret evaluation and certification.
 
-    ``p`` holds the T+1 played/next distributions p_1..p_{T+1}; ``v``
-    the T pre-weights v_2..v_{T+1}; ``w`` (max-share rules only) the
-    auxiliary weights w_1..w_{T+1}.  ``etas``/``alphas`` record the
-    per-round parameters actually used.  A batch of R lockstep runs
-    gives every per-run array a leading R axis and shares ``etas`` and
-    ``alphas``; ``rep(i)`` views run i.
+    Stored: ``log_p`` (log p_1..log p_{T+1}), ``losses``, the per-round
+    parameters actually used (``etas``, ``alphas``) and, for max-share
+    rules, ``log_w`` (log w_1..log w_{T+1}).  Every other record is
+    recomputed from these on each access, bit for bit what the run
+    computed; keep the result when reading one repeatedly.  A batch of
+    R lockstep runs gives every per-run array a leading R axis and
+    shares ``etas`` and ``alphas``; ``rep(i)`` views run i.
     """
 
     rule: MixingRule
     d: int
     T: int
-    p: np.ndarray
-    v: np.ndarray
     log_p: np.ndarray
-    log_v: np.ndarray
     losses: np.ndarray
-    realized: np.ndarray
     etas: np.ndarray
     alphas: np.ndarray
-    w: np.ndarray | None = None
+    log_w: np.ndarray | None = None
+
+    @property
+    def p(self) -> np.ndarray:
+        """The distributions p_1..p_{T+1}."""
+        return _linear(self.log_p)
+
+    @property
+    def log_v(self) -> np.ndarray:
+        """Log pre-weights: each round's loss update of log p_t."""
+        return _log_loss_step(self.log_p[..., : self.T, :], self.losses,
+                              self.etas[:, None],
+                              pow_ratio=(self.etas / self.eta_prevs)[:, None])
+
+    @property
+    def v(self) -> np.ndarray:
+        """The pre-weights v_2..v_{T+1}."""
+        return _linear(self.log_v)
+
+    @property
+    def w(self) -> np.ndarray | None:
+        """The auxiliary weights w_1..w_{T+1} (max-share rules only)."""
+        return None if self.log_w is None else np.exp(self.log_w)
 
     @property
     def played(self) -> np.ndarray:
         """The distributions actually played, one row per round."""
         return self.p[..., : self.T, :]
+
+    @property
+    def realized(self) -> np.ndarray:
+        """The forecaster's loss p_t . l_t in each round."""
+        # stacked vector products: bitwise equal to p[t] @ losses[t]
+        return np.matmul(self.played[..., None, :],
+                         self.losses[..., None])[..., 0, 0]
 
     @property
     def eta_prevs(self) -> np.ndarray:
@@ -379,14 +416,8 @@ class Trajectory:
 
     def rep(self, i: int) -> "Trajectory":
         """Run ``i`` of a batched trajectory, as views into the batch."""
-        return replace(self, p=self.p[i], v=self.v[i], log_p=self.log_p[i],
-                       log_v=self.log_v[i], losses=self.losses[i],
-                       realized=self.realized[i],
-                       w=None if self.w is None else self.w[i])
-
-
-# Entries per block when converting recorded log weights to linear ones.
-_BLOCK_ENTRIES = 1 << 15
+        return replace(self, log_p=self.log_p[i], losses=self.losses[i],
+                       log_w=None if self.log_w is None else self.log_w[i])
 
 
 def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
@@ -433,18 +464,12 @@ def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
     R, T, _ = loss.shape
 
     state = ForecasterState(d, rule, eta, reps=R)
-    track_w = state.log_w is not None
-    p = np.empty((R, T + 1, d))
     log_p = np.empty((R, T + 1, d))
-    v = np.empty((R, T, d))
-    log_v = np.empty((R, T, d))
-    realized = np.empty((R, T))
+    log_w = None if state.log_w is None else np.empty((R, T + 1, d))
     etas = np.empty(T)
     alphas = np.empty(T)
-    # w records log weights until the exponentiation after the loop
-    w = np.empty((R, T + 1, d)) if track_w else None
-    if track_w:
-        w[:, 0] = state.log_w
+    if log_w is not None:
+        log_w[:, 0] = state.log_w
 
     for t in range(T):
         log_p[:, t] = state.log_p
@@ -460,26 +485,12 @@ def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
         eta_t, alpha_t = state.round_params()
         etas[t], alphas[t] = eta_t, alpha_t
         state._advance(loss[:, t], eta_t, alpha_t)
-        log_v[:, t] = state.log_v
-        if track_w:
-            w[:, t + 1] = state.log_w
+        if log_w is not None:
+            log_w[:, t + 1] = state.log_w
     log_p[:, T] = state.log_p
 
-    # Linear-domain records, converted in blocks of rows so that no
-    # temporary grows with the horizon.
-    block = max(1, _BLOCK_ENTRIES // (R * d))
-    for lo in range(0, T + 1, block):
-        hi = lo + block
-        p[:, lo:hi] = _to_linear(log_p[:, lo:hi])
-        v[:, lo:hi] = _to_linear(log_v[:, lo:hi])
-        # stacked vector products: bitwise equal to p[i, t] @ loss[i, t]
-        realized[:, lo:hi] = np.matmul(p[:, lo:min(hi, T), None, :],
-                                       loss[:, lo:hi, :, None])[..., 0, 0]
-    if track_w:
-        np.exp(w, out=w)
-    traj = Trajectory(rule=rule, d=d, T=T, p=p, v=v, log_p=log_p, log_v=log_v,
-                      losses=loss, realized=realized, etas=etas, alphas=alphas,
-                      w=w)
+    traj = Trajectory(rule=rule, d=d, T=T, log_p=log_p, losses=loss,
+                      etas=etas, alphas=alphas, log_w=log_w)
     return traj.rep(0) if single else traj
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .simplex_core import as_nonneg_vector, total_variation
+from .simplex_core import as_nonneg_vector
 
 # Prefix sums switch to compensated summation at this length: window
 # differences of large prefix sums would otherwise lose precision.
@@ -30,10 +30,14 @@ def as_comparator(u) -> np.ndarray:
     return m
 
 
-def _played(p_traj) -> np.ndarray:
-    if hasattr(p_traj, "played"):
-        return np.asarray(p_traj.played, dtype=float)
-    return np.asarray(p_traj, dtype=float)
+def _realized(p_traj, losses) -> tuple[np.ndarray, np.ndarray]:
+    """The per-round losses p_t . l_t of the played rows (a trajectory's
+    ``played`` or a (T, d) matrix), and the losses as an array."""
+    p = np.asarray(getattr(p_traj, "played", p_traj), dtype=float)
+    l = np.asarray(losses, dtype=float)
+    if p.shape != l.shape:
+        raise ValueError("trajectory and losses shapes differ")
+    return np.einsum("td,td->t", p, l), l
 
 
 def regularity_m(u) -> float:
@@ -56,14 +60,11 @@ def sparsity_n(u) -> float:
 
 def generalized_shifting_regret(p_traj, losses, u) -> float:
     """Weighted regret sum_t ||u_t||_1 p_t.l_t - sum_t u_t.l_t."""
-    p = _played(p_traj)
-    l = np.asarray(losses, dtype=float)
+    realized, l = _realized(p_traj, losses)
     m = as_comparator(u)
-    if not (p.shape == l.shape == m.shape):
-        raise ValueError("trajectory, losses, and comparator shapes differ")
-    norms = m.sum(axis=1)
-    realized = np.einsum("td,td->t", p, l)
-    return float(norms @ realized - np.einsum("td,td->", m, l))
+    if m.shape != l.shape:
+        raise ValueError("comparator and losses shapes differ")
+    return float(m.sum(axis=1) @ realized - np.einsum("td,td->", m, l))
 
 
 def _kahan_cumsum(a: np.ndarray) -> np.ndarray:
@@ -109,14 +110,10 @@ def adaptive_regret_details(p_traj, losses, tau0: int
     then the lowest action; when no window has positive regret (always
     for d = 1) the answer is (0, 1, 1, 0).
     """
-    p = _played(p_traj)
-    l = np.asarray(losses, dtype=float)
-    if p.shape != l.shape:
-        raise ValueError("trajectory and losses shapes differ")
-    T = p.shape[0]
+    realized, l = _realized(p_traj, losses)
+    T = l.shape[0]
     if not 1 <= tau0 <= T:
         raise ValueError("tau0 must satisfy 1 <= tau0 <= T")
-    realized = np.einsum("td,td->t", p, l)
     pref = _prefix(np.column_stack([realized, l]))
     gains = pref[:, :1] - pref[:, 1:]
     regret = np.empty((T, l.shape[1]))
@@ -182,12 +179,8 @@ def discounted_regret(p_traj, losses, betas) -> float:
 
 def discounted_regret_details(p_traj, losses, betas) -> tuple[float, int]:
     """Discounted regret and the maximizing corner (linear objective)."""
-    p = _played(p_traj)
-    l = np.asarray(losses, dtype=float)
-    if p.shape != l.shape:
-        raise ValueError("trajectory and losses shapes differ")
-    b = as_discounts(betas, p.shape[0])
-    realized = np.einsum("td,td->t", p, l)
+    realized, l = _realized(p_traj, losses)
+    b = as_discounts(betas, l.shape[0])
     arm_totals = b @ l
     j = int(np.argmin(arm_totals))
     return float(b @ realized - arm_totals[j]), j

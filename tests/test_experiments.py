@@ -74,6 +74,29 @@ def test_parse_reports_config_paths():
     cfg["forecaster"] = {"rule": "time_varying", "schedules": "anytime"}
     with pytest.raises(ConfigError, match="forecaster.schedules"):
         parse_experiment(cfg)
+    cfg["environment"] = {"kind": "iid_bernoulli", "d": 2, "T": 2,
+                          "means": [0.5, 0.5]}
+    cfg["regret"] = {"kind": "adaptive", "tau0": 2}
+    with pytest.raises(ConfigError, match="regret.kind: need d >= 2 and T >= 3"):
+        parse_experiment(cfg)
+
+
+def test_unreadable_loss_file_is_a_config_error(tmp_path, capsys):
+    cfg = {"environment": {"kind": "from_file", "d": 2, "T": 3,
+                           "path": str(tmp_path / "missing.csv")},
+           "forecaster": {"rule": "fixed_share", "eta": 1.0, "alpha": 0.1},
+           "regret": {"kind": "adaptive", "tau0": 2}}
+    with pytest.raises(ConfigError, match="environment.path"):
+        parse_experiment(cfg)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert cli_main(["certify", str(config)]) == 2
+    assert "error: environment.path" in capsys.readouterr().err
+    short = tmp_path / "short.csv"
+    short.write_text("0.5,0.5\n0.1,0.9\n")
+    cfg["environment"]["path"] = str(short)
+    with pytest.raises(ConfigError, match="environment.path: .*expected 3 rows"):
+        parse_experiment(cfg)
 
 
 def test_comparator_errors_raise_at_parse_time():

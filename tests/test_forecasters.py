@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from simplexshare import (MixingRule, certificate_slacks, loss_update,
-                          mix_fixed_share, mix_max_share, mix_projected,
-                          run_forecaster, small_loss_certificate_slacks,
-                          step_time_varying, varying_rate_certificate_slacks)
+from simplexshare import (ForecasterState, MixingRule, certificate_slacks,
+                          loss_update, mix_fixed_share, mix_max_share,
+                          mix_projected, run_forecaster,
+                          small_loss_certificate_slacks, step_time_varying,
+                          varying_rate_certificate_slacks)
 from oracles import decayed_max_brute
 
 
@@ -109,6 +110,43 @@ def test_run_forecaster_chained_example():
     assert np.allclose(traj.v[0], [1 / 3, 2 / 3], atol=1e-15)
     assert np.allclose(traj.p[1], [5 / 12, 7 / 12], atol=1e-15)
     assert traj.realized[1] == pytest.approx(5 / 12, abs=1e-15)
+
+
+def test_trajectory_views_match_hand_stepped_state():
+    """Only log weights are stored; every other record is recomputed
+    from them bit for bit, for single runs and batches alike."""
+    rng = np.random.default_rng(23)
+    d, T = 3, 15
+    rules = (MixingRule.fixed_share(0.1), MixingRule.projected(0.2),
+             MixingRule.max_share(0.1), MixingRule.decayed_max_share(0.1, 0.3),
+             MixingRule.time_varying(lambda t: 1.0 / np.sqrt(t),
+                                     lambda t: 0.5 / t))
+    for rule in rules:
+        stored = {"log_p", "losses", "etas", "alphas"}
+        if rule.variant in ("max_share", "decayed_max_share"):
+            stored.add("log_w")
+        for shape in ((T, d), (3, T, d)):
+            losses = rng.random(shape)
+            traj = run_forecaster(rule, 0.8, losses)
+            assert {name for name, value in vars(traj).items()
+                    if isinstance(value, np.ndarray)} == stored
+            batch = len(shape) == 3
+            records = (traj.p, traj.v, traj.log_v, traj.w, traj.realized)
+            for i, loss in enumerate(losses.reshape(-1, T, d)):
+                p, v, log_v, w, realized = (
+                    a[i] if batch and a is not None else a for a in records)
+                state = ForecasterState(d, rule, 0.8)
+                for t in range(T):
+                    assert np.array_equal(p[t], state.p)
+                    assert realized[t] == state.p @ loss[t]
+                    if w is not None:
+                        assert np.array_equal(w[t], state.w)
+                    state.update(loss[t])
+                    assert np.array_equal(v[t], state.v)
+                    assert np.array_equal(log_v[t], state.log_v)
+                assert np.array_equal(p[T], state.p)
+                if w is not None:
+                    assert np.array_equal(w[T], state.w)
 
 
 def test_run_forecaster_dimension_mismatch_midstream():
