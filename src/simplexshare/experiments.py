@@ -329,7 +329,8 @@ def _run_batch(spec: ExperimentSpec) -> Trajectory:
     """All repetitions of the run, stepped in lockstep.
 
     Repetition i uses stream i: its own loss stream, or its own
-    adversary (one generator per stream) for adaptive environments.
+    adversary (one generator per stream) for adaptive environments.  A
+    loss file is read once and replayed in every repetition.
     """
     env = spec.environment
     fc = spec.forecaster
@@ -339,8 +340,11 @@ def _run_batch(spec: ExperimentSpec) -> Trajectory:
         return run_forecaster(fc.rule, fc.eta, adversaries, d=env.d,
                               horizon=env.T)
     losses = np.empty((reps, env.T, env.d))
-    for rep in range(reps):
-        losses[rep] = gen_losses(env, stream=rep)
+    if env.kind == "from_file":
+        losses[:] = gen_losses(env)  # one file: the same stream for every rep
+    else:
+        for rep in range(reps):
+            losses[rep] = gen_losses(env, stream=rep)
     return run_forecaster(fc.rule, fc.eta, losses)
 
 

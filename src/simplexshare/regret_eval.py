@@ -18,6 +18,9 @@ from .simplex_core import as_nonneg_vector
 # Prefix sums switch to compensated summation at this length: window
 # differences of large prefix sums would otherwise lose precision.
 KAHAN_MIN_LENGTH = 10_000
+# Up to this many inexact columns are compensated one by one in Python
+# floats; more run as one numpy loop over rows (equal cost near 28 at T=2e4).
+_SCALAR_KAHAN_COLUMNS = 24
 
 
 def as_comparator(u) -> np.ndarray:
@@ -67,24 +70,47 @@ def generalized_shifting_regret(p_traj, losses, u) -> float:
     return float(m.sum(axis=1) @ realized - np.einsum("td,td->", m, l))
 
 
-def _kahan_cumsum(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    total = np.zeros(a.shape[1:], dtype=float)
-    carry = np.zeros_like(total)
-    for i in range(a.shape[0]):
-        y = a[i] - carry
+def _kahan_cumsum(rows, out):
+    """Kahan's compensated running sums of ``rows`` into ``out``.  Numpy
+    rows and Python floats take the same IEEE steps; floats (read from and
+    written to memoryviews, so no list of them is kept) skip numpy's
+    per-call cost."""
+    total = carry = 0.0
+    for i, x in enumerate(rows):
+        y = x - carry
         t = total + y
         carry = (t - total) - y
         total = t
-        out[i] = total
+        out[i] = t
     return out
 
 
 def _prefix(a: np.ndarray) -> np.ndarray:
-    """Prefix sums with a leading zero row; compensated for long inputs."""
-    body = _kahan_cumsum(a) if a.shape[0] >= KAHAN_MIN_LENGTH else np.cumsum(a, axis=0)
+    """Prefix sums with a leading zero row; compensated for long inputs.
+
+    Long inputs get Kahan's sums (``_kahan_cumsum``) bit for bit, but only
+    the columns that need them are compensated.  Kahan's step i forms
+    y = a_i - c, s_i = s_{i-1} + y and c = (s_i - s_{i-1}) - y, from
+    s_0 = c = +0.0.  While c is +0.0, y is a_i (signed zeros too) and s_i
+    the plain running sum of [0; a]; c stays +0.0 iff fl(s_i - s_{i-1})
+    == a_i, as x - x is +0.0 and no s_i is -0.0.  So where every step
+    passes that test, the plain sums are Kahan's.  (An infinite a_i passes
+    with a NaN carry, but then the next step fails; the last is unused.)
+    """
     zero = np.zeros((1,) + a.shape[1:])
-    return np.concatenate([zero, body], axis=0)
+    if a.shape[0] < KAHAN_MIN_LENGTH:
+        return np.concatenate([zero, np.cumsum(a, axis=0)], axis=0)
+    pref = np.cumsum(np.concatenate([zero, a], axis=0), axis=0)
+    inexact = np.flatnonzero(((pref[1:] - pref[:-1]) != a).any(axis=0))
+    T = a.shape[0]
+    if inexact.size > _SCALAR_KAHAN_COLUMNS:
+        pref[1:, inexact] = _kahan_cumsum(a[:, inexact],
+                                          np.empty((T, inexact.size)))
+    else:
+        for j in inexact:
+            col = memoryview(np.ascontiguousarray(a[:, j]))
+            pref[1:, j] = _kahan_cumsum(col, memoryview(np.empty(T)))
+    return pref
 
 
 def adaptive_regret(p_traj, losses, tau0: int) -> float:

@@ -61,6 +61,30 @@ def adaptive_regret_brute(p: np.ndarray, losses: np.ndarray, tau0: int) -> float
     return best
 
 
+def prefix_sums_brute(a: np.ndarray, compensated: bool) -> np.ndarray:
+    """Column-wise running sums of a (T, k) matrix under a leading zero
+    row, one Python float at a time.
+
+    Plain sums start from the first entry (as a cumulative sum does);
+    compensated ones are Kahan's, starting from a +0.0 total and carry.
+    """
+    T, k = a.shape
+    out = np.zeros((T + 1, k))
+    for j in range(k):
+        total = carry = 0.0
+        for i in range(T):
+            x = float(a[i, j])
+            if not compensated:
+                total = x if i == 0 else total + x
+            else:
+                y = x - carry
+                t = total + y
+                carry = (t - total) - y
+                total = t
+            out[i + 1, j] = total
+    return out
+
+
 def decayed_max_brute(v_history: np.ndarray, gamma: float) -> np.ndarray:
     """Definitional decayed running max over the stored pre-weight history.
 

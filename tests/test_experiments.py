@@ -99,6 +99,31 @@ def test_unreadable_loss_file_is_a_config_error(tmp_path, capsys):
         parse_experiment(cfg)
 
 
+def test_loss_file_is_read_once_per_run(tmp_path, monkeypatch):
+    from simplexshare import environments, experiments
+
+    path = tmp_path / "losses.csv"
+    path.write_text("0.5,0.25\n1,0\n0.125,0.75\n")
+    cfg = {"environment": {"kind": "from_file", "d": 2, "T": 3,
+                           "path": str(path)},
+           "forecaster": {"rule": "fixed_share", "eta": 1.0, "alpha": 0.1},
+           "regret": {"kind": "adaptive", "tau0": 2}, "repetitions": 3}
+    spec = parse_experiment(cfg)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return load(*args, **kwargs)
+
+    load = environments.load_losses_csv
+    monkeypatch.setattr(environments, "load_losses_csv", counted)
+    monkeypatch.setattr(experiments, "load_losses_csv", counted)
+    reports = run_experiment(spec)
+    assert len(calls) == 1
+    rows = report_rows(reports[:-1], include_timing=False)
+    assert all(row[1:] == rows[1][1:] for row in rows[2:])
+
+
 def test_comparator_errors_raise_at_parse_time():
     cfg = rotating_best_arm_config(reps=4)
     cfg["environment"]["T"] = 20000

@@ -36,6 +36,8 @@ def test_mix_fixed_share_examples():
     assert np.allclose(mix_fixed_share(v, 0.0), v)
     assert np.allclose(mix_fixed_share(v, 1.0), [0.5, 0.5])
     assert np.allclose(mix_fixed_share(v, 0.5), [5 / 12, 7 / 12], atol=1e-15)
+    assert np.array_equal(mix_fixed_share(v, np.array(0.5)),
+                          mix_fixed_share(v, 0.5))
     with pytest.raises(ValueError):
         mix_fixed_share(v, 1.5)
 
@@ -120,7 +122,12 @@ def test_trajectory_views_match_hand_stepped_state():
     rules = (MixingRule.fixed_share(0.1), MixingRule.projected(0.2),
              MixingRule.max_share(0.1), MixingRule.decayed_max_share(0.1, 0.3),
              MixingRule.time_varying(lambda t: 1.0 / np.sqrt(t),
-                                     lambda t: 0.5 / t))
+                                     lambda t: 0.5 / t),
+             MixingRule.fixed_share(0.0), MixingRule.fixed_share(1.0),
+             MixingRule.projected(0.0), MixingRule.projected(1.0),
+             MixingRule.max_share(0.0), MixingRule.max_share(1.0),
+             MixingRule.time_varying([0.9] * 5 + [0.5] * 10,
+                                     [1.0] * 3 + [0.2] * 7 + [0.0] * 5))
     for rule in rules:
         stored = {"log_p", "losses", "etas", "alphas"}
         if rule.variant in ("max_share", "decayed_max_share"):
@@ -147,6 +154,50 @@ def test_trajectory_views_match_hand_stepped_state():
                 assert np.array_equal(p[T], state.p)
                 if w is not None:
                     assert np.array_equal(w[T], state.w)
+
+
+def test_state_arrays_keep_their_values_after_later_updates():
+    rng = np.random.default_rng(31)
+    d = 4
+    names = ("log_p", "log_v", "log_w", "p", "v", "w")
+    for rule in (MixingRule.fixed_share(0.1), MixingRule.fixed_share(0.0),
+                 MixingRule.projected(0.2), MixingRule.max_share(0.1),
+                 MixingRule.decayed_max_share(0.1, 0.3),
+                 MixingRule.time_varying(lambda t: 1.0 / t, lambda t: 0.5 / t)):
+        for reps in (None, 2):
+            state = ForecasterState(d, rule, 0.8, reps=reps)
+            held = []
+            for t in range(6):
+                arrays = [getattr(state, name) for name in names]
+                held.append((arrays, [None if a is None else a.copy()
+                                      for a in arrays]))
+                state.update(rng.random(d))
+                for arrays, copies in held:
+                    for name, a, c in zip(names, arrays, copies):
+                        assert (a is None and c is None) or np.array_equal(
+                            a, c), (rule.variant, reps, name)
+
+
+@pytest.mark.parametrize("rule, losses, message", [
+    (MixingRule.time_varying([0.5, 0.9, 0.9], [0.1] * 3), np.zeros((3, 2)),
+     "eta_t > eta_prev"),
+    (MixingRule.time_varying([0.5] * 3, [0.1, 0.2, 0.2]), np.zeros((3, 2)),
+     "alpha_t > alpha_prev"),
+    (MixingRule.time_varying([0.5, float("nan"), 0.5], [0.1] * 3),
+     np.zeros((3, 2)), "not finite"),
+    (MixingRule.fixed_share(0.1), lambda t, p: np.zeros(3), r"shape \(3,\)"),
+    (MixingRule.fixed_share(0.1), lambda t, p: np.array([0.5, 1.5]),
+     r"\[0, 1\]"),
+    (MixingRule.fixed_share(0.1), lambda t, p: np.array([0.5, np.inf]),
+     "finite"),
+])
+def test_per_round_checks_still_raise(rule, losses, message):
+    kwargs = {"d": 2, "horizon": 3} if callable(losses) else {}
+    with pytest.raises(ValueError, match=message):
+        run_forecaster(rule, 1.0, losses, **kwargs)
+    if callable(losses):
+        with pytest.raises(ValueError, match=message):
+            run_forecaster(rule, 1.0, [losses, losses], **kwargs)
 
 
 def test_run_forecaster_dimension_mismatch_midstream():
@@ -190,6 +241,27 @@ def test_varying_rate_certificate():
     traj = run_forecaster(rule, None, losses)
     q = random_q(rng, d, 50)
     assert varying_rate_certificate_slacks(traj, q).min() >= -1e-9
+
+
+def test_certificates_of_a_batch_stack_the_runs():
+    rng = np.random.default_rng(41)
+    R, T, d = 3, 5, 4
+    losses = rng.random((R, T, d))
+    q = random_q(rng, d, 6)
+    cases = [(MixingRule.fixed_share(0.1), 0.7, certificate_slacks),
+             (MixingRule.max_share(0.2), 0.7, small_loss_certificate_slacks),
+             (MixingRule.time_varying(lambda t: 1.0 / np.sqrt(t),
+                                      lambda t: 0.3 / t), None,
+              varying_rate_certificate_slacks)]
+    for rule, eta, slacks in cases:
+        batch = run_forecaster(rule, eta, losses)
+        got = slacks(batch, q)
+        assert got.shape == (R, T, len(q))
+        singles = [slacks(run_forecaster(rule, eta, losses[i]), q)
+                   for i in range(R)]
+        assert np.array_equal(got, np.stack(singles)), slacks.__name__
+        assert np.array_equal(got, np.stack([slacks(batch.rep(i), q)
+                                             for i in range(R)]))
 
 
 def test_time_varying_schedule_violation():

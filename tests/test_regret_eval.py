@@ -8,8 +8,8 @@ from simplexshare import (MixingRule, adaptive_regret, adaptive_regret_details,
                           generalized_shifting_regret, linear_down_discounts,
                           linear_up_discounts, regularity_m, run_forecaster,
                           sparsity_n, total_variation)
-from simplexshare.regret_eval import _prefix
-from oracles import adaptive_regret_brute
+from simplexshare.regret_eval import KAHAN_MIN_LENGTH, _prefix
+from oracles import adaptive_regret_brute, prefix_sums_brute
 
 
 def corners(indices, d):
@@ -216,6 +216,34 @@ def test_compensated_prefix_sums():
     for idx in (1, 5_000, 12_000):
         exact = [math.fsum(values[:idx, j]) for j in range(2)]
         assert np.allclose(pref[idx], exact, atol=1e-12)
+
+
+def _prefix_cases(T: int) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(T)
+    bits = (rng.random((T, 3)) < 0.4).astype(float)
+    uniform = rng.random((T, 2))
+    late = bits[:, :1].copy()
+    late[T // 2:, 0] = rng.random(T - T // 2)
+    signed = bits[:, 1:].copy()
+    signed[0] = -0.0
+    signed[1, 0] = -0.0
+    return {
+        "bits": bits,
+        "uniform": uniform,
+        "mixed": np.column_stack([bits[:, 0], uniform[:, 0], late, signed]),
+        "exact_then_inexact": late,
+        "leading_negative_zero": signed,
+        "many_inexact": rng.random((T, 30)),
+    }
+
+
+@pytest.mark.parametrize("T", [KAHAN_MIN_LENGTH - 1, KAHAN_MIN_LENGTH])
+def test_prefix_matches_plain_python_sums_bit_for_bit(T):
+    for name, values in _prefix_cases(T).items():
+        got = _prefix(values)
+        want = prefix_sums_brute(values, compensated=T >= KAHAN_MIN_LENGTH)
+        assert np.array_equal(got, want), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
 
 
 def test_adaptive_regret_long_horizon_smoke():
