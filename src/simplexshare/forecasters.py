@@ -18,9 +18,7 @@ the hundreds, where naive exponentials underflow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -56,90 +54,59 @@ def as_loss_vector(loss, d: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # log-domain kernels over a trailing d axis (one code path shared by the
 # public ops, ForecasterState and the batched driver, so equivalences
-# between rules and between single and batched runs hold bitwise).  A
-# kernel given ``out`` writes its result there (``out`` must not alias
-# its inputs); intermediates are fresh arrays, so every sum over d adds
-# in the same order whatever ``out`` is.
+# between rules and between single and batched runs hold bitwise)
 # ---------------------------------------------------------------------------
 
 
-def _into(out: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    """``x``, copied into ``out`` when one is given."""
-    if out is None:
-        return x
-    out[...] = x
-    return out
-
-
-# ufunc.reduce gets (axis, dtype, out, keepdims) positionally here:
-# parsing them as keywords costs more than a sum over a small d.
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    return np.add.reduce(x, -1, None, None, True)
-
-
 def _logsumexp(logw: np.ndarray) -> np.ndarray:
-    m = np.maximum.reduce(logw, -1, None, None, True)
-    return m + np.log(_row_sum(np.exp(logw - m)))
+    m = np.maximum.reduce(logw, axis=-1, keepdims=True)
+    return m + np.log(np.add.reduce(np.exp(logw - m), axis=-1, keepdims=True))
 
 
-def _log_normalize(logw: np.ndarray, out=None) -> np.ndarray:
-    return np.subtract(logw, _logsumexp(logw), out=out)
+def _log_normalize(logw: np.ndarray) -> np.ndarray:
+    return logw - _logsumexp(logw)
 
 
 def _to_linear(logw: np.ndarray) -> np.ndarray:
     p = np.exp(_log_normalize(logw))
-    return p / _row_sum(p)
+    return p / np.add.reduce(p, axis=-1, keepdims=True)
 
 
-@lru_cache(maxsize=8)
-def _mix_logs(alpha: float, scale: int) -> tuple[float, float]:
-    """log(1 - alpha) and log(alpha / scale), for 0 < alpha < 1: worked
-    out once per distinct alpha, not once per round."""
-    return np.log1p(-alpha), np.log(alpha / scale)
+def _log_loss_step(log_p: np.ndarray, loss: np.ndarray, eta: float,
+                   pow_ratio: float = 1.0) -> np.ndarray:
+    return _log_normalize(pow_ratio * log_p - eta * loss)
 
 
-def _log_loss_step(log_p: np.ndarray, loss: np.ndarray, eta,
-                   pow_ratio=None, out=None) -> np.ndarray:
-    """Normalized pow_ratio * log_p - eta * loss; a ``pow_ratio`` of None
-    stands for 1, whose product 1.0 * x == x is skipped."""
-    if pow_ratio is not None:
-        log_p = pow_ratio * log_p
-    return _log_normalize(log_p - eta * loss, out)
-
-
-def _log_fixed_share(log_v: np.ndarray, alpha: float, out=None
-                     ) -> np.ndarray:
+def _log_fixed_share(log_v: np.ndarray, alpha: float) -> np.ndarray:
     d = log_v.shape[-1]
     if alpha == 0.0:
-        return _into(out, log_v)
+        return log_v
     if alpha == 1.0:
-        return _into(out, np.full(log_v.shape, -np.log(d)))
-    keep, share = _mix_logs(float(alpha), d)
-    return _log_normalize(np.logaddexp(share, keep + log_v), out)
+        return np.full(log_v.shape, -np.log(d))
+    mixed = np.logaddexp(np.log(alpha / d), np.log1p(-alpha) + log_v)
+    return _log_normalize(mixed)
 
 
-def _log_projected(log_v: np.ndarray, alpha: float, out=None) -> np.ndarray:
+def _log_projected(log_v: np.ndarray, alpha: float) -> np.ndarray:
     if alpha == 0.0:
-        return _into(out, log_v)
+        return log_v
     v = _to_linear(log_v)
     # renormalize as kl_project_clipped does, so the rows match it bitwise
-    return np.log(kl_project_rows(v / _row_sum(v), alpha), out=out)
+    return np.log(kl_project_rows(v / v.sum(axis=-1, keepdims=True), alpha))
 
 
 def _log_max_share(log_w: np.ndarray, log_v_next: np.ndarray, alpha: float,
-                   gamma: float, out=None, w_out=None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Max-share mixing, with the next auxiliary weights in ``w_out``."""
-    log_w_next = np.maximum(log_w - gamma, log_v_next, out=w_out)
+                   gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    log_w_next = np.maximum(log_w - gamma, log_v_next)
     log_z = _logsumexp(log_w_next)
     if alpha == 0.0:
         log_p = log_v_next
     elif alpha == 1.0:
         log_p = log_w_next - log_z
     else:
-        keep, share = _mix_logs(float(alpha), 1)
-        log_p = np.logaddexp(keep + log_v_next, share + log_w_next - log_z)
-    return _log_normalize(log_p, out), log_w_next
+        log_p = np.logaddexp(np.log1p(-alpha) + log_v_next,
+                             np.log(alpha) + log_w_next - log_z)
+    return _log_normalize(log_p), log_w_next
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +248,7 @@ class MixingRule:
 
 def _schedule_value(sched: Schedule, t: int) -> float:
     value = float(sched(t)) if callable(sched) else float(sched[t - 1])
-    if not math.isfinite(value):
+    if not np.isfinite(value):
         raise ValueError(f"schedule value at t={t} is not finite")
     return value
 
@@ -343,17 +310,13 @@ class ForecasterState:
         return eta_t, alpha_t
 
     def update(self, loss) -> None:
-        """Observe the loss for the current round and advance one step,
-        into fresh arrays: arrays read from the state keep their values."""
+        """Observe the loss for the current round and advance one step."""
         self._advance(as_loss_vector(loss, self.d), *self.round_params())
 
-    def _advance(self, loss: np.ndarray, eta_t: float, alpha_t: float,
-                 log_v=None, log_p=None, log_w=None) -> None:
+    def _advance(self, loss: np.ndarray, eta_t: float, alpha_t: float) -> None:
         """One step on an already validated loss of the state's shape.
 
-        The new weights go into ``log_v``, ``log_p`` and ``log_w`` when
-        given (none may alias the current weights), else into fresh
-        arrays.  Constant-rate rules are time-varying ones with constant
+        Constant-rate rules are time-varying ones with constant
         schedules: their power eta_t / eta_prev is exactly 1.
         """
         eta_prev = self._eta_prev if self._eta_prev is not None else eta_t
@@ -361,18 +324,17 @@ class ForecasterState:
             raise ValueError("schedule violation: eta_t > eta_prev")
         if self._alpha_prev is not None and alpha_t > self._alpha_prev + 1e-12:
             raise ValueError("schedule violation: alpha_t > alpha_prev")
+        self.log_v = _log_loss_step(self.log_p, loss, eta_t,
+                                    pow_ratio=eta_t / eta_prev)
         rule = self.rule
-        self.log_v = _log_loss_step(
-            self.log_p, loss, eta_t,
-            None if eta_t == eta_prev else eta_t / eta_prev, log_v)
         if rule.variant in ("fixed_share", "time_varying"):
-            self.log_p = _log_fixed_share(self.log_v, alpha_t, log_p)
+            self.log_p = _log_fixed_share(self.log_v, alpha_t)
         elif rule.variant == "projected":
-            self.log_p = _log_projected(self.log_v, alpha_t, log_p)
+            self.log_p = _log_projected(self.log_v, alpha_t)
         else:
             gamma = rule.gamma if rule.variant == "decayed_max_share" else 0.0
-            self.log_p, self.log_w = _log_max_share(
-                self.log_w, self.log_v, alpha_t, gamma, log_p, log_w)
+            self.log_p, self.log_w = _log_max_share(self.log_w, self.log_v,
+                                                    alpha_t, gamma)
         self._eta_prev = eta_t
         self._alpha_prev = alpha_t
         self.t += 1
@@ -380,14 +342,13 @@ class ForecasterState:
 
 def _linear(log_w: np.ndarray) -> np.ndarray:
     """``_to_linear`` of every row of a log-weight record, in blocks of
-    at most 2^15 entries so that no temporary grows with the horizon
-    (nor with a copy of a batch's time-major record)."""
-    out = np.empty(log_w.shape)
-    block = max(1, (1 << 15) // log_w.shape[-1])
-    for i in np.ndindex(log_w.shape[:-2]):
-        for lo in range(0, log_w.shape[-2], block):
-            out[i][lo:lo + block] = _to_linear(log_w[i][lo:lo + block])
-    return out
+    at most 2^15 entries so that no temporary grows with the horizon."""
+    rows = log_w.reshape(-1, log_w.shape[-1])
+    out = np.empty(rows.shape)
+    block = max(1, (1 << 15) // rows.shape[1])
+    for lo in range(0, rows.shape[0], block):
+        out[lo:lo + block] = _to_linear(rows[lo:lo + block])
+    return out.reshape(log_w.shape)
 
 
 @dataclass
@@ -401,8 +362,6 @@ class Trajectory:
     computed; keep the result when reading one repeatedly.  A batch of
     R lockstep runs gives every per-run array a leading R axis and
     shares ``etas`` and ``alphas``; ``rep(i)`` views run i.
-    ``run_forecaster`` stores ``log_p`` and ``log_w`` time-major, so for
-    R > 1 these are (R, T+1, d) views of (T+1, R, d) arrays.
     """
 
     rule: MixingRule
@@ -505,18 +464,15 @@ def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
     R, T, _ = loss.shape
 
     state = ForecasterState(d, rule, eta, reps=R)
-    # Each round writes straight into the next rows of the records, kept
-    # time-major so a row is one contiguous (R, d) block; log_v is scratch.
-    log_p = np.empty((T + 1, R, d))
-    log_w = None if state.log_w is None else np.empty((T + 1, R, d))
-    log_p[0] = state.log_p
-    if log_w is not None:
-        log_w[0] = state.log_w
-    log_v = np.empty((R, d))
+    log_p = np.empty((R, T + 1, d))
+    log_w = None if state.log_w is None else np.empty((R, T + 1, d))
     etas = np.empty(T)
     alphas = np.empty(T)
+    if log_w is not None:
+        log_w[:, 0] = state.log_w
 
     for t in range(T):
+        log_p[:, t] = state.log_p
         if adversaries is not None:
             p_t = state.p
             for i, adversary in enumerate(adversaries):
@@ -528,12 +484,13 @@ def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
             _check_loss_entries(loss[:, t])
         eta_t, alpha_t = state.round_params()
         etas[t], alphas[t] = eta_t, alpha_t
-        state._advance(loss[:, t], eta_t, alpha_t, log_v, log_p[t + 1],
-                       None if log_w is None else log_w[t + 1])
+        state._advance(loss[:, t], eta_t, alpha_t)
+        if log_w is not None:
+            log_w[:, t + 1] = state.log_w
+    log_p[:, T] = state.log_p
 
-    traj = Trajectory(rule=rule, d=d, T=T, log_p=log_p.swapaxes(0, 1),
-                      losses=loss, etas=etas, alphas=alphas,
-                      log_w=None if log_w is None else log_w.swapaxes(0, 1))
+    traj = Trajectory(rule=rule, d=d, T=T, log_p=log_p, losses=loss,
+                      etas=etas, alphas=alphas, log_w=log_w)
     return traj.rep(0) if single else traj
 
 

@@ -18,9 +18,6 @@ from .simplex_core import as_nonneg_vector
 # Prefix sums switch to compensated summation at this length: window
 # differences of large prefix sums would otherwise lose precision.
 KAHAN_MIN_LENGTH = 10_000
-# Up to this many inexact columns are compensated one by one in Python
-# floats; more run as one numpy loop over rows (equal cost near 28 at T=2e4).
-_SCALAR_KAHAN_COLUMNS = 24
 
 
 def as_comparator(u) -> np.ndarray:
@@ -70,18 +67,19 @@ def generalized_shifting_regret(p_traj, losses, u) -> float:
     return float(m.sum(axis=1) @ realized - np.einsum("td,td->", m, l))
 
 
-def _kahan_cumsum(rows, out):
-    """Kahan's compensated running sums of ``rows`` into ``out``.  Numpy
-    rows and Python floats take the same IEEE steps; floats (read from and
-    written to memoryviews, so no list of them is kept) skip numpy's
-    per-call cost."""
+def _kahan_cumsum(col: np.ndarray) -> np.ndarray:
+    """Kahan's compensated running sums of one column.  The loop runs on
+    Python floats read from and written to memoryviews: the same IEEE
+    steps as numpy's, without its per-call cost."""
+    out = np.empty(col.shape[0])
+    sums = memoryview(out)
     total = carry = 0.0
-    for i, x in enumerate(rows):
+    for i, x in enumerate(memoryview(np.ascontiguousarray(col))):
         y = x - carry
         t = total + y
         carry = (t - total) - y
         total = t
-        out[i] = t
+        sums[i] = t
     return out
 
 
@@ -101,15 +99,9 @@ def _prefix(a: np.ndarray) -> np.ndarray:
     if a.shape[0] < KAHAN_MIN_LENGTH:
         return np.concatenate([zero, np.cumsum(a, axis=0)], axis=0)
     pref = np.cumsum(np.concatenate([zero, a], axis=0), axis=0)
-    inexact = np.flatnonzero(((pref[1:] - pref[:-1]) != a).any(axis=0))
-    T = a.shape[0]
-    if inexact.size > _SCALAR_KAHAN_COLUMNS:
-        pref[1:, inexact] = _kahan_cumsum(a[:, inexact],
-                                          np.empty((T, inexact.size)))
-    else:
-        for j in inexact:
-            col = memoryview(np.ascontiguousarray(a[:, j]))
-            pref[1:, j] = _kahan_cumsum(col, memoryview(np.empty(T)))
+    inexact = ((pref[1:] - pref[:-1]) != a).any(axis=0)
+    for j in np.flatnonzero(inexact):
+        pref[1:, j] = _kahan_cumsum(a[:, j])
     return pref
 
 
