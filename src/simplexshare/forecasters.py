@@ -247,6 +247,8 @@ class MixingRule:
 
 
 def _schedule_value(sched: Schedule, t: int) -> float:
+    if not callable(sched) and t > len(sched):
+        raise ValueError(f"schedule has {len(sched)} values, none for t={t}")
     value = float(sched(t)) if callable(sched) else float(sched[t - 1])
     if not np.isfinite(value):
         raise ValueError(f"schedule value at t={t} is not finite")
@@ -355,13 +357,13 @@ def _linear(log_w: np.ndarray) -> np.ndarray:
 class Trajectory:
     """Full record of one run, for regret evaluation and certification.
 
-    Stored: ``log_p`` (log p_1..log p_{T+1}), ``losses``, the per-round
-    parameters actually used (``etas``, ``alphas``) and, for max-share
-    rules, ``log_w`` (log w_1..log w_{T+1}).  Every other record is
-    recomputed from these on each access, bit for bit what the run
-    computed; keep the result when reading one repeatedly.  A batch of
-    R lockstep runs gives every per-run array a leading R axis and
-    shares ``etas`` and ``alphas``; ``rep(i)`` views run i.
+    Stored, for every rule: ``log_p`` (log p_1..log p_{T+1}), ``losses``
+    and the per-round parameters actually used (``etas``, ``alphas``).
+    Every other record, the max-share auxiliary weights ``log_w`` and
+    ``w`` included, is recomputed from these on each access, bit for bit
+    what the run computed; keep the result when reading one repeatedly.
+    A batch of R lockstep runs gives every per-run array a leading R
+    axis and shares ``etas`` and ``alphas``; ``rep(i)`` views run i.
     """
 
     rule: MixingRule
@@ -371,7 +373,6 @@ class Trajectory:
     losses: np.ndarray
     etas: np.ndarray
     alphas: np.ndarray
-    log_w: np.ndarray | None = None
 
     @property
     def p(self) -> np.ndarray:
@@ -391,9 +392,23 @@ class Trajectory:
         return _linear(self.log_v)
 
     @property
+    def log_w(self) -> np.ndarray | None:
+        """Log auxiliary weights log w_1..log w_{T+1} (max-share rules
+        only), rescanned with ``_log_max_share``'s running decayed max."""
+        if self.rule.variant not in ("max_share", "decayed_max_share"):
+            return None
+        gamma = 0.0 if self.rule.variant == "max_share" else self.rule.gamma
+        log_w = np.full(self.log_p.shape, -np.log(self.d))
+        log_w[..., 1:, :] = self.log_v
+        for t in range(self.T):
+            np.maximum(log_w[..., t, :] - gamma, log_w[..., t + 1, :],
+                       out=log_w[..., t + 1, :])
+        return log_w
+
+    @property
     def w(self) -> np.ndarray | None:
         """The auxiliary weights w_1..w_{T+1} (max-share rules only)."""
-        return None if self.log_w is None else np.exp(self.log_w)
+        return None if (log_w := self.log_w) is None else np.exp(log_w)
 
     @property
     def played(self) -> np.ndarray:
@@ -416,8 +431,7 @@ class Trajectory:
 
     def rep(self, i: int) -> "Trajectory":
         """Run ``i`` of a batched trajectory, as views into the batch."""
-        return replace(self, log_p=self.log_p[i], losses=self.losses[i],
-                       log_w=None if self.log_w is None else self.log_w[i])
+        return replace(self, log_p=self.log_p[i], losses=self.losses[i])
 
 
 def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
@@ -465,11 +479,8 @@ def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
 
     state = ForecasterState(d, rule, eta, reps=R)
     log_p = np.empty((R, T + 1, d))
-    log_w = None if state.log_w is None else np.empty((R, T + 1, d))
     etas = np.empty(T)
     alphas = np.empty(T)
-    if log_w is not None:
-        log_w[:, 0] = state.log_w
 
     for t in range(T):
         log_p[:, t] = state.log_p
@@ -485,12 +496,10 @@ def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
         eta_t, alpha_t = state.round_params()
         etas[t], alphas[t] = eta_t, alpha_t
         state._advance(loss[:, t], eta_t, alpha_t)
-        if log_w is not None:
-            log_w[:, t + 1] = state.log_w
     log_p[:, T] = state.log_p
 
     traj = Trajectory(rule=rule, d=d, T=T, log_p=log_p, losses=loss,
-                      etas=etas, alphas=alphas, log_w=log_w)
+                      etas=etas, alphas=alphas)
     return traj.rep(0) if single else traj
 
 

@@ -49,7 +49,8 @@ def regularity_m(u) -> float:
     m = as_comparator(u)
     if m.shape[0] == 1:
         return 0.0
-    return float(np.maximum(m[1:] - m[:-1], 0.0).sum())
+    inc = np.subtract(m[1:], m[:-1])
+    return float(np.maximum(inc, 0.0, out=inc).sum())
 
 
 def sparsity_n(u) -> float:

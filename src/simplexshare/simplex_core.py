@@ -110,17 +110,20 @@ def kl_project_rows(p: np.ndarray, alpha: float) -> np.ndarray:
     arithmetic of a single projection, so a stack of rows projects bit
     for bit like the rows one at a time.
     """
-    if np.any(p <= 0.0):
-        raise ValueError("projection requires strictly positive entries")
     d = p.shape[-1]
     floor = alpha / d
-    out = p.reshape(-1, d)
-    todo = np.flatnonzero(out.min(axis=1) < floor)
+    flat = p.reshape(-1, d)
+    low = flat.min(axis=1)
+    if np.any(low <= 0.0):
+        raise ValueError("projection requires strictly positive entries")
+    todo = np.flatnonzero(low < floor)
     if todo.size == 0:
         return p
-    out = out.copy()
-    order = np.argsort(out[todo], axis=1)
-    ps = np.take_along_axis(out[todo], order, axis=1)
+    ps = flat[todo]
+    # argsort's tie order picks which tied entry at the floor is floored
+    order = np.argsort(ps, axis=1)
+    row = np.arange(todo.size)[:, None]
+    ps = ps[row, order]
     # suffix[:, k] = mass of the d-k largest entries (the unfloored ones).
     suffix = np.cumsum(ps[:, ::-1], axis=1)[:, ::-1]
     scales = (1.0 - np.arange(1, d) * floor) / suffix[:, 1:]
@@ -129,11 +132,14 @@ def kl_project_rows(p: np.ndarray, alpha: float) -> np.ndarray:
     # always fits when alpha < 1, so rows where none fits have alpha == 1
     # and every entry floored at 1/d.
     last = fits.argmax(axis=1)[:, None]
-    scale = np.take_along_axis(scales, last, axis=1)
+    scale = scales[row, last]
     ps = np.where(np.arange(d) <= last, floor, np.maximum(scale * ps, floor))
     rows = np.empty_like(ps)
-    np.put_along_axis(rows, order, ps, axis=1)
+    rows[row, order] = ps
     rows /= rows.sum(axis=1, keepdims=True)
     rows[~fits.any(axis=1)] = floor / (d * floor)
+    if todo.size == flat.shape[0]:
+        return rows.reshape(p.shape)
+    out = flat.copy()
     out[todo] = rows
     return out.reshape(p.shape)

@@ -115,7 +115,8 @@ def test_run_forecaster_chained_example():
 
 
 def test_trajectory_views_match_hand_stepped_state():
-    """Only log weights are stored; every other record is recomputed
+    """Only log p, losses and the round parameters are stored; every
+    other record, max-share's auxiliary weights included, is recomputed
     from them bit for bit, for single runs and batches alike."""
     rng = np.random.default_rng(23)
     d, T = 3, 15
@@ -126,22 +127,26 @@ def test_trajectory_views_match_hand_stepped_state():
              MixingRule.fixed_share(0.0), MixingRule.fixed_share(1.0),
              MixingRule.projected(0.0), MixingRule.projected(1.0),
              MixingRule.max_share(0.0), MixingRule.max_share(1.0),
+             MixingRule.decayed_max_share(0.0, 2.0),
+             MixingRule.decayed_max_share(1.0, 0.01),
              MixingRule.time_varying([0.9] * 5 + [0.5] * 10,
                                      [1.0] * 3 + [0.2] * 7 + [0.0] * 5))
     for rule in rules:
-        stored = {"log_p", "losses", "etas", "alphas"}
-        if rule.variant in ("max_share", "decayed_max_share"):
-            stored.add("log_w")
         for shape in ((T, d), (3, T, d)):
             losses = rng.random(shape)
             traj = run_forecaster(rule, 0.8, losses)
             assert {name for name, value in vars(traj).items()
-                    if isinstance(value, np.ndarray)} == stored
+                    if isinstance(value, np.ndarray)} == {
+                        "log_p", "losses", "etas", "alphas"}
             batch = len(shape) == 3
             records = (traj.p, traj.v, traj.log_v, traj.w, traj.realized)
             for i, loss in enumerate(losses.reshape(-1, T, d)):
                 p, v, log_v, w, realized = (
                     a[i] if batch and a is not None else a for a in records)
+                if batch:
+                    rep_w = traj.rep(i).w
+                    assert (w is None and rep_w is None) or np.array_equal(
+                        rep_w, w)
                 state = ForecasterState(d, rule, 0.8)
                 for t in range(T):
                     assert np.array_equal(p[t], state.p)
@@ -262,6 +267,13 @@ def test_certificates_of_a_batch_stack_the_runs():
         assert np.array_equal(got, np.stack(singles)), slacks.__name__
         assert np.array_equal(got, np.stack([slacks(batch.rep(i), q)
                                              for i in range(R)]))
+
+
+def test_short_sequence_schedule_names_the_round():
+    rule = MixingRule.time_varying([0.5, 0.4], [0.1, 0.1])
+    for losses in (np.zeros((3, 2)), np.zeros((2, 3, 2))):
+        with pytest.raises(ValueError, match="t=3"):
+            run_forecaster(rule, None, losses)
 
 
 def test_time_varying_schedule_violation():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ def test_regularity_counts_hard_switches_exactly():
     for i in range(len(arms)):
         seq[bounds_[i]:bounds_[i + 1]] = arms[i]
     assert regularity_m(corners(seq, d)) == pytest.approx(7.0, abs=1e-12)
+
+
+def test_regularity_needs_one_temporary_of_the_comparator_size():
+    u = np.random.default_rng(4).random((2000, 1000))
+    expected = float(np.maximum(u[1:] - u[:-1], 0.0).sum())
+    tracemalloc.start()
+    try:
+        value = regularity_m(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    assert peak <= 1.1 * u.nbytes
 
 
 def test_sparsity_examples():

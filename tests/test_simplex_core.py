@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from simplexshare import (as_distribution, binary_entropy, kl_divergence,
                           kl_project_clipped, total_variation)
+from simplexshare.simplex_core import kl_project_rows
 from oracles import dtv_brute, grid_min_kl, kl_brute
 
 vectors = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8)
@@ -144,6 +145,31 @@ def test_projection_pythagorean_inequality():
         lhs = kl_brute(q, v)
         rhs = kl_brute(q, star) + kl_brute(star, v)
         assert lhs >= rhs - 1e-10
+
+
+def test_stacked_projection_matches_single_rows_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for d in (2, 4, 7, 50):
+        raw = [rng.dirichlet(np.ones(d) * 0.3) for _ in range(6)]
+        raw += [np.full(d, 1.0 / d), np.r_[1.0, np.full(d - 1, 1e-300)]]
+        # ties at the floor boundary: equal small entries, some floored
+        small = np.full(d, 1.0)
+        small[: d // 2] = 0.5 / d
+        raw += [small, np.round(rng.random(d) * 3) + 1e-3]
+        stack = np.stack([as_distribution(r / r.sum()) for r in raw])
+        for alpha in (1e-4, 0.3, 0.9, 1.0 - 1e-15, 1.0):
+            expected = np.stack([kl_project_clipped(r / r.sum(), alpha)
+                                 for r in raw])
+            assert np.array_equal(kl_project_rows(stack, alpha), expected)
+            # a 3-d stack, and one whose rows all need projecting
+            assert np.array_equal(
+                kl_project_rows(stack.reshape(2, -1, d), alpha),
+                expected.reshape(2, -1, d))
+            todo = stack.min(axis=1) < alpha / d
+            assert np.array_equal(kl_project_rows(stack[todo], alpha),
+                                  expected[todo])
+    with pytest.raises(ValueError, match="strictly positive"):
+        kl_project_rows(np.array([[0.5, 0.5], [1.0, 0.0]]), 0.5)
 
 
 def test_as_distribution_validation():
