@@ -34,8 +34,8 @@ from .environments import (ComparatorSpec, EnvironmentSpec, check_comparator,
                            linear_up_discounts, load_losses_csv,
                            make_adversary)
 from .forecasters import MixingRule, Trajectory, run_forecaster
-from .regret_eval import (adaptive_regret_details, as_discounts,
-                          discounted_regret_details,
+from .regret_eval import (CheckedComparator, adaptive_regret_details,
+                          as_discounts, discounted_regret_details,
                           generalized_shifting_regret, regularity_m,
                           sparsity_n)
 
@@ -280,8 +280,10 @@ def parse_experiment(config: dict) -> ExperimentSpec:
 
 def _comparator_stats(u: np.ndarray, losses: np.ndarray
                       ) -> tuple[float, float, float, float]:
-    m = regularity_m(u)
-    n = sparsity_n(u)
+    # u is valid: the shifting regret checked it, or _evaluate built it
+    checked = u.view(CheckedComparator)
+    m = regularity_m(checked)
+    n = sparsity_n(checked)
     U_sum = float(u.sum())
     L_sum = float(np.einsum("td,td->", u, losses))
     return m, n, U_sum, L_sum

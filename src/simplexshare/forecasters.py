@@ -156,7 +156,7 @@ def mix_max_share(w, v_next, alpha: float, gamma: float = 0.0
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
     if gamma < 0.0:
-        raise ValueError("gamma must be positive for the decayed variant")
+        raise ValueError("gamma must be nonnegative")
     wv = np.asarray(w, dtype=float)
     vv = as_distribution(v_next)
     if wv.shape != vv.shape:

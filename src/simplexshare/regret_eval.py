@@ -20,12 +20,17 @@ from .simplex_core import as_nonneg_vector
 KAHAN_MIN_LENGTH = 10_000
 
 
+class CheckedComparator(np.ndarray):
+    """A comparator view known valid: ``as_comparator`` checks its shape."""
+
+
 def as_comparator(u) -> np.ndarray:
     """Validate a (T, d) matrix of nonnegative comparator vectors."""
     m = np.asarray(u, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1:
         raise ValueError("comparator must be a (T, d) matrix with T >= 1")
-    if not np.all(np.isfinite(m)) or np.any(m < 0.0):
+    if not isinstance(u, CheckedComparator) and (
+            not np.all(np.isfinite(m)) or np.any(m < 0.0)):
         raise ValueError("comparator entries must be finite and nonnegative")
     return m
 

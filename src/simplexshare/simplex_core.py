@@ -108,7 +108,14 @@ def kl_project_rows(p: np.ndarray, alpha: float) -> np.ndarray:
 
     Rows must already sum to 1 and ``0 < alpha <= 1``.  Each row gets the
     arithmetic of a single projection, so a stack of rows projects bit
-    for bit like the rows one at a time.
+    for bit like the rows one at a time.  Entries <= x = ps[last] get the
+    floor, so tied entries at the floor are floored together.  Flooring
+    sorted positions 0..last gives a copy of x sorted after last max(q,
+    floor), q = fl(scale x): the floor if last >= 1, as ``fits[last - 1]``
+    tests (1 - last floor) x / (S + x) = floor + S (q - floor) / (S + x),
+    S the mass after x, up to ulps far inside the 1e-13 slack.  At last ==
+    0, q > floor needs a tied minimum within the row sum's rounding below
+    the floor, where flooring by position floors only one copy.
     """
     d = p.shape[-1]
     floor = alpha / d
@@ -119,11 +126,8 @@ def kl_project_rows(p: np.ndarray, alpha: float) -> np.ndarray:
     todo = np.flatnonzero(low < floor)
     if todo.size == 0:
         return p
-    ps = flat[todo]
-    # argsort's tie order picks which tied entry at the floor is floored
-    order = np.argsort(ps, axis=1)
-    row = np.arange(todo.size)[:, None]
-    ps = ps[row, order]
+    rows = flat[todo]
+    ps = np.sort(rows, axis=1)
     # suffix[:, k] = mass of the d-k largest entries (the unfloored ones).
     suffix = np.cumsum(ps[:, ::-1], axis=1)[:, ::-1]
     scales = (1.0 - np.arange(1, d) * floor) / suffix[:, 1:]
@@ -132,10 +136,9 @@ def kl_project_rows(p: np.ndarray, alpha: float) -> np.ndarray:
     # always fits when alpha < 1, so rows where none fits have alpha == 1
     # and every entry floored at 1/d.
     last = fits.argmax(axis=1)[:, None]
-    scale = scales[row, last]
-    ps = np.where(np.arange(d) <= last, floor, np.maximum(scale * ps, floor))
-    rows = np.empty_like(ps)
-    rows[row, order] = ps
+    row = np.arange(todo.size)[:, None]
+    rows = np.where(rows <= ps[row, last], floor,
+                    np.maximum(scales[row, last] * rows, floor))
     rows /= rows.sum(axis=1, keepdims=True)
     rows[~fits.any(axis=1)] = floor / (d * floor)
     if todo.size == flat.shape[0]:

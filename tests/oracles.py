@@ -48,6 +48,44 @@ def grid_min_kl(v: np.ndarray, alpha: float, res: float) -> float:
     return float(terms.sum(axis=1).min())
 
 
+def kl_project_argsort(p, alpha: float, floor_ties: bool = False
+                       ) -> np.ndarray:
+    """Clipped-simplex KL projection of each row of an (..., d) array by
+    sort order, one row at a time.
+
+    Rows with an entry below alpha/d are argsorted; the first k sorted
+    entries are floored for the smallest k whose next entry, rescaled by
+    the leftover mass, fits above the floor (to a 1e-13 slack); the rest
+    are rescaled, scattered back and renormalized.  Rows where no k fits
+    become uniform.  ``floor_ties`` also floors every entry equal to the
+    last floored one, whatever its sort position.
+    """
+    p = np.asarray(p, dtype=float)
+    d = p.shape[-1]
+    floor = alpha / d
+    out = p.reshape(-1, d).copy()
+    for i in range(out.shape[0]):
+        row = out[i].copy()
+        if row.min() >= floor:
+            continue
+        order = np.argsort(row)
+        ps = row[order]
+        suffix = np.cumsum(ps[::-1])[::-1]
+        scales = (1.0 - np.arange(1, d) * floor) / suffix[1:]
+        fits = scales * ps[1:] >= floor * (1.0 - 1e-13)
+        if not fits.any():
+            out[i] = floor / (d * floor)
+            continue
+        last = int(np.argmax(fits))
+        projected = np.maximum(scales[last] * ps, floor)
+        projected[:last + 1] = floor
+        if floor_ties:
+            projected[ps == ps[last]] = floor
+        row[order] = projected
+        out[i] = row / row.sum()
+    return out.reshape(p.shape)
+
+
 def adaptive_regret_brute(p: np.ndarray, losses: np.ndarray, tau0: int) -> float:
     """Double loop over all windows and all corners, fresh sums."""
     T, d = p.shape

@@ -6,7 +6,8 @@ import pytest
 
 from simplexshare.bounds import tune_fixed_share
 from simplexshare.cli import main as cli_main
-from simplexshare.environments import gen_losses, make_adversary
+from simplexshare.environments import (gen_comparator, gen_losses,
+                                       make_adversary)
 from simplexshare.experiments import (CSV_COLUMNS, ConfigError, VERDICT_SLACK,
                                       _evaluate, _run_batch, any_failed,
                                       parse_experiment, report_rows,
@@ -122,6 +123,28 @@ def test_loss_file_is_read_once_per_run(tmp_path, monkeypatch):
     assert len(calls) == 1
     rows = report_rows(reports[:-1], include_timing=False)
     assert all(row[1:] == rows[1][1:] for row in rows[2:])
+
+
+def test_engine_scans_each_comparator_once(monkeypatch):
+    from simplexshare import regret_eval
+
+    check = regret_eval.as_comparator
+    scans = []
+
+    def counted(u):
+        if not isinstance(u, regret_eval.CheckedComparator):
+            scans.append(np.shape(u))
+        return check(u)
+
+    monkeypatch.setattr(regret_eval, "as_comparator", counted)
+    spec = parse_experiment(rotating_best_arm_config(reps=3))
+    reports = run_experiment(spec)
+    assert scans == [(1000, 10)] * 3
+    # the statistics equal those of the public, validating functions
+    traj = _run_batch(spec).rep(1)
+    u = gen_comparator(spec.comparator, 10, 1000, losses=traj.losses)
+    assert reports[1].m == regret_eval.regularity_m(u)
+    assert reports[1].n == regret_eval.sparsity_n(u)
 
 
 def test_comparator_errors_raise_at_parse_time():

@@ -6,7 +6,8 @@ from simplexshare import (ForecasterState, MixingRule, certificate_slacks,
                           mix_projected, run_forecaster,
                           small_loss_certificate_slacks, step_time_varying,
                           varying_rate_certificate_slacks)
-from oracles import decayed_max_brute
+from simplexshare.forecasters import _log_loss_step, _to_linear
+from oracles import decayed_max_brute, kl_project_argsort
 
 
 def random_q(rng, d, count):
@@ -66,8 +67,10 @@ def test_mix_max_share_examples():
     assert w.sum() == pytest.approx(1.05, abs=1e-15)
     with pytest.raises(ValueError):
         mix_max_share([0.5, 0.5], [0.8, 0.2], 1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gamma must be nonnegative"):
         mix_max_share([0.5, 0.5], [0.8, 0.2], 0.5, gamma=-1.0)
+    p, w = mix_max_share([0.5, 0.5], [0.8, 0.2], 0.5, gamma=0.0)
+    assert np.allclose(w, [0.8, 0.5])  # gamma = 0: the plain running max
 
 
 def test_step_time_varying_examples():
@@ -112,6 +115,24 @@ def test_run_forecaster_chained_example():
     assert np.allclose(traj.v[0], [1 / 3, 2 / 3], atol=1e-15)
     assert np.allclose(traj.p[1], [5 / 12, 7 / 12], atol=1e-15)
     assert traj.realized[1] == pytest.approx(5 / 12, abs=1e-15)
+
+
+def test_projected_run_at_d1000_matches_sort_order_projection_loop():
+    """The driver's projected rounds at d = 1000 equal a hand-stepped loop
+    that projects each round with the argsort oracle, bit for bit."""
+    rng = np.random.default_rng(41)
+    d, T, eta, alpha = 1000, 300, 0.5, 0.05
+    losses = (rng.random((2, T, d)) < 0.5).astype(float)
+    traj = run_forecaster(MixingRule.projected(alpha), eta, losses)
+    for rep in range(2):
+        log_p = [np.full(d, -np.log(d))]
+        for loss in losses[rep]:
+            v = _to_linear(_log_loss_step(log_p[-1], loss, eta))
+            log_p.append(np.log(kl_project_argsort(v / v.sum(), alpha)))
+        assert np.array_equal(traj.log_p[rep], np.stack(log_p))
+    # most rounds floor some entries
+    floored = np.isclose(traj.p.min(axis=-1), alpha / d, rtol=1e-12)
+    assert floored.mean() > 0.5
 
 
 def test_trajectory_views_match_hand_stepped_state():

@@ -9,7 +9,8 @@ from simplexshare import (MixingRule, adaptive_regret, adaptive_regret_details,
                           generalized_shifting_regret, linear_down_discounts,
                           linear_up_discounts, regularity_m, run_forecaster,
                           sparsity_n, total_variation)
-from simplexshare.regret_eval import KAHAN_MIN_LENGTH, _prefix
+from simplexshare.regret_eval import (KAHAN_MIN_LENGTH, CheckedComparator,
+                                      _prefix, as_comparator)
 from oracles import adaptive_regret_brute, prefix_sums_brute
 
 
@@ -105,6 +106,21 @@ def test_generalized_shifting_regret_zero_mass_rounds():
     assert generalized_shifting_regret(p, losses, u) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         generalized_shifting_regret(p, losses, u[:1])
+
+
+def test_comparator_statistics_validate_their_input():
+    p = np.full((2, 2), 0.5)
+    for bad in (np.array([[0.5, -0.1], [0.0, 1.0]]),
+                np.array([[0.5, np.nan], [0.0, 1.0]])):
+        for fn in (regularity_m, sparsity_n,
+                   lambda u: generalized_shifting_regret(p, p, u)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                fn(bad)
+        # a checked view is taken as valid: only its shape is checked
+        assert np.array_equal(as_comparator(bad.view(CheckedComparator)),
+                              bad, equal_nan=True)
+    with pytest.raises(ValueError, match="matrix"):
+        as_comparator(np.ones(3).view(CheckedComparator))
 
 
 def test_adaptive_regret_examples():

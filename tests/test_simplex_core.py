@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from simplexshare import (as_distribution, binary_entropy, kl_divergence,
                           kl_project_clipped, total_variation)
 from simplexshare.simplex_core import kl_project_rows
-from oracles import dtv_brute, grid_min_kl, kl_brute
+from oracles import dtv_brute, grid_min_kl, kl_brute, kl_project_argsort
 
 vectors = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8)
 
@@ -170,6 +170,69 @@ def test_stacked_projection_matches_single_rows_bit_for_bit():
                                   expected[todo])
     with pytest.raises(ValueError, match="strictly positive"):
         kl_project_rows(np.array([[0.5, 0.5], [1.0, 0.0]]), 0.5)
+
+
+def _projection_rows(rng, d, alpha):
+    """Rows summing to 1 (up to rounding) that stress the flooring rule."""
+    f = alpha / d
+    rows = [rng.dirichlet(np.ones(d) * 0.3)]
+    for size in sorted({1, max(1, d // 3), d - 1, d}):
+        # a tied block around the floor, and one just below it at the
+        # row minimum (where sorted positions would floor a single copy)
+        for c in (0.5, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 2.0):
+            row = rng.random(d) + 0.5
+            row[:size] = c * f
+            rows.append(row / row.sum())
+        for ulps in (1, 2, 3):
+            row = rng.random(d) + 2.0 * f
+            row[:size] = f * (1.0 - ulps * 2.0**-53)
+            if size == d:  # near-uniform; at the floor when alpha = 1
+                row[:] = (1.0 - ulps * 2.0**-53) / d
+            else:
+                row[size:] *= (1.0 - row[:size].sum()) / row[size:].sum()
+            rows.append(row)
+    # entries exactly at alpha/d next to smaller ones, and 1e-300 entries
+    k = max(1, d // 3)
+    row = rng.random(d)
+    row[:k], row[k:2 * k] = f, f / 2
+    if 2 * k < d:
+        row[2 * k:] *= (1.0 - row[:2 * k].sum()) / row[2 * k:].sum()
+    rows.append(row)
+    row = rng.random(d)
+    row[:k] = 1e-300
+    rows.append(row / row.sum())
+    return np.stack([r for r in rows if r.min() > 0.0])
+
+
+def _ties_project_alike(row, out):
+    _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
+    return np.array_equal(out, out[first][inverse])
+
+
+def test_projection_floors_by_value_like_sort_order():
+    """Bit for bit the sort-order rule wherever argsort's tie order cannot
+    change its result; where it can, the tied copies are floored together."""
+    rng = np.random.default_rng(31)
+    tie_order_rows = 0
+    for d in (2, 3, 10, 1000):
+        for alpha in (1e-4, 0.002, 0.3, 1.0 - 1e-15, 1.0):
+            stack = _projection_rows(rng, d, alpha)
+            out = kl_project_rows(stack, alpha)
+            assert np.array_equal(out, kl_project_argsort(stack, alpha,
+                                                          floor_ties=True))
+            by_position = kl_project_argsort(stack, alpha)
+            for row, got, old in zip(stack, out, by_position):
+                assert np.array_equal(kl_project_rows(row, alpha), got)
+                assert _ties_project_alike(row, got)
+                if _ties_project_alike(row, old):
+                    assert np.array_equal(got, old)
+                else:
+                    tie_order_rows += 1
+                    # sort position left all but one tied copy a few
+                    # ulps above the floor
+                    assert np.allclose(got, old, atol=0.0,
+                                       rtol=8 * d * np.finfo(float).eps)
+    assert tie_order_rows > 0
 
 
 def test_as_distribution_validation():
