@@ -118,7 +118,7 @@ def test_run_forecaster_chained_example():
 
 
 def test_projected_run_at_d1000_matches_sort_order_projection_loop():
-    """The driver's projected rounds at d = 1000 equal a hand-stepped loop
+    """run_forecaster's projected rounds at d = 1000 equal a hand-stepped loop
     that projects each round with the argsort oracle, bit for bit."""
     rng = np.random.default_rng(41)
     d, T, eta, alpha = 1000, 300, 0.5, 0.05
