@@ -76,34 +76,30 @@ def _cmd_project(args) -> int:
     return 0
 
 
+# family -> (guarantee, its flags in order; "=1" marks a flag defaulting
+# to 1.0).  d, T and tau0 are integers, every other flag a float.
+BOUND_FAMILIES = {
+    "projected": (bnd.bound_projected, "d eta alpha m U_sum u1_norm=1"),
+    "fixed-share": (bnd.bound_fixed_share, "d eta alpha m U_sum u1_norm=1"),
+    "adaptive": (bnd.bound_adaptive, "d tau0"),
+    "small-loss": (lambda *a: bnd.tune_small_loss(*a).bound, "d m0 U0 L0"),
+    "shared-weights": (bnd.bound_shared_weights,
+                       "d T eta alpha m n U_sum C Z_max u1_norm=1"),
+    "max-share": (bnd.bound_max_share, "d T eta alpha m n"),
+    "decayed-max-share": (bnd.bound_decayed_max_share, "d T eta alpha m0 n0"),
+    "anytime-adaptive": (bnd.anytime_adaptive_bound, "d T"),
+}
+
+
 def _cmd_bound(args) -> int:
-    family = args.family
-    if family == "projected":
-        value = bnd.bound_projected(args.d, args.eta, args.alpha, args.m,
-                                    args.U_sum, args.u1_norm)
-    elif family == "fixed-share":
-        value = bnd.bound_fixed_share(args.d, args.eta, args.alpha, args.m,
-                                      args.U_sum, args.u1_norm)
-    elif family == "adaptive":
-        exact, relaxed = bnd.bound_adaptive(args.d, args.tau0)
-        print(f"exact={_fmt(exact)}")
-        print(f"relaxed={_fmt(relaxed)}")
-        return 0
-    elif family == "small-loss":
-        value = bnd.tune_small_loss(args.d, args.m0, args.U0, args.L0).bound
-    elif family == "shared-weights":
-        value = bnd.bound_shared_weights(args.d, args.T, args.eta, args.alpha,
-                                         args.m, args.n, args.U_sum, args.C,
-                                         args.Z_max, args.u1_norm)
-    elif family == "max-share":
-        value = bnd.bound_max_share(args.d, args.T, args.eta, args.alpha,
-                                    args.m, args.n)
-    elif family == "decayed-max-share":
-        value = bnd.bound_decayed_max_share(args.d, args.T, args.eta,
-                                            args.alpha, args.m0, args.n0)
-    else:  # anytime-adaptive
-        value = bnd.anytime_adaptive_bound(args.d, args.T)
-    print(_fmt(value))
+    guarantee, flags = BOUND_FAMILIES[args.family]
+    value = guarantee(*(getattr(args, flag.partition("=")[0])
+                        for flag in flags.split()))
+    if args.family == "adaptive":
+        print(f"exact={_fmt(value[0])}")
+        print(f"relaxed={_fmt(value[1])}")
+    else:
+        print(_fmt(value))
     return 0
 
 
@@ -141,34 +137,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="print a closed-form guarantee")
     bound_sub = p_bound.add_subparsers(dest="family", required=True)
 
-    def add_family(name, **flags):
-        p = bound_sub.add_parser(name)
-        for flag, (ftype, required) in flags.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
-                           type=ftype, required=required,
-                           default=None if required else 1.0)
-        p.set_defaults(func=_cmd_bound)
-        return p
-
-    add_family("projected", d=(int, True), eta=(float, True),
-               alpha=(float, True), m=(float, True), U_sum=(float, True),
-               u1_norm=(float, False))
-    add_family("fixed-share", d=(int, True), eta=(float, True),
-               alpha=(float, True), m=(float, True), U_sum=(float, True),
-               u1_norm=(float, False))
-    add_family("adaptive", d=(int, True), tau0=(int, True))
-    add_family("small-loss", d=(int, True), m0=(float, True),
-               U0=(float, True), L0=(float, True))
-    add_family("shared-weights", d=(int, True), T=(int, True),
-               eta=(float, True), alpha=(float, True), m=(float, True),
-               n=(float, True), U_sum=(float, True), C=(float, True),
-               Z_max=(float, True), u1_norm=(float, False))
-    add_family("max-share", d=(int, True), T=(int, True), eta=(float, True),
-               alpha=(float, True), m=(float, True), n=(float, True))
-    add_family("decayed-max-share", d=(int, True), T=(int, True),
-               eta=(float, True), alpha=(float, True), m0=(float, True),
-               n0=(float, True))
-    add_family("anytime-adaptive", d=(int, True), T=(int, True))
+    for family, (_, flags) in BOUND_FAMILIES.items():
+        p_family = bound_sub.add_parser(family)
+        for flag in flags.split():
+            name, _, default = flag.partition("=")
+            p_family.add_argument(
+                f"--{name.replace('_', '-')}", dest=name, required=not default,
+                type=int if name in ("d", "T", "tau0") else float,
+                default=float(default) if default else None)
+        p_family.set_defaults(func=_cmd_bound)
     return parser
 
 
@@ -177,7 +154,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: the report
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

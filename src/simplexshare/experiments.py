@@ -22,6 +22,7 @@ bit for bit the row its repetition would give alone.
 from __future__ import annotations
 
 import math
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -263,6 +264,11 @@ def parse_experiment(config: dict) -> ExperimentSpec:
                            minimum=1)
     output = config.get("output", {})
     output_csv = _get(output, "csv", "output", required=False)
+    if output_csv is not None and not (
+            isinstance(output_csv, str)
+            and os.path.isdir(os.path.dirname(output_csv) or ".")):
+        raise ConfigError(f"output.csv: {output_csv!r} is not a file path in "
+                          "an existing directory")
     include_timing = output.get("include_timing", True) if isinstance(
         output, dict) else True
     if not isinstance(include_timing, bool):

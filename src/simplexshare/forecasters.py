@@ -23,7 +23,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .simplex_core import as_distribution, kl_project_clipped, kl_project_rows
+from .simplex_core import (as_distribution, clipped_numerators,
+                           kl_project_clipped, kl_project_rows)
 
 Schedule = Union[Callable[[int], float], Sequence[float]]
 
@@ -54,17 +55,22 @@ def as_loss_vector(loss, d: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # log-domain kernels over a trailing d axis (one code path shared by the
 # public ops, ForecasterState and the batched driver, so equivalences
-# between rules and between single and batched runs hold bitwise)
+# between rules and between single and batched runs hold bitwise).  The
+# optional ``out``, scratch ``sc = (work, m, s)`` (input-shaped, then two
+# (..., 1) columns) and spare input-shaped ``buf`` say where to write.
 # ---------------------------------------------------------------------------
 
 
-def _logsumexp(logw: np.ndarray) -> np.ndarray:
-    m = np.maximum.reduce(logw, axis=-1, keepdims=True)
-    return m + np.log(np.add.reduce(np.exp(logw - m), axis=-1, keepdims=True))
+def _logsumexp(logw: np.ndarray, sc=(None,) * 3) -> np.ndarray:
+    work, m, s = sc
+    m = np.maximum.reduce(logw, -1, None, m, True)
+    work = np.subtract(logw, m, work)
+    s = np.add.reduce(np.exp(work, work), -1, None, s, True)
+    return np.add(m, np.log(s, s), s)
 
 
-def _log_normalize(logw: np.ndarray) -> np.ndarray:
-    return logw - _logsumexp(logw)
+def _log_normalize(logw: np.ndarray, out=None, sc=(None,) * 3) -> np.ndarray:
+    return np.subtract(logw, _logsumexp(logw, sc), out)
 
 
 def _to_linear(logw: np.ndarray) -> np.ndarray:
@@ -72,41 +78,60 @@ def _to_linear(logw: np.ndarray) -> np.ndarray:
     return p / np.add.reduce(p, axis=-1, keepdims=True)
 
 
-def _log_loss_step(log_p: np.ndarray, loss: np.ndarray, eta: float,
-                   pow_ratio: float = 1.0) -> np.ndarray:
-    return _log_normalize(pow_ratio * log_p - eta * loss)
+def _log_loss_step(log_p, eta_loss, pow_ratio=1.0, out=None, sc=(None,) * 3):
+    """Normalized pow_ratio * log_p - eta_loss, formed in ``eta_loss``."""
+    unit = isinstance(pow_ratio, float) and pow_ratio == 1.0  # 1.0 * x is x
+    np.subtract(log_p if unit else pow_ratio * log_p, eta_loss, eta_loss)
+    return _log_normalize(eta_loss, out, sc)
 
 
-def _log_fixed_share(log_v: np.ndarray, alpha: float) -> np.ndarray:
+def _share_consts(variant: str, alpha: float, d: int):
+    """What a rule's mixing step computes from alpha alone, or None."""
+    if variant == "projected":
+        return None if alpha == 0.0 else clipped_numerators(alpha, d)
+    if 0.0 < alpha < 1.0 and variant in ("max_share", "decayed_max_share"):
+        return np.log1p(-alpha), np.log(alpha)
+    if 0.0 < alpha < 1.0:
+        return np.log(alpha / d), np.log1p(-alpha)
+
+
+def _log_fixed_share(log_v: np.ndarray, alpha: float, consts=None, out=None,
+                     sc=(None,) * 3, buf=None) -> np.ndarray:
     d = log_v.shape[-1]
     if alpha == 0.0:
         return log_v
     if alpha == 1.0:
         return np.full(log_v.shape, -np.log(d))
-    mixed = np.logaddexp(np.log(alpha / d), np.log1p(-alpha) + log_v)
-    return _log_normalize(mixed)
+    log_share, log_keep = consts or _share_consts("fixed_share", alpha, d)
+    mixed = np.add(log_keep, log_v, buf)
+    return _log_normalize(np.logaddexp(log_share, mixed, mixed), out, sc)
 
 
-def _log_projected(log_v: np.ndarray, alpha: float) -> np.ndarray:
+def _log_projected(log_v: np.ndarray, alpha: float, consts=None) -> np.ndarray:
     if alpha == 0.0:
         return log_v
     v = _to_linear(log_v)
     # renormalize as kl_project_clipped does, so the rows match it bitwise
-    return np.log(kl_project_rows(v / v.sum(axis=-1, keepdims=True), alpha))
+    return np.log(kl_project_rows(v / v.sum(axis=-1, keepdims=True), alpha,
+                                  consts))
 
 
 def _log_max_share(log_w: np.ndarray, log_v_next: np.ndarray, alpha: float,
-                   gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    log_w_next = np.maximum(log_w - gamma, log_v_next)
-    log_z = _logsumexp(log_w_next)
+                   gamma: float, consts=None, out=None, sc=(None,) * 3,
+                   buf=None) -> tuple[np.ndarray, np.ndarray]:
+    log_w_next = np.maximum(np.subtract(log_w, gamma, buf), log_v_next)
+    log_z = _logsumexp(log_w_next, sc)
     if alpha == 0.0:
         log_p = log_v_next
     elif alpha == 1.0:
-        log_p = log_w_next - log_z
+        log_p = np.subtract(log_w_next, log_z, buf)
     else:
-        log_p = np.logaddexp(np.log1p(-alpha) + log_v_next,
-                             np.log(alpha) + log_w_next - log_z)
-    return _log_normalize(log_p), log_w_next
+        log_keep, log_alpha = consts or _share_consts("max_share", alpha,
+                                                      log_w.shape[-1])
+        shared = np.add(log_alpha, log_w_next, sc[0])
+        log_p = np.logaddexp(np.add(log_keep, log_v_next, buf),
+                             np.subtract(shared, log_z, shared), buf)
+    return _log_normalize(log_p, out, sc), log_w_next
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +147,7 @@ def loss_update(p, loss, eta: float) -> np.ndarray:
     lv = as_loss_vector(loss, pv.size)
     with np.errstate(divide="ignore"):
         log_p = np.log(pv)
-    return _to_linear(_log_loss_step(log_p, lv, eta))
+    return _to_linear(_log_loss_step(log_p, eta * lv))
 
 
 def mix_fixed_share(v, alpha: float) -> np.ndarray:
@@ -186,7 +211,7 @@ def step_time_varying(p, loss, eta_t: float, eta_prev: float, alpha_t: float
     if np.any(pv <= 0.0):
         raise ValueError("time-varying step requires strictly positive p")
     lv = as_loss_vector(loss, pv.size)
-    log_v = _log_loss_step(np.log(pv), lv, eta_t, pow_ratio=eta_t / eta_prev)
+    log_v = _log_loss_step(np.log(pv), eta_t * lv, eta_t / eta_prev)
     v_next = _to_linear(log_v)
     p_next = _to_linear(_log_fixed_share(log_v, alpha_t))
     return p_next, v_next
@@ -262,7 +287,7 @@ class ForecasterState:
 
     Must not be advanced from two threads simultaneously; distinct
     states are independent.  Internal storage is O(reps * d) regardless
-    of the horizon.
+    of the horizon.  Arrays read from a state keep their values.
     """
 
     def __init__(self, d: int, rule: MixingRule, eta: float | None = None,
@@ -278,13 +303,16 @@ class ForecasterState:
                 raise ValueError("eta must be positive")
             self.eta = float(eta)
         self.t = 1
-        log_u = np.full((d,) if reps is None else (reps, d), -np.log(d))
+        shape = (d,) if reps is None else (reps, d)
+        log_u = np.full(shape, -np.log(d))
         self.log_p = log_u
         self.log_v = log_u.copy()
         self.log_w = log_u.copy() if rule.variant in ("max_share",
                                                       "decayed_max_share") else None
         self._eta_prev: float | None = None
         self._alpha_prev: float | None = None
+        column = shape[:-1] + (1,)
+        self._sc = (np.empty(shape), np.empty(column), np.empty(column))
 
     @property
     def p(self) -> np.ndarray:
@@ -313,32 +341,40 @@ class ForecasterState:
 
     def update(self, loss) -> None:
         """Observe the loss for the current round and advance one step."""
-        self._advance(as_loss_vector(loss, self.d), *self.round_params())
+        loss = np.broadcast_to(as_loss_vector(loss, self.d), self.log_p.shape)
+        eta_t, alpha_t = self.round_params()
+        self._advance(eta_t * loss, eta_t, alpha_t)
 
-    def _advance(self, loss: np.ndarray, eta_t: float, alpha_t: float) -> None:
-        """One step on an already validated loss of the state's shape.
-
-        Constant-rate rules are time-varying ones with constant
-        schedules: their power eta_t / eta_prev is exactly 1.
-        """
+    def _advance(self, eta_loss: np.ndarray, eta_t: float, alpha_t: float,
+                 out: np.ndarray | None = None) -> None:
+        """One step, overwriting ``eta_loss`` (eta_t times a validated loss
+        of the state's shape); the new log p goes into ``out`` if given.
+        A constant rate's power eta_t / eta_prev is exactly 1."""
         eta_prev = self._eta_prev if self._eta_prev is not None else eta_t
         if eta_t > eta_prev * (1.0 + 1e-12):
             raise ValueError("schedule violation: eta_t > eta_prev")
         if self._alpha_prev is not None and alpha_t > self._alpha_prev + 1e-12:
             raise ValueError("schedule violation: alpha_t > alpha_prev")
-        self.log_v = _log_loss_step(self.log_p, loss, eta_t,
-                                    pow_ratio=eta_t / eta_prev)
-        rule = self.rule
-        if rule.variant in ("fixed_share", "time_varying"):
-            self.log_p = _log_fixed_share(self.log_v, alpha_t)
-        elif rule.variant == "projected":
-            self.log_p = _log_projected(self.log_v, alpha_t)
+        sc, variant = self._sc, self.rule.variant
+        self.log_v = log_v = _log_loss_step(self.log_p, eta_loss,
+                                            eta_t / eta_prev, None, sc)
+        if alpha_t != self._alpha_prev:  # else last round's still hold
+            self._consts = _share_consts(variant, alpha_t, self.d)
+        if variant == "projected":
+            log_p = _log_projected(log_v, alpha_t, self._consts)
+        elif self.log_w is None:
+            log_p = _log_fixed_share(log_v, alpha_t, self._consts, out, sc,
+                                     eta_loss)
         else:
-            gamma = rule.gamma if rule.variant == "decayed_max_share" else 0.0
-            self.log_p, self.log_w = _log_max_share(self.log_w, self.log_v,
-                                                    alpha_t, gamma)
-        self._eta_prev = eta_t
-        self._alpha_prev = alpha_t
+            gamma = self.rule.gamma if variant == "decayed_max_share" else 0.0
+            log_p, self.log_w = _log_max_share(self.log_w, log_v, alpha_t,
+                                               gamma, self._consts, out, sc,
+                                               eta_loss)
+        if out is not None and log_p is not out:
+            out[...] = log_p
+            log_p = out
+        self.log_p = log_p
+        self._eta_prev, self._alpha_prev = eta_t, alpha_t
         self.t += 1
 
 
@@ -382,9 +418,9 @@ class Trajectory:
     @property
     def log_v(self) -> np.ndarray:
         """Log pre-weights: each round's loss update of log p_t."""
-        return _log_loss_step(self.log_p[..., : self.T, :], self.losses,
-                              self.etas[:, None],
-                              pow_ratio=(self.etas / self.eta_prevs)[:, None])
+        return _log_loss_step(self.log_p[..., : self.T, :],
+                              self.etas[:, None] * self.losses,
+                              (self.etas / self.eta_prevs)[:, None])
 
     @property
     def v(self) -> np.ndarray:
@@ -425,12 +461,12 @@ class Trajectory:
     @property
     def eta_prevs(self) -> np.ndarray:
         """Previous-round learning rates, with eta_0 = eta_1."""
-        if self.T == 0:
-            return np.empty(0)
-        return np.concatenate([[self.etas[0]], self.etas[:-1]])
+        return np.concatenate([self.etas[:1], self.etas[:-1]])
 
     def rep(self, i: int) -> "Trajectory":
         """Run ``i`` of a batched trajectory, as views into the batch."""
+        if self.log_p.ndim != 3:
+            raise ValueError("rep(i) needs a batched trajectory, not one run")
         return replace(self, log_p=self.log_p[i], losses=self.losses[i])
 
 
@@ -479,11 +515,16 @@ def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
 
     state = ForecasterState(d, rule, eta, reps=R)
     log_p = np.empty((R, T + 1, d))
-    etas = np.empty(T)
-    alphas = np.empty(T)
-
+    log_p[:, 0] = state.log_p
+    etas, alphas = np.empty(T), np.empty(T)
+    constant = rule.variant != "time_varying"
+    if constant:  # one (eta, alpha) for every round
+        etas[:], alphas[:] = eta_t, alpha_t = state.round_params()
+    # A constant eta times the loss is formed ahead in round-major blocks
+    # of at most 2^14 entries; varying rates and adversaries take a round.
+    block = max(1, 16384 // (R * d)) if constant and not adversaries else 1
+    scaled = np.empty((min(block, T), R, d))
     for t in range(T):
-        log_p[:, t] = state.log_p
         if adversaries is not None:
             p_t = state.p
             for i, adversary in enumerate(adversaries):
@@ -493,10 +534,13 @@ def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
                                      f"expected ({d},)")
                 loss[i, t] = row
             _check_loss_entries(loss[:, t])
-        eta_t, alpha_t = state.round_params()
-        etas[t], alphas[t] = eta_t, alpha_t
-        state._advance(loss[:, t], eta_t, alpha_t)
-    log_p[:, T] = state.log_p
+        if not constant:
+            etas[t], alphas[t] = eta_t, alpha_t = state.round_params()
+        k = t % block
+        if k == 0:
+            np.multiply(eta_t, loss[:, t:t + block].swapaxes(0, 1),
+                        scaled[:T - t])
+        state._advance(scaled[k], eta_t, alpha_t, log_p[:, t + 1])
 
     traj = Trajectory(rule=rule, d=d, T=T, log_p=log_p, losses=loss,
                       etas=etas, alphas=alphas)

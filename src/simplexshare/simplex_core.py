@@ -103,19 +103,26 @@ def kl_project_clipped(v, alpha: float) -> np.ndarray:
     return kl_project_rows(p, alpha)
 
 
-def kl_project_rows(p: np.ndarray, alpha: float) -> np.ndarray:
+def clipped_numerators(alpha: float, d: int) -> np.ndarray:
+    """1 - k alpha/d, k = 1..d-1: the mass left after flooring k entries."""
+    return 1.0 - np.arange(1, d) * (alpha / d)
+
+
+def kl_project_rows(p: np.ndarray, alpha: float,
+                    numerators: np.ndarray | None = None) -> np.ndarray:
     """Row-wise ``kl_project_clipped`` of an (..., d) array of distributions.
 
-    Rows must already sum to 1 and ``0 < alpha <= 1``.  Each row gets the
-    arithmetic of a single projection, so a stack of rows projects bit
-    for bit like the rows one at a time.  Entries <= x = ps[last] get the
-    floor, so tied entries at the floor are floored together.  Flooring
-    sorted positions 0..last gives a copy of x sorted after last max(q,
-    floor), q = fl(scale x): the floor if last >= 1, as ``fits[last - 1]``
-    tests (1 - last floor) x / (S + x) = floor + S (q - floor) / (S + x),
-    S the mass after x, up to ulps far inside the 1e-13 slack.  At last ==
-    0, q > floor needs a tied minimum within the row sum's rounding below
-    the floor, where flooring by position floors only one copy.
+    Rows must already sum to 1 and ``0 < alpha <= 1``; a run may pass its
+    ``clipped_numerators(alpha, d)``.  Each row gets the arithmetic of a
+    single projection, so a stack of rows projects bit for bit like the
+    rows one at a time.  Entries <= x = ps[last] get the floor, so tied
+    entries at the floor are floored together.  Flooring sorted positions
+    0..last gives a copy of x sorted after last max(q, floor), q = fl(scale
+    x): the floor if last >= 1, as ``fits[last - 1]`` tests (1 - last
+    floor) x / (S + x) = floor + S (q - floor) / (S + x), S the mass after
+    x, up to ulps far inside the 1e-13 slack.  At last == 0, q > floor
+    needs a tied minimum within the row sum's rounding below the floor,
+    where flooring by position floors only one copy.
     """
     d = p.shape[-1]
     floor = alpha / d
@@ -130,7 +137,8 @@ def kl_project_rows(p: np.ndarray, alpha: float) -> np.ndarray:
     ps = np.sort(rows, axis=1)
     # suffix[:, k] = mass of the d-k largest entries (the unfloored ones).
     suffix = np.cumsum(ps[:, ::-1], axis=1)[:, ::-1]
-    scales = (1.0 - np.arange(1, d) * floor) / suffix[:, 1:]
+    scales = (clipped_numerators(alpha, d) if numerators is None
+              else numerators) / suffix[:, 1:]
     fits = scales * ps[:, 1:] >= floor * (1.0 - 1e-13)
     # Floor the k smallest entries for the first k that fits.  k = d - 1
     # always fits when alpha < 1, so rows where none fits have alpha == 1

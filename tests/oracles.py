@@ -86,6 +86,63 @@ def kl_project_argsort(p, alpha: float, floor_ties: bool = False
     return out.reshape(p.shape)
 
 
+def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
+    m = np.maximum.reduce(x, axis=-1, keepdims=True)
+    return m + np.log(np.add.reduce(np.exp(x - m), axis=-1, keepdims=True))
+
+
+def share_rounds_reference(variant: str, losses, etas, alphas,
+                           gamma: float = 0.0):
+    """log p_1..log p_{T+1} of one run of a share rule, and log w_1..
+    log w_{T+1} for the max-share rules (else None), stepped one round at
+    a time with fresh arrays and per-round constants.
+
+    ``etas`` and ``alphas`` give each round's parameters; round t's loss
+    step raises p_t to the power eta_t / eta_{t-1} (eta_0 = eta_1).  The
+    operations and their order are those of a direct implementation:
+    ``pow_ratio * log_p - eta * loss``, logsumexp normalization, the
+    log-domain fixed-share mix, the max-share recursion, and the
+    projection through ``kl_project_argsort(floor_ties=True)``.
+    """
+    losses = np.asarray(losses, dtype=float)
+    T, d = losses.shape
+    log_p = np.full(d, -np.log(d))
+    log_w = log_p.copy()
+    ps, ws = [log_p], [log_w]
+    for t in range(T):
+        eta, alpha = float(etas[t]), float(alphas[t])
+        pow_ratio = eta / float(etas[t - 1] if t > 0 else eta)
+        x = pow_ratio * log_p - eta * losses[t]
+        log_v = x - _logsumexp_rows(x)
+        if variant in ("max_share", "decayed_max_share"):
+            log_w = np.maximum(log_w - gamma, log_v)
+            log_z = _logsumexp_rows(log_w)
+            if alpha == 0.0:
+                mixed = log_v
+            elif alpha == 1.0:
+                mixed = log_w - log_z
+            else:
+                mixed = np.logaddexp(np.log1p(-alpha) + log_v,
+                                     np.log(alpha) + log_w - log_z)
+            log_p = mixed - _logsumexp_rows(mixed)
+        elif alpha == 0.0:
+            log_p = log_v
+        elif variant == "projected":
+            e = np.exp(log_v - _logsumexp_rows(log_v))
+            v = e / np.add.reduce(e, axis=-1, keepdims=True)
+            log_p = np.log(kl_project_argsort(v / v.sum(), alpha,
+                                              floor_ties=True))
+        elif alpha == 1.0:
+            log_p = np.full(d, -np.log(d))
+        else:
+            mixed = np.logaddexp(np.log(alpha / d), np.log1p(-alpha) + log_v)
+            log_p = mixed - _logsumexp_rows(mixed)
+        ps.append(log_p)
+        ws.append(log_w)
+    max_share = variant in ("max_share", "decayed_max_share")
+    return np.stack(ps), np.stack(ws) if max_share else None
+
+
 def adaptive_regret_brute(p: np.ndarray, losses: np.ndarray, tau0: int) -> float:
     """Double loop over all windows and all corners, fresh sums."""
     T, d = p.shape

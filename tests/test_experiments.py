@@ -443,3 +443,25 @@ def test_cli_config_error_paths(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli_main(["run", str(path)]) == 2
     assert "environment.kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("csv", [True, "no_such_dir/report.csv"])
+def test_bad_output_csv_fails_at_parse_time(tmp_path, capsys, csv):
+    cfg = rotating_best_arm_config()
+    cfg["output"] = {"csv": csv if csv is True else str(tmp_path / csv)}
+    with pytest.raises(ConfigError, match="output.csv: .* is not a file path "
+                       "in an existing directory"):
+        parse_experiment(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["certify", str(path)]) == 2
+    assert "error: output.csv" in capsys.readouterr().err
+
+
+def test_unwritable_report_is_an_error_not_a_failed_row(tmp_path, capsys):
+    cfg = rotating_best_arm_config()
+    cfg["output"] = {"csv": str(tmp_path)}  # a directory: open() fails
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["certify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from simplexshare import (ForecasterState, MixingRule, certificate_slacks,
                           small_loss_certificate_slacks, step_time_varying,
                           varying_rate_certificate_slacks)
 from simplexshare.forecasters import _log_loss_step, _to_linear
-from oracles import decayed_max_brute, kl_project_argsort
+from oracles import (decayed_max_brute, kl_project_argsort,
+                     share_rounds_reference)
 
 
 def random_q(rng, d, count):
@@ -127,7 +130,7 @@ def test_projected_run_at_d1000_matches_sort_order_projection_loop():
     for rep in range(2):
         log_p = [np.full(d, -np.log(d))]
         for loss in losses[rep]:
-            v = _to_linear(_log_loss_step(log_p[-1], loss, eta))
+            v = _to_linear(_log_loss_step(log_p[-1], eta * loss))
             log_p.append(np.log(kl_project_argsort(v / v.sum(), alpha)))
         assert np.array_equal(traj.log_p[rep], np.stack(log_p))
     # most rounds floor some entries
@@ -180,6 +183,89 @@ def test_trajectory_views_match_hand_stepped_state():
                 assert np.array_equal(p[T], state.p)
                 if w is not None:
                     assert np.array_equal(w[T], state.w)
+
+
+def _reference_cases(T):
+    """(rule, eta, etas, alphas, gamma) for every rule at alpha 0, 0.05
+    and 1; the time-varying runs have falling eta and alpha."""
+    for alpha in (0.0, 0.05, 1.0):
+        etas, alphas = [0.7] * T, [alpha] * T
+        yield MixingRule.fixed_share(alpha), 0.7, etas, alphas, 0.0
+        yield MixingRule.projected(alpha), 0.7, etas, alphas, 0.0
+        yield MixingRule.max_share(alpha), 0.7, etas, alphas, 0.0
+        for gamma in (0.01, 2.0):
+            yield (MixingRule.decayed_max_share(alpha, gamma), 0.7, etas,
+                   alphas, gamma)
+        etas = [0.9 / np.sqrt(t) for t in range(1, T + 1)]
+        alphas = [alpha / t for t in range(1, T + 1)]
+        yield MixingRule.time_varying(etas, alphas), None, etas, alphas, 0.0
+
+
+def test_round_step_matches_plain_numpy_reference_bit_for_bit():
+    """run_forecaster (single runs, batches, adversary lists) and
+    ForecasterState.update give log p, and max share's log w, bit for bit
+    equal to a plain-numpy round loop that shares no library code."""
+    rng = np.random.default_rng(53)
+    adversaries = [lambda t, p: (p >= p.max()).astype(float),
+                   lambda t, p: np.full(p.size, (t % 3) / 2.0)]
+    for d, T in ((1, 12), (2, 30), (10, 40), (1000, 12)):
+        losses = rng.random((3, T, d))
+        losses[1] = losses[1] < 0.5  # 0/1 losses: ties and floored entries
+        for rule, eta, etas, alphas, gamma in _reference_cases(T):
+            def check(log_p, log_w, loss):
+                ref_p, ref_w = share_rounds_reference(rule.variant, loss,
+                                                      etas, alphas, gamma)
+                assert np.array_equal(log_p, ref_p), (d, rule)
+                assert (log_w is None) == (ref_w is None)
+                assert ref_w is None or np.array_equal(log_w, ref_w)
+
+            single = run_forecaster(rule, eta, losses[0])
+            check(single.log_p, single.log_w, losses[0])
+            batch = run_forecaster(rule, eta, losses)
+            batch_w = batch.log_w
+            for i in range(3):
+                check(batch.log_p[i], None if batch_w is None else batch_w[i],
+                      losses[i])
+            played = run_forecaster(rule, eta, adversaries, d=d, horizon=T)
+            for i in range(2):
+                rep = played.rep(i)
+                check(rep.log_p, rep.log_w, rep.losses)
+            state = ForecasterState(d, rule, eta)
+            log_p, log_w = [state.log_p], [state.log_w]
+            for loss in losses[2]:
+                state.update(loss)
+                log_p.append(state.log_p)
+                log_w.append(state.log_w)
+            check(np.stack(log_p),
+                  None if state.log_w is None else np.stack(log_w), losses[2])
+
+
+def test_round_loop_peak_memory_stays_near_the_record():
+    """No T x d temporary and no transposing copy: the traced peak of a
+    run stays within 10% of its log p record."""
+    rng = np.random.default_rng(61)
+    losses = (rng.random((2, 300, 1000)) < 0.5).astype(float)
+    for rule in (MixingRule.fixed_share(0.05), MixingRule.projected(0.05),
+                 MixingRule.max_share(0.05),
+                 MixingRule.decayed_max_share(0.05, 0.01),
+                 MixingRule.time_varying(lambda t: 0.5 / np.sqrt(t),
+                                         lambda t: 0.05 / t)):
+        tracemalloc.start()
+        try:
+            traj = run_forecaster(rule, 0.5, losses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * traj.log_p.nbytes, rule.variant
+
+
+def test_rep_needs_a_batched_trajectory():
+    traj = run_forecaster(MixingRule.fixed_share(0.1), 1.0, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="batched trajectory"):
+        traj.rep(1)
+    batch = run_forecaster(MixingRule.fixed_share(0.1), 1.0,
+                           np.zeros((2, 4, 3)))
+    assert np.array_equal(batch.rep(1).log_p, traj.log_p)
 
 
 def test_state_arrays_keep_their_values_after_later_updates():
