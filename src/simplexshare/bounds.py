@@ -104,7 +104,12 @@ def tune_fixed_share(d: int, m0: float, U0: float) -> TuneResult:
     return TuneResult(eta=eta, alpha=alpha, bound=math.sqrt(U0 * budget / 2.0))
 
 
-def bound_adaptive(d: int, tau0: int) -> tuple[float, float]:
+class AdaptiveBound(NamedTuple):
+    exact: float
+    relaxed: float
+
+
+def bound_adaptive(d: int, tau0: int) -> AdaptiveBound:
     """Guarantee on the best-window regret of the tuned fixed share.
 
     Returns the exact form sqrt(tau0/2 (tau0 h(1/tau0) + ln d)) and the
@@ -118,7 +123,7 @@ def bound_adaptive(d: int, tau0: int) -> tuple[float, float]:
     exact = math.sqrt(tau0 / 2.0 * (tau0 * binary_entropy(1.0 / tau0)
                                     + math.log(d)))
     relaxed = math.sqrt(tau0 / 2.0 * math.log(math.e * d * tau0))
-    return exact, relaxed
+    return AdaptiveBound(exact, relaxed)
 
 
 def tune_small_loss(d: int, m0: float, U0: float, L0: float) -> TuneResult:

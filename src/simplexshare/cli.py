@@ -31,8 +31,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _run_common(path: str) -> tuple[int, bool]:
-    spec = parse_experiment(_load_config(path))
+def _cmd_run(args) -> int:
+    """``run`` and ``certify``; only ``certify`` fails on a failed row."""
+    spec = parse_experiment(_load_config(args.config))
     reports = run_experiment(spec)
     if spec.output_csv:
         write_report_csv(reports, spec.output_csv, spec.include_timing)
@@ -41,31 +42,12 @@ def _run_common(path: str) -> tuple[int, bool]:
     print(f"summary: kind={summary.regret_kind} repetitions={len(reports) - 1} "
           f"max_regret={_fmt(summary.regret)} min_bound={_fmt(summary.bound)} "
           f"verdict={summary.verdict}")
-    return len(reports), any_failed(reports)
-
-
-def _cmd_run(args) -> int:
-    _run_common(args.config)
-    return 0
-
-
-def _cmd_certify(args) -> int:
-    _, failed = _run_common(args.config)
-    if failed:
+    if args.command == "run":
+        return 0
+    if any_failed(reports):
         print("certification FAILED", file=sys.stderr)
         return 1
     print("certification passed")
-    return 0
-
-
-def _cmd_tune(args) -> int:
-    if args.L0 is not None:
-        result = bnd.tune_small_loss(args.d, args.m0, args.U0, args.L0)
-    else:
-        result = bnd.tune_fixed_share(args.d, args.m0, args.U0)
-    print(f"eta={_fmt(result.eta)}")
-    print(f"alpha={_fmt(result.alpha)}")
-    print(f"bound={_fmt(result.bound)}")
     return 0
 
 
@@ -76,8 +58,10 @@ def _cmd_project(args) -> int:
     return 0
 
 
-# family -> (guarantee, its flags in order; "=1" marks a flag defaulting
-# to 1.0).  d, T and tau0 are integers, every other flag a float.
+# (guarantee, its flags in order; "=1" marks a flag defaulting to 1.0, a
+# bare "=" one defaulting to None).  d, T and tau0 are integers, others floats.
+TUNE = (lambda d, m0, U0, L0: bnd.tune_fixed_share(d, m0, U0) if L0 is None
+        else bnd.tune_small_loss(d, m0, U0, L0), "d m0 U0 L0=")
 BOUND_FAMILIES = {
     "projected": (bnd.bound_projected, "d eta alpha m U_sum u1_norm=1"),
     "fixed-share": (bnd.bound_fixed_share, "d eta alpha m U_sum u1_norm=1"),
@@ -91,16 +75,27 @@ BOUND_FAMILIES = {
 }
 
 
-def _cmd_bound(args) -> int:
-    guarantee, flags = BOUND_FAMILIES[args.family]
+def _cmd_guarantee(args) -> int:
+    """Print a float bare, a result with named fields as name=value."""
+    guarantee, flags = args.guarantee
     value = guarantee(*(getattr(args, flag.partition("=")[0])
                         for flag in flags.split()))
-    if args.family == "adaptive":
-        print(f"exact={_fmt(value[0])}")
-        print(f"relaxed={_fmt(value[1])}")
+    if isinstance(value, tuple):  # a NamedTuple
+        for name, x in zip(value._fields, value):
+            print(f"{name}={_fmt(x)}")
     else:
         print(_fmt(value))
     return 0
+
+
+def _add_guarantee(parser, entry) -> None:
+    for flag in entry[1].split():
+        name, marked, default = flag.partition("=")
+        parser.add_argument(
+            f"--{name.replace('_', '-')}", dest=name, required=not marked,
+            type=int if name in ("d", "T", "tau0") else float,
+            default=float(default) if default else None)
+    parser.set_defaults(func=_cmd_guarantee, guarantee=entry)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,21 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "bound certification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("config")
-    p_run.set_defaults(func=_cmd_run)
+    for p_run in (sub.add_parser("run", help="run an experiment config"),
+                  sub.add_parser("certify", help="run and exit nonzero on "
+                                                 "failed verdicts")):
+        p_run.add_argument("config")
+        p_run.set_defaults(func=_cmd_run)
 
-    p_cert = sub.add_parser("certify",
-                            help="run and exit nonzero on failed verdicts")
-    p_cert.add_argument("config")
-    p_cert.set_defaults(func=_cmd_certify)
-
-    p_tune = sub.add_parser("tune", help="print tuned (eta, alpha, bound)")
-    p_tune.add_argument("--d", type=int, required=True)
-    p_tune.add_argument("--m0", type=float, required=True)
-    p_tune.add_argument("--U0", type=float, required=True)
-    p_tune.add_argument("--L0", type=float, default=None)
-    p_tune.set_defaults(func=_cmd_tune)
+    _add_guarantee(sub.add_parser("tune", help="print tuned (eta, alpha, "
+                                               "bound)"), TUNE)
 
     p_proj = sub.add_parser("project",
                             help="KL-project a distribution onto the "
@@ -137,21 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="print a closed-form guarantee")
     bound_sub = p_bound.add_subparsers(dest="family", required=True)
 
-    for family, (_, flags) in BOUND_FAMILIES.items():
-        p_family = bound_sub.add_parser(family)
-        for flag in flags.split():
-            name, _, default = flag.partition("=")
-            p_family.add_argument(
-                f"--{name.replace('_', '-')}", dest=name, required=not default,
-                type=int if name in ("d", "T", "tau0") else float,
-                default=float(default) if default else None)
-        p_family.set_defaults(func=_cmd_bound)
+    for family, entry in BOUND_FAMILIES.items():
+        _add_guarantee(bound_sub.add_parser(family), entry)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:  # OSError: the report

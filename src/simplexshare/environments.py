@@ -83,11 +83,13 @@ class EnvironmentSpec:
     segment_lengths: list = field(default_factory=list)
     path: str | None = None
 
-    KINDS = ("iid_bernoulli", "piecewise_stationary", "adversarial_flip",
-             "from_file")
+    # each kind and the fields it reads besides kind, d and T
+    KINDS = {"iid_bernoulli": ("seed", "means"),
+             "piecewise_stationary": ("seed", "means", "segment_lengths"),
+             "adversarial_flip": ("seed",), "from_file": ("seed", "path")}
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if not isinstance(self.kind, str) or self.kind not in self.KINDS:
             raise ValueError(f"kind: unknown kind {self.kind!r}")
         min_d = 0 if self.kind == "from_file" else 1
         for name, least in (("d", min_d), ("T", 0), ("seed", 0)):
@@ -196,11 +198,13 @@ class ComparatorSpec:
     corner: int | None = None
     vectors: object = None
 
-    KINDS = ("piecewise_corner", "adaptive_window", "discounted",
-             "scaled_arbitrary")
+    # each kind and the fields it reads besides kind
+    KINDS = {"piecewise_corner": ("segment_lengths", "corners"),
+             "adaptive_window": ("r", "s", "q"),
+             "discounted": ("betas", "corner"), "scaled_arbitrary": ("vectors",)}
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if not isinstance(self.kind, str) or self.kind not in self.KINDS:
             raise ValueError(f"kind: unknown kind {self.kind!r}")
 
 

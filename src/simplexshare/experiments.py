@@ -25,7 +25,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,9 +41,6 @@ from .regret_eval import (CheckedComparator, adaptive_regret_details,
                           sparsity_n)
 
 VERDICT_SLACK = 1e-6
-
-CSV_COLUMNS = ("run_id", "seed", "T", "d", "regret_kind", "regret", "m", "n",
-               "U_sum", "L_sum", "bound", "verdict", "wall_ms")
 
 
 class ConfigError(ValueError):
@@ -74,6 +71,13 @@ def _integer(value, path, minimum=None):
     return value
 
 
+def _only(cfg: dict, path: str, keys) -> None:
+    """Reject a key of ``cfg`` that the parser does not read."""
+    for key in cfg:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown or unused field")
+
+
 @contextmanager
 def _reported_as(prefix: str):
     """Re-raise a library ``ValueError`` as a ``ConfigError`` whose
@@ -85,11 +89,13 @@ def _reported_as(prefix: str):
 
 
 def _spec(cls, cfg, path: str, required: tuple[str, ...]):
-    """``cls`` built from the config keys that name its fields."""
+    """``cls`` from the config; a key its kind does not read is an error."""
     values = {key: _get(cfg, key, path) for key in required}
     values.update((f.name, cfg[f.name]) for f in fields(cls) if f.name in cfg)
     with _reported_as(f"{path}."):
-        return cls(**values)
+        spec = cls(**values)
+    _only(cfg, path, required + spec.KINDS[spec.kind])
+    return spec
 
 
 @dataclass
@@ -118,6 +124,8 @@ class ExperimentSpec:
 
 @dataclass
 class RegretReport:
+    """One report row; its fields, in order, are the CSV columns."""
+
     run_id: str
     seed: int
     T: int
@@ -129,12 +137,15 @@ class RegretReport:
     U_sum: float
     L_sum: float
     bound: float
-    verdict: str
+    verdict: str = field(init=False)
     wall_ms: float
 
+    def __post_init__(self):
+        slack = VERDICT_SLACK * max(1.0, abs(self.bound))
+        self.verdict = "pass" if self.regret <= self.bound + slack else "fail"
 
-def verdict_for(regret: float, bound: float) -> str:
-    return "pass" if regret <= bound + VERDICT_SLACK * max(1.0, abs(bound)) else "fail"
+
+CSV_COLUMNS = tuple(f.name for f in fields(RegretReport))
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +174,10 @@ def _parse_comparator(cfg, d: int, T: int) -> ComparatorSpec:
 
 def _parse_regret(cfg, T: int) -> tuple[str, int | None, np.ndarray | None]:
     kind = _get(cfg, "kind", "regret")
-    if kind == "shifting":
-        return kind, None, None
+    keys = {"shifting": (), "adaptive": ("tau0",), "discounted": ("schedule",)}
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"regret.kind: unknown kind {kind!r}")
+    _only(cfg, "regret", ("kind", *keys[kind]))
     if kind == "adaptive":
         tau0 = _integer(_get(cfg, "tau0", "regret"), "regret.tau0", minimum=1)
         if tau0 > T:
@@ -172,24 +185,25 @@ def _parse_regret(cfg, T: int) -> tuple[str, int | None, np.ndarray | None]:
         return kind, tau0, None
     if kind == "discounted":
         sched = _get(cfg, "schedule", "regret")
-        if sched == "linear_up":
-            betas = linear_up_discounts(T)
-        elif sched == "linear_down":
-            betas = linear_down_discounts(T)
-        elif isinstance(sched, (list, tuple)):
-            with _reported_as("regret.schedule: "):
+        with _reported_as("regret.schedule: "):
+            if sched == "linear_up":
+                betas = linear_up_discounts(T)
+            elif sched == "linear_down":
+                betas = linear_down_discounts(T)
+            elif isinstance(sched, (list, tuple)):
                 betas = as_discounts(sched, T)
-        else:
-            raise ConfigError("regret.schedule: expected 'linear_up', "
-                              "'linear_down', or a list of discounts")
+            else:
+                raise ValueError("expected 'linear_up', 'linear_down', or a "
+                                 "list of discounts")
         return kind, None, betas
-    raise ConfigError(f"regret.kind: unknown kind {kind!r}")
+    return kind, None, None
 
 
 def _parse_forecaster(cfg, d: int, regret_kind: str,
                       betas: np.ndarray | None) -> ForecasterConfig:
     variant = _get(cfg, "rule", "forecaster")
     if variant == "time_varying":
+        _only(cfg, "forecaster", ("rule", "schedules"))
         if _get(cfg, "schedules", "forecaster") != "anytime":
             raise ConfigError("forecaster.schedules: only the 'anytime' "
                               "schedule family is supported")
@@ -206,6 +220,7 @@ def _parse_forecaster(cfg, d: int, regret_kind: str,
                               "fixed_share and projected rules")
         caps = {key: _number(_get(tune, key, "forecaster.tune"),
                              f"forecaster.tune.{key}") for key in ("m0", "U0")}
+        _only(tune, "forecaster.tune", ("m0", "U0", "L0"))
         if tune.get("L0") is not None:
             caps["L0"] = _number(tune["L0"], "forecaster.tune.L0")
     elif (regret_kind == "discounted" and variant == "fixed_share"
@@ -219,6 +234,7 @@ def _parse_forecaster(cfg, d: int, regret_kind: str,
         caps = {"m0": max(float(betas[0]), float(betas[-1])),
                 "U0": float(betas.sum())}
     if caps is not None:
+        _only(cfg, "forecaster", ("rule", "tune"))
         with _reported_as("forecaster.tune: "):
             tuned = (bnd.tune_small_loss(d, **caps) if "L0" in caps
                      else bnd.tune_fixed_share(d, **caps))
@@ -234,6 +250,8 @@ def _parse_forecaster(cfg, d: int, regret_kind: str,
         if variant == "decayed_max_share":
             gamma = _number(_get(cfg, "gamma", "forecaster"),
                             "forecaster.gamma")
+        _only(cfg, "forecaster", ("rule", "tune", "eta", "alpha")
+              + (() if gamma is None else ("gamma",)))
     with _reported_as("forecaster: "):
         rule = MixingRule(variant, alpha=alpha, gamma=gamma)
     return ForecasterConfig(rule=rule, eta=eta, tune=caps, tuned=tuned)
@@ -264,15 +282,18 @@ def parse_experiment(config: dict) -> ExperimentSpec:
                            minimum=1)
     output = config.get("output", {})
     output_csv = _get(output, "csv", "output", required=False)
+    _only(output, "output", ("csv", "include_timing"))
     if output_csv is not None and not (
             isinstance(output_csv, str)
             and os.path.isdir(os.path.dirname(output_csv) or ".")):
         raise ConfigError(f"output.csv: {output_csv!r} is not a file path in "
                           "an existing directory")
-    include_timing = output.get("include_timing", True) if isinstance(
-        output, dict) else True
+    include_timing = output.get("include_timing", True)
     if not isinstance(include_timing, bool):
         raise ConfigError("output.include_timing: expected a boolean")
+    _only(config, "config", ("environment", "forecaster", "regret",
+                             "repetitions", "output")
+          + (("comparator",) if regret_kind == "shifting" else ()))
     return ExperimentSpec(environment=env, comparator=comparator,
                           forecaster=forecaster, regret_kind=regret_kind,
                           tau0=tau0, betas=betas, repetitions=repetitions,
@@ -378,12 +399,10 @@ def _evaluate(spec: ExperimentSpec, traj: Trajectory, rep: int,
         u[:, arm] = spec.betas
     m, n, U_sum, L_sum = _comparator_stats(u, losses)
     bound = _bound(spec, traj, u, m, n, U_sum, L_sum)
-
-    wall_ms = shared_ms + (time.perf_counter() - start) * 1e3
     return RegretReport(run_id=f"{rep:04d}", seed=spec.environment.seed, T=T,
                         d=d, regret_kind=spec.regret_kind, regret=regret, m=m,
                         n=n, U_sum=U_sum, L_sum=L_sum, bound=bound,
-                        verdict=verdict_for(regret, bound), wall_ms=wall_ms)
+                        wall_ms=shared_ms + (time.perf_counter() - start) * 1e3)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
@@ -401,17 +420,11 @@ def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
     shared_ms = (time.perf_counter() - start) * 1e3 / spec.repetitions
     reports = [_evaluate(spec, batch.rep(rep), rep, shared_ms)
                for rep in range(spec.repetitions)]
-    worst_regret = max(r.regret for r in reports)
-    min_bound = float(np.min([r.bound for r in reports]))
-    summary = RegretReport(
-        run_id="summary", seed=spec.environment.seed, T=reports[0].T,
-        d=reports[0].d, regret_kind=spec.regret_kind, regret=worst_regret,
-        m=max(r.m for r in reports), n=max(r.n for r in reports),
-        U_sum=max(r.U_sum for r in reports),
-        L_sum=max(r.L_sum for r in reports), bound=min_bound,
-        verdict=verdict_for(worst_regret, min_bound),
-        wall_ms=(time.perf_counter() - start) * 1e3)
-    reports.append(summary)
+    worst = {key: max(getattr(r, key) for r in reports)
+             for key in ("regret", "m", "n", "U_sum", "L_sum")}
+    reports.append(replace(reports[0], run_id="summary", **worst,
+                           bound=float(np.min([r.bound for r in reports])),
+                           wall_ms=(time.perf_counter() - start) * 1e3))
     return reports
 
 
@@ -428,12 +441,10 @@ def report_rows(reports: list[RegretReport], include_timing: bool = True
                 ) -> list[list[str]]:
     rows = [list(CSV_COLUMNS)]
     for r in reports:
-        rows.append([
-            r.run_id, str(r.seed), str(r.T), str(r.d), r.regret_kind,
-            _fmt(r.regret), _fmt(r.m), _fmt(r.n), _fmt(r.U_sum),
-            _fmt(r.L_sum), _fmt(r.bound), r.verdict,
-            _fmt(r.wall_ms if include_timing else 0.0),
-        ])
+        if not include_timing:
+            r = replace(r, wall_ms=0.0)
+        rows.append([_fmt(v) if isinstance(v, float) else str(v)
+                     for v in astuple(r)])
     return rows
 
 

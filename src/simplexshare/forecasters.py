@@ -420,7 +420,8 @@ class Trajectory:
         """Log pre-weights: each round's loss update of log p_t."""
         return _log_loss_step(self.log_p[..., : self.T, :],
                               self.etas[:, None] * self.losses,
-                              (self.etas / self.eta_prevs)[:, None])
+                              (self.etas / self.eta_prevs)[:, None]
+                              if self.rule.variant == "time_varying" else 1.0)
 
     @property
     def v(self) -> np.ndarray:

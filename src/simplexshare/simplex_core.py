@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Tolerance used by normalization invariants throughout the package.
-SUM_TOL = 1e-12
-
 
 def as_nonneg_vector(x) -> np.ndarray:
     """Validate a 1-d vector of finite nonnegative reals."""

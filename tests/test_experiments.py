@@ -163,6 +163,58 @@ def test_comparator_errors_raise_at_parse_time():
         parse_experiment(cfg)
 
 
+_BASE = rotating_best_arm_config()
+_SHARE = {"rule": "max_share", "eta": 0.3, "alpha": 0.01}
+
+
+@pytest.mark.parametrize("path, section, value", [
+    ("environment.sed", "environment", {**_BASE["environment"], "sed": 7}),
+    ("comparator.corner", "comparator",
+     {**_BASE["comparator"], "corner": [0]}),  # discounted comparators only
+    ("forecaster.gama", "forecaster", {**_SHARE, "gama": 0.01}),
+    ("forecaster.gamma", "forecaster", {**_SHARE, "gamma": 0.01}),
+    ("forecaster.eta", "forecaster", {**_BASE["forecaster"], "eta": 0.5}),
+    ("forecaster.tune", "forecaster",
+     {"rule": "time_varying", "schedules": "anytime",
+      "tune": {"m0": 4, "U0": 1000}}),
+    ("forecaster.tune.L1", "forecaster",
+     {"rule": "fixed_share", "tune": {"m0": 4, "U0": 1000, "L1": 9}}),
+    ("regret.tau", "regret", {"kind": "shifting", "tau": 5}),
+    ("output.timing", "output", {"timing": False}),
+    ("config.outptu", "outptu", {"csv": "report.csv"}),
+])
+def test_unread_config_keys_are_errors(path, section, value):
+    cfg = rotating_best_arm_config()
+    cfg[section] = value
+    with pytest.raises(ConfigError, match=rf"^{path}: unknown or unused field$"):
+        parse_experiment(cfg)
+
+
+def test_comparator_section_is_read_for_shifting_regret_only():
+    cfg = rotating_best_arm_config()
+    cfg["regret"] = {"kind": "adaptive", "tau0": 8}
+    with pytest.raises(ConfigError, match="^config.comparator: "):
+        parse_experiment(cfg)
+    del cfg["comparator"]
+    assert parse_experiment(cfg).comparator is None
+
+
+def test_named_discount_schedule_errors_name_their_path(tmp_path, capsys):
+    cfg = {"environment": {"kind": "iid_bernoulli", "d": 2, "T": 0,
+                           "means": [0.5, 0.5]},
+           "forecaster": {"rule": "fixed_share"},
+           "regret": {"kind": "discounted", "schedule": "linear_up"}}
+    for schedule in ("linear_up", "linear_down"):
+        cfg["regret"]["schedule"] = schedule
+        with pytest.raises(ConfigError,
+                           match="^regret.schedule: T must be >= 1$"):
+            parse_experiment(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["certify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: regret.schedule: T must be >= 1\n"
+
+
 def test_trivial_single_point_environment_passes():
     spec = parse_experiment({
         "environment": {"kind": "iid_bernoulli", "d": 1, "T": 20, "seed": 3,
@@ -274,6 +326,42 @@ def test_verdicts_recomputable_from_rows(tmp_path):
         expected = "pass" if regret <= bound + VERDICT_SLACK * max(
             1.0, abs(bound)) else "fail"
         assert row["verdict"] == expected
+
+
+def test_report_rows_are_pinned():
+    # seed 5: the summary takes its regret, m and n, L_sum and bound from
+    # different repetitions; the second config's bound is nan (m = 3 is
+    # beyond m0 = 1), so its rows fail
+    cfg = {"environment": {"kind": "piecewise_stationary", "d": 3, "T": 12,
+                           "seed": 5, "segment_lengths": [6, 6],
+                           "means": [[0.3, 0.6, 0.5], [0.6, 0.3, 0.5]]},
+           "comparator": {"kind": "piecewise_corner",
+                          "segment_lengths": [6, 6]},
+           "forecaster": {"rule": "fixed_share", "eta": 0.5, "alpha": 0.1},
+           "regret": {"kind": "shifting"}, "repetitions": 3}
+    lengths = [2] * 4
+    overconfident = {
+        "environment": {"kind": "piecewise_stationary", "d": 2, "T": 8,
+                        "seed": 1, "segment_lengths": lengths,
+                        "means": [[0.0, 1.0], [1.0, 0.0]] * 2},
+        "comparator": {"kind": "piecewise_corner", "segment_lengths": lengths},
+        "forecaster": {"rule": "fixed_share", "tune": {"m0": 1, "U0": 8}},
+        "regret": {"kind": "shifting"}, "repetitions": 1}
+    reports = (run_experiment(parse_experiment(cfg))
+               + run_experiment(parse_experiment(overconfident)))
+    head = "run_id,seed,T,d,regret_kind,regret,m,n,U_sum,L_sum,bound,verdict,wall_ms"
+    expected = [head.split(",")] + [line.split(",") for line in (
+        "0000,5,12,3,shifting,2.2432412874692229,0,1,12,3,5.2651559218083994,pass,0",
+        "0001,5,12,3,shifting,4.1929554591521194,1,2,12,1,11.856829653817057,pass,0",
+        "0002,5,12,3,shifting,2.1343007477560647,1,2,12,4,11.856829653817057,pass,0",
+        "summary,5,12,3,shifting,4.1929554591521194,1,2,12,4,5.2651559218083994,pass,0",
+        "0000,1,8,2,shifting,4.689851790392475,3,2,8,0,nan,fail,0",
+        "summary,1,8,2,shifting,4.689851790392475,3,2,8,0,nan,fail,0")]
+    assert report_rows(reports, include_timing=False) == expected
+    timed = report_rows(reports)
+    assert [row[:-1] for row in timed] == [row[:-1] for row in expected]
+    assert [row[-1] for row in timed[1:]] == [
+        format(r.wall_ms, ".17g") for r in reports]
 
 
 def test_overconfident_caps_fail_certification():
@@ -399,23 +487,39 @@ def test_cli_run_tune_project_bound(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "verdict=pass" in out
 
-    assert cli_main(["tune", "--d", "10", "--m0", "4", "--U0", "1000"]) == 0
-    out = capsys.readouterr().out
-    assert "eta=0.53132418243760615" in out
-    assert "bound=132.83104560940154" in out
-
     assert cli_main(["project", "--alpha", "0.4", "--v", "0.9,0.1"]) == 0
     assert capsys.readouterr().out.strip() == (
         "0.80000000000000004,0.20000000000000001")
 
-    assert cli_main(["bound", "adaptive", "--d", "2", "--tau0", "8"]) == 0
-    out = capsys.readouterr().out
-    assert "exact=3.8508744308852449" in out
 
-    assert cli_main(["bound", "fixed-share", "--d", "2", "--eta", "1",
-                     "--alpha", "0.1", "--m", "1", "--U-sum", "10",
-                     "--u1-norm", "1"]) == 0
-    assert capsys.readouterr().out.strip() == "5.7817635793765465"
+@pytest.mark.parametrize("argv, printed", [
+    ("tune --d 10 --m0 4 --U0 1000",
+     "eta=0.53132418243760615\nalpha=0.0040000000000000001\n"
+     "bound=132.83104560940154\n"),
+    ("tune --d 10 --m0 4 --U0 1000 --L0 10",
+     "eta=1.2966219280633242\nalpha=0.0040000000000000001\n"
+     "bound=27.611324697091074\n"),
+    ("tune --d 10 --m0 4 --U0 1000 --L0 0",
+     "eta=inf\nalpha=0.0040000000000000001\nbound=8.8240460108562928\n"),
+    ("bound projected --d 2 --eta 1 --alpha 0.1 --m 1 --U-sum 10",
+     "5.9388794541139358\n"),
+    ("bound fixed-share --d 2 --eta 1 --alpha 0.1 --m 1 --U-sum 10 "
+     "--u1-norm 1", "5.7817635793765465\n"),
+    ("bound adaptive --d 2 --tau0 8",
+     "exact=3.8508744308852449\nrelaxed=3.8846305987775884\n"),
+    ("bound small-loss --d 10 --m0 4 --U0 1000 --L0 10",
+     "27.611324697091074\n"),
+    ("bound shared-weights --d 20 --T 100 --eta 2 --alpha 0.09 --m 9 --n 2 "
+     "--U-sum 100 --C 1 --Z-max 20", "56.556263319686231\n"),
+    ("bound max-share --d 200 --T 100 --eta 2.56 --alpha 0.09 --m 9 --n 2",
+     "64.110405483307602\n"),
+    ("bound decayed-max-share --d 200 --T 100 --eta 2.56 --alpha 0.09 "
+     "--m0 9 --n0 2", "62.338258385266002\n"),
+    ("bound anytime-adaptive --d 5 --T 500", "91.303927199774407\n"),
+])
+def test_cli_guarantees_print_exactly(capsys, argv, printed):
+    assert cli_main(argv.split()) == 0
+    assert capsys.readouterr() == (printed, "")
 
 
 def test_cli_certify_exit_codes(tmp_path, capsys):
