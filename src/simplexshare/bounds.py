@@ -45,7 +45,7 @@ def _check_common(eta: float, alpha: float, m: float, U_sum: float,
         raise ValueError("eta must be positive")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    if m < 0.0 or U_sum < 0.0 or u1_norm < 0.0:
+    if not (m >= 0.0 and U_sum >= 0.0 and u1_norm >= 0.0):
         raise ValueError("m, U_sum, and u1_norm must be nonnegative")
     if u1_norm > U_sum + 1e-12:
         raise ValueError("u1_norm cannot exceed U_sum")
@@ -160,9 +160,9 @@ def bound_shared_weights(d: int, T: int, eta: float, alpha: float, m: float,
     Z_max bounds the normalizers sum_j w_j over the run.
     """
     _check_common(eta, alpha, m, U_sum, u1_norm)
-    if C < 1.0:
+    if not C >= 1.0:
         raise ValueError("C must be >= 1")
-    if Z_max <= 0.0:
+    if not Z_max > 0.0:
         raise ValueError("Z_max must be positive")
     tail = U_sum - u1_norm - m
     if tail < -1e-9:
@@ -180,6 +180,8 @@ def bound_max_share(d: int, T: int, eta: float, alpha: float, m: float,
     """Running-max share guarantee for probability-vector comparators:
     the normalizers obey Z <= min(d, t) <= min(d, T) and the weights
     never decay (C = 1)."""
+    if not (d >= 1 and T >= 1):
+        raise ValueError("need d >= 1 and T >= 1")
     return bound_shared_weights(d, T, eta, alpha, m, n, U_sum=float(T),
                                 C=1.0, Z_max=float(min(d, T)), u1_norm=1.0)
 
@@ -192,7 +194,9 @@ def bound_decayed_max_share(d: int, T: int, eta: float, alpha: float,
     trades the running-max variant's T inside the logarithm for
     min(d, n0 T / m0) and improves on it for sparse comparators.
     """
-    if m0 <= 0.0 or n0 <= 0.0:
+    if not (d >= 1 and T >= 1):
+        raise ValueError("need d >= 1 and T >= 1")
+    if not (m0 > 0.0 and n0 > 0.0):
         raise ValueError("need m0 > 0 and n0 > 0")
     gamma = m0 / (n0 * T)
     return bound_shared_weights(d, T, eta, alpha, m0, n0, U_sum=float(T),
@@ -221,11 +225,11 @@ def bound_time_varying(d: int, T: int, etas: Sequence[float],
     u = np.asarray(u_norms, dtype=float)
     if not (eta.shape == al.shape == u.shape == (T,)):
         raise ValueError("schedules and u_norms must have length T")
-    if np.any(eta <= 0.0) or np.any(np.diff(eta) > 1e-12):
+    if not np.all(eta > 0.0) or np.any(np.diff(eta) > 1e-12):
         raise ValueError("eta schedule must be positive and non-increasing")
-    if np.any(al < 0.0) or np.any(al > 1.0) or np.any(np.diff(al) > 1e-12):
+    if np.any(np.diff(al) > 1e-12) or not np.all((al >= 0) & (al <= 1)):
         raise ValueError("alpha schedule must be non-increasing within [0, 1]")
-    if np.any(u < 0.0) or m < 0.0:
+    if not (np.all(u >= 0.0) and m >= 0.0):
         raise ValueError("comparator masses must be nonnegative")
     eta_prev = np.concatenate([[eta[0]], eta[:-1]])
     first = (u[0] / eta[0] + float(np.sum(u[1:] * (1.0 / eta[1:]

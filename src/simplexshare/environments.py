@@ -242,7 +242,7 @@ def check_comparator(spec: ComparatorSpec, d: int, T: int) -> None:
             _check_index(spec.corner, d, "corner")
     else:  # scaled_arbitrary
         u = _floats(spec.vectors, "vectors")
-        if u.shape != (T, d) or not np.all(u >= 0.0):
+        if u.shape != (T, d) or not np.all(np.isfinite(u) & (u >= 0.0)):
             raise ValueError("vectors: expected a nonnegative (T, d) matrix")
 
 
@@ -267,7 +267,7 @@ def gen_comparator(spec: ComparatorSpec, d: int, T: int,
     """
     check_comparator(spec, d, T)
     if spec.kind == "scaled_arbitrary":
-        return np.asarray(spec.vectors, dtype=float)
+        return np.array(spec.vectors, dtype=float)  # a copy the caller owns
     u = np.zeros((T, d))
     if spec.kind == "piecewise_corner":
         corners = spec.corners

@@ -35,10 +35,11 @@ from .environments import (ComparatorSpec, EnvironmentSpec, check_comparator,
                            linear_up_discounts, load_losses_csv,
                            make_adversary)
 from .forecasters import MixingRule, Trajectory, run_forecaster
-from .regret_eval import (CheckedComparator, adaptive_regret_details,
-                          as_discounts, discounted_regret_details,
-                          generalized_shifting_regret, regularity_m,
-                          sparsity_n)
+from .regret_eval import (CheckedComparator, _regularity_in_place,
+                          adaptive_regret_details, as_discounts,
+                          discounted_regret_details,
+                          generalized_shifting_regret, sparsity_n)
+from .regret_eval import regularity_m  # noqa: F401 (perfbench traces it here)
 
 VERDICT_SLACK = 1e-6
 
@@ -307,29 +308,29 @@ def parse_experiment(config: dict) -> ExperimentSpec:
 
 def _comparator_stats(u: np.ndarray, losses: np.ndarray
                       ) -> tuple[float, float, float, float]:
-    # u is valid: the shifting regret checked it, or _evaluate built it
-    checked = u.view(CheckedComparator)
-    m = regularity_m(checked)
-    n = sparsity_n(checked)
+    # u is valid and the engine's own; m comes last, as it overwrites u
+    n = sparsity_n(u.view(CheckedComparator))
     U_sum = float(u.sum())
     L_sum = float(np.einsum("td,td->", u, losses))
-    return m, n, U_sum, L_sum
+    return _regularity_in_place(u), n, U_sum, L_sum
 
 
-def _bound(spec: ExperimentSpec, traj: Trajectory, u: np.ndarray, m: float,
-           n: float, U_sum: float, L_sum: float) -> float:
+def _bound(spec: ExperimentSpec, traj: Trajectory, masses: np.ndarray,
+           m: float, n: float, U_sum: float, L_sum: float) -> float:
     """The one guarantee that certifies a row, or nan when none does.
 
-    A row's regret is the shifting regret against ``u``, so the rule's
-    shifting guarantee at u's statistics applies; adaptive rows bound
-    the worst window instead (regularity mass 1, total mass tau0).  A
-    tuned fixed-share value is a worst case over its caps, so it holds
-    only for comparators inside them: m + ||u_1||_1 <= m0, U_sum <= U0
-    and L_sum <= L0, each up to the verdict slack.
+    A row's regret is the shifting regret against ``u`` (``masses``
+    holds its row masses ||u_t||_1, only the first unless the rule is
+    time-varying), so the rule's shifting guarantee at u's statistics
+    applies; adaptive rows bound the worst window instead (regularity
+    mass 1, total mass tau0).  A tuned fixed-share value is a worst case
+    over its caps, so it holds only for comparators inside them:
+    m + ||u_1||_1 <= m0, U_sum <= U0 and L_sum <= L0, each up to the
+    verdict slack.
     """
     fc, rule = spec.forecaster, spec.forecaster.rule
     d, T = traj.d, traj.T
-    u1_norm = float(u[0].sum())
+    u1_norm = float(masses[0])
     if spec.regret_kind == "adaptive":
         if rule.variant == "time_varying":
             return bnd.anytime_adaptive_bound(d, T)
@@ -345,7 +346,7 @@ def _bound(spec: ExperimentSpec, traj: Trajectory, u: np.ndarray, m: float,
         return bnd.bound_projected(d, fc.eta, rule.alpha, m, U_sum, u1_norm)
     if rule.variant == "time_varying":
         return bnd.bound_time_varying(d, T, traj.etas, traj.alphas, m,
-                                      u.sum(axis=1))
+                                      masses)
     if rule.variant == "max_share":
         C, Z_max = 1.0, float(min(d, T))
     else:
@@ -385,9 +386,11 @@ def _evaluate(spec: ExperimentSpec, traj: Trajectory, rep: int,
     losses = traj.losses
     d, T = traj.d, traj.T
 
+    # u (checked, and fresh from gen_comparator) is the one T x d temporary
     if spec.regret_kind == "shifting":
         u = gen_comparator(spec.comparator, d, T, losses=losses)
-        regret = generalized_shifting_regret(traj, losses, u)
+        regret = generalized_shifting_regret(traj, losses,
+                                             u.view(CheckedComparator))
     elif spec.regret_kind == "adaptive":
         regret, r, s, arm = adaptive_regret_details(traj, losses, spec.tau0)
         u = np.zeros((T, d))
@@ -397,8 +400,10 @@ def _evaluate(spec: ExperimentSpec, traj: Trajectory, rep: int,
         # the shifting regret against the maximizing discounted corner
         u = np.zeros((T, d))
         u[:, arm] = spec.betas
+    varying = spec.forecaster.rule.variant == "time_varying"
+    masses = u[:T if varying else 1].sum(axis=1)
     m, n, U_sum, L_sum = _comparator_stats(u, losses)
-    bound = _bound(spec, traj, u, m, n, U_sum, L_sum)
+    bound = _bound(spec, traj, masses, m, n, U_sum, L_sum)
     return RegretReport(run_id=f"{rep:04d}", seed=spec.environment.seed, T=T,
                         d=d, regret_kind=spec.regret_kind, regret=regret, m=m,
                         n=n, U_sum=U_sum, L_sum=L_sum, bound=bound,

@@ -30,9 +30,11 @@ Schedule = Union[Callable[[int], float], Sequence[float]]
 
 
 def _check_loss_entries(v: np.ndarray) -> None:
-    if not np.all(np.isfinite(v)):
-        raise ValueError("loss entries must be finite")
-    if np.any(v < 0.0) or np.any(v > 1.0):
+    # a NaN propagates into the extremes; isfinite only picks the message
+    if not (np.minimum.reduce(v, None, initial=0.0) >= 0.0
+            and np.maximum.reduce(v, None, initial=1.0) <= 1.0):
+        if not np.all(np.isfinite(v)):
+            raise ValueError("loss entries must be finite")
         raise ValueError("loss entries must lie in [0, 1]")
 
 
@@ -378,15 +380,22 @@ class ForecasterState:
         self.t += 1
 
 
-def _linear(log_w: np.ndarray) -> np.ndarray:
-    """``_to_linear`` of every row of a log-weight record, in blocks of
-    at most 2^15 entries so that no temporary grows with the horizon."""
+def _linear_blocks(log_w: np.ndarray):
+    """``_to_linear`` of the rows of a log-weight record, as (row slice,
+    block) pairs of at most 2^15 entries, so that no temporary grows
+    with the horizon."""
     rows = log_w.reshape(-1, log_w.shape[-1])
-    out = np.empty(rows.shape)
     block = max(1, (1 << 15) // rows.shape[1])
     for lo in range(0, rows.shape[0], block):
-        out[lo:lo + block] = _to_linear(rows[lo:lo + block])
-    return out.reshape(log_w.shape)
+        yield slice(lo, lo + block), _to_linear(rows[lo:lo + block])
+
+
+def _linear(log_w: np.ndarray) -> np.ndarray:
+    """``_to_linear`` of every row of a log-weight record."""
+    out = np.empty(log_w.shape)
+    for rows, block in _linear_blocks(log_w):
+        out.reshape(-1, log_w.shape[-1])[rows] = block
+    return out
 
 
 @dataclass

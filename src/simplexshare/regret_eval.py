@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .forecasters import Trajectory, _linear_blocks
 from .simplex_core import as_nonneg_vector
 
 # Prefix sums switch to compensated summation at this length: window
@@ -36,13 +37,31 @@ def as_comparator(u) -> np.ndarray:
 
 
 def _realized(p_traj, losses) -> tuple[np.ndarray, np.ndarray]:
-    """The per-round losses p_t . l_t of the played rows (a trajectory's
-    ``played`` or a (T, d) matrix), and the losses as an array."""
-    p = np.asarray(getattr(p_traj, "played", p_traj), dtype=float)
+    """The per-round losses p_t . l_t of the played rows (of a trajectory
+    or a (T, d) matrix), and the losses as an array.  A trajectory's rows
+    come from ``log_p`` in blocks, bitwise its ``played``."""
     l = np.asarray(losses, dtype=float)
-    if p.shape != l.shape:
+    traj = isinstance(p_traj, Trajectory)
+    p = (p_traj.log_p[..., : p_traj.T, :] if traj
+         else np.asarray(p_traj, dtype=float))
+    if p.shape != l.shape or l.ndim != 2:
         raise ValueError("trajectory and losses shapes differ")
-    return np.einsum("td,td->t", p, l), l
+    realized = np.empty(l.shape[0])
+    for rows, block in _linear_blocks(p) if traj else [(slice(None), p)]:
+        realized[rows] = np.einsum("td,td->t", block, l[rows])
+    return realized, l
+
+
+def _regularity_in_place(u: np.ndarray) -> float:
+    """``regularity_m`` of a valid comparator, writing its clipped
+    increments over its rows 1..T-1 in blocks of at most 2^14 entries
+    (numpy copies one), from the last back."""
+    block = max(1, (1 << 14) // max(1, u.shape[1]))
+    for hi in range(u.shape[0], 1, -block):
+        lo = max(1, hi - block)
+        inc = np.subtract(u[lo:hi], u[lo - 1:hi - 1], u[lo:hi])
+        np.maximum(inc, 0.0, out=inc)
+    return float(u[1:].sum())
 
 
 def regularity_m(u) -> float:
@@ -51,11 +70,7 @@ def regularity_m(u) -> float:
     Counts exactly the number of hard switches when the sequence moves
     between probability vectors.
     """
-    m = as_comparator(u)
-    if m.shape[0] == 1:
-        return 0.0
-    inc = np.subtract(m[1:], m[:-1])
-    return float(np.maximum(inc, 0.0, out=inc).sum())
+    return _regularity_in_place(as_comparator(u).copy())
 
 
 def sparsity_n(u) -> float:
@@ -138,51 +153,58 @@ def adaptive_regret_details(p_traj, losses, tau0: int
     T = l.shape[0]
     if not 1 <= tau0 <= T:
         raise ValueError("tau0 must satisfy 1 <= tau0 <= T")
-    pref = _prefix(np.column_stack([realized, l]))
-    gains = pref[:, :1] - pref[:, 1:]
-    regret = np.empty((T, l.shape[1]))
-    start = np.empty((T, l.shape[1]), dtype=np.intp)
-    for j in range(l.shape[1]):
-        low, start[:, j] = _window_minima(gains[:-1, j], tau0)
-        regret[:, j] = gains[1:, j] - low
-    best = regret.max()
-    if not best > 0.0:
+    fore = _prefix(realized[:, None])
+    best = (0.0, 0, 0, 0)  # (-regret, s - r, r - 1, action): least wins
+    for j in range(l.shape[1]):  # one action at a time, in O(T) memory
+        gains = _prefix(l[:, j:j + 1])
+        np.subtract(fore, gains, out=gains)
+        best = min(best, _best_window(gains[:, 0], tau0) + (j,))
+    neg_regret, width, r, arm = best
+    if not neg_regret < 0.0:
         return 0.0, 1, 1, 0
-    ends, arms = np.nonzero(regret == best)
-    starts = start[ends, arms]
-    k = np.lexsort((arms, starts, ends - starts))[0]
-    return float(best), int(starts[k]) + 1, int(ends[k]) + 1, int(arms[k])
+    return float(-neg_regret), r + 1, r + width + 1, arm
 
 
-def _window_minima(g: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum of ``g`` over [i - width + 1, i] (clipped at 0) for every
-    i, and the latest index attaining it.
+def _best_window(gains: np.ndarray, width: int) -> tuple[float, int, int]:
+    """The largest gains[s] - gains[r - 1] over 0 <= s - r < ``width``, as
+    (-value, s - r, r - 1) with the least s - r, then the least r - 1.
 
-    Blockwise prefix and suffix minima (van Herk / Gil-Werman): a window
-    of ``width`` entries spans the tail of one block and the head of the
+    The best r - 1 for each s is the latest minimum of gains over
+    [s - width, s - 1], clipped at 0.  Blockwise prefix and suffix
+    minima (van Herk / Gil-Werman) find it for every s: a window of
+    ``width`` entries spans the tail of one block and the head of the
     next, so its minimum is the smaller of a suffix and a prefix minimum.
     """
-    n = g.size
+    n = gains.size - 1
     blocks = -(-(n + width - 1) // width)
-    pad = np.full(blocks * width, np.inf)
-    pad[width - 1:width - 1 + n] = g
-    pad = pad.reshape(blocks, width)
-    pos = np.arange(pad.size).reshape(blocks, width)
+    pad = np.full((blocks, width), np.inf)
+    pad.reshape(-1)[width - 1:width - 1 + n] = gains[:-1]
+    pos = np.arange(pad.size).reshape(pad.shape)
     head = np.minimum.accumulate(pad, axis=1)
     head_at = np.maximum.accumulate(np.where(pad == head, pos, -1), axis=1)
-    tail = np.minimum.accumulate(pad[:, ::-1], axis=1)[:, ::-1]
+    tail = np.empty_like(pad)
+    np.minimum.accumulate(pad[:, ::-1], axis=1, out=tail[:, ::-1])
     # the latest minimum of a block's tail is its first entry strictly
     # below everything after it
-    after = np.concatenate([tail[:, 1:], np.full((blocks, 1), np.inf)], axis=1)
-    tail_at = np.minimum.accumulate(
-        np.where(pad < after, pos, pad.size)[:, ::-1], axis=1)[:, ::-1]
-    # the window of entry i is padded entries [i, i + width - 1]
+    last = np.less(pad, np.inf)
+    np.less(pad[:, :-1], tail[:, 1:], out=last[:, :-1])
+    del pad
+    tail_at = np.where(last, pos, pos.size)
+    np.minimum.accumulate(tail_at[:, ::-1], axis=1, out=tail_at[:, ::-1])
+    # the window ending at s is padded entries [s, s + width - 1]; the
+    # head wins ties, and the regret and starts overwrite it
     right = slice(width - 1, width - 1 + n)
-    head, head_at = head.ravel()[right], head_at.ravel()[right]
-    tail, tail_at = tail.ravel()[:n], tail_at.ravel()[:n]
-    use_head = head <= tail
-    return (np.where(use_head, head, tail),
-            np.where(use_head, head_at, tail_at) - (width - 1))
+    low, start = head.reshape(-1)[right], head_at.reshape(-1)[right]
+    tail, tail_at = tail.reshape(-1)[:n], tail_at.reshape(-1)[:n]
+    use_tail = low > tail
+    np.copyto(low, tail, where=use_tail)
+    np.copyto(start, tail_at, where=use_tail)
+    start -= width - 1
+    regret = np.subtract(gains[1:], low, out=low)
+    value = regret.max()
+    ends = np.flatnonzero(regret == value)
+    k = np.lexsort((start[ends], ends - start[ends]))[0]
+    return -value, int(ends[k] - start[ends[k]]), int(start[ends[k]])
 
 
 def as_discounts(betas, T: int | None = None) -> np.ndarray:

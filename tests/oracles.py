@@ -145,14 +145,26 @@ def share_rounds_reference(variant: str, losses, etas, alphas,
 
 def adaptive_regret_brute(p: np.ndarray, losses: np.ndarray, tau0: int) -> float:
     """Double loop over all windows and all corners, fresh sums."""
+    return adaptive_regret_details_brute(p, losses, tau0)[0]
+
+
+def adaptive_regret_details_brute(p: np.ndarray, losses: np.ndarray,
+                                  tau0: int) -> tuple[float, int, int, int]:
+    """Every (window, corner) pair with fresh sums: the largest positive
+    regret as (value, r, s, corner), 1-based rounds, ties to the smallest
+    width, then the earliest start, then the lowest corner; (0, 1, 1, 0)
+    when no window has positive regret."""
     T, d = p.shape
     realized = [float(p[t] @ losses[t]) for t in range(T)]
-    best = 0.0
+    best, key = (0.0, 1, 1, 0), None
     for r in range(T):
         for s in range(r, min(T, r + tau0)):
             fore = sum(realized[r:s + 1])
-            corner = min(float(losses[r:s + 1, j].sum()) for j in range(d))
-            best = max(best, fore - corner)
+            for j in range(d):
+                value = fore - float(losses[r:s + 1, j].sum())
+                if value > 0.0 and (key is None
+                                    or (-value, s - r, r, j) < key):
+                    best, key = (value, r + 1, s + 1, j), (-value, s - r, r, j)
     return best
 
 

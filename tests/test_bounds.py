@@ -178,6 +178,40 @@ def test_bound_time_varying_zero_comparator_and_errors():
         bound_time_varying(4, 3, etas[::-1], alphas, 0.0, np.zeros(3))
 
 
+def test_bounds_reject_nan_statistics():
+    nan = math.nan
+    for m, U_sum, u1_norm in ((nan, 10.0, 1.0), (1.0, nan, 1.0),
+                              (1.0, 10.0, nan)):
+        for bound in (bound_fixed_share, bound_projected):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                bound(2, 1.0, 0.1, m, U_sum, u1_norm)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            bound_shared_weights(2, 10, 1.0, 0.1, m, 1.0, U_sum, C=1.0,
+                                 Z_max=2.0, u1_norm=u1_norm)
+    for C, Z_max, message in ((nan, 2.0, "C must"), (1.0, nan, "Z_max must")):
+        with pytest.raises(ValueError, match=message):
+            bound_shared_weights(2, 10, 1.0, 0.1, 1.0, 1.0, 10.0, C=C,
+                                 Z_max=Z_max)
+    etas, alphas = np.full(3, 0.5), np.full(3, 0.1)
+    for m, norms in ((nan, np.ones(3)), (1.0, [1.0, nan, 1.0])):
+        with pytest.raises(ValueError, match="masses must be nonnegative"):
+            bound_time_varying(2, 3, etas, alphas, m, norms)
+    with pytest.raises(ValueError, match="eta schedule"):
+        bound_time_varying(2, 3, [0.5, nan, 0.5], alphas, 1.0, np.ones(3))
+    with pytest.raises(ValueError, match="alpha schedule"):
+        bound_time_varying(2, 3, etas, [0.1, nan, 0.1], 1.0, np.ones(3))
+
+
+def test_horizon_and_dimension_are_checked_before_z_max():
+    for d, T in ((0, 100), (200, 0)):
+        with pytest.raises(ValueError, match="^need d >= 1 and T >= 1$"):
+            bound_max_share(d, T, 2.56, 0.09, 9.0, 2.0)
+        with pytest.raises(ValueError, match="^need d >= 1 and T >= 1$"):
+            bound_decayed_max_share(d, T, 2.56, 0.09, 9.0, 2.0)
+    with pytest.raises(ValueError, match="need m0 > 0"):
+        bound_decayed_max_share(200, 100, 2.56, 0.09, math.nan, 2.0)
+
+
 def test_anytime_schedule_values():
     eta3 = math.sqrt(math.log(15) / 3.0)
     for t in (0, 1, 2, 3):

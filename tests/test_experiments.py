@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,20 +127,28 @@ def test_loss_file_is_read_once_per_run(tmp_path, monkeypatch):
 
 
 def test_engine_scans_each_comparator_once(monkeypatch):
-    from simplexshare import regret_eval
+    # gen_comparator checks each repetition's comparator once; the
+    # evaluators take it as a CheckedComparator and never scan it again
+    from simplexshare import environments, regret_eval
 
-    check = regret_eval.as_comparator
-    scans = []
+    check, spec_check = regret_eval.as_comparator, environments.check_comparator
+    scans, spec_checks = [], []
 
     def counted(u):
         if not isinstance(u, regret_eval.CheckedComparator):
             scans.append(np.shape(u))
         return check(u)
 
+    def spec_counted(*args):
+        spec_checks.append(args[1:])
+        return spec_check(*args)
+
     monkeypatch.setattr(regret_eval, "as_comparator", counted)
+    monkeypatch.setattr(environments, "check_comparator", spec_counted)
     spec = parse_experiment(rotating_best_arm_config(reps=3))
     reports = run_experiment(spec)
-    assert scans == [(1000, 10)] * 3
+    assert scans == []
+    assert spec_checks == [(10, 1000)] * 3
     # the statistics equal those of the public, validating functions
     traj = _run_batch(spec).rep(1)
     u = gen_comparator(spec.comparator, 10, 1000, losses=traj.losses)
@@ -161,6 +170,14 @@ def test_comparator_errors_raise_at_parse_time():
                          "segment_lengths": [5000] * 3}
     with pytest.raises(ConfigError, match="comparator.segment_lengths"):
         parse_experiment(cfg)
+    # the evaluators take the comparator as checked, so the spec check
+    # rejects what they would (JSON reads Infinity as inf)
+    vectors = [[0.1] * 10 for _ in range(20000)]
+    for bad in (-0.5, float("inf"), float("nan")):
+        vectors[7][3] = bad
+        cfg["comparator"] = {"kind": "scaled_arbitrary", "vectors": vectors}
+        with pytest.raises(ConfigError, match="comparator.vectors"):
+            parse_experiment(json.loads(json.dumps(cfg)))
 
 
 _BASE = rotating_best_arm_config()
@@ -522,6 +539,27 @@ def test_cli_guarantees_print_exactly(capsys, argv, printed):
     assert capsys.readouterr() == (printed, "")
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("bound fixed-share --d 2 --eta 1 --alpha 0.1 --m 1 --U-sum nan",
+     "m, U_sum, and u1_norm must be nonnegative"),
+    ("bound fixed-share --d 2 --eta 1 --alpha 0.1 --m 1 --U-sum 10 "
+     "--u1-norm nan", "m, U_sum, and u1_norm must be nonnegative"),
+    ("bound projected --d 2 --eta 1 --alpha 0.1 --m nan --U-sum 10",
+     "m, U_sum, and u1_norm must be nonnegative"),
+    ("bound shared-weights --d 20 --T 100 --eta 2 --alpha 0.09 --m 9 --n 2 "
+     "--U-sum 100 --C nan --Z-max 20", "C must be >= 1"),
+    ("bound max-share --d 0 --T 100 --eta 2.56 --alpha 0.09 --m 9 --n 2",
+     "need d >= 1 and T >= 1"),
+    ("bound max-share --d 200 --T 0 --eta 2.56 --alpha 0.09 --m 9 --n 2",
+     "need d >= 1 and T >= 1"),
+    ("bound decayed-max-share --d 200 --T 0 --eta 2.56 --alpha 0.09 "
+     "--m0 9 --n0 2", "need d >= 1 and T >= 1"),
+])
+def test_cli_bound_domain_errors_name_the_flag(capsys, argv, message):
+    assert cli_main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_certify_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(rotating_best_arm_config(reps=2)))
@@ -569,3 +607,37 @@ def test_unwritable_report_is_an_error_not_a_failed_row(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli_main(["certify", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _piecewise_env(d, T, segments):
+    means = []
+    for seg in range(segments):
+        row = [0.5] * d
+        row[(3 * seg) % d] = 0.2
+        means.append(row)
+    return {"kind": "piecewise_stationary", "d": d, "T": T, "seed": 3,
+            "segment_lengths": [T // segments] * segments, "means": means}
+
+
+@pytest.mark.parametrize("config", [
+    {"environment": _piecewise_env(1000, 2000, 4),
+     "comparator": {"kind": "piecewise_corner", "segment_lengths": [500] * 4},
+     "forecaster": {"rule": "projected", "eta": 0.1, "alpha": 0.01},
+     "regret": {"kind": "shifting"}},
+    {"environment": _piecewise_env(10, 20_000, 8),
+     "forecaster": {"rule": "fixed_share", "tune": {"m0": 1, "U0": 5000}},
+     "regret": {"kind": "adaptive", "tau0": 5000}},
+    {"environment": _piecewise_env(10, 20_000, 8),
+     "forecaster": {"rule": "fixed_share"},
+     "regret": {"kind": "discounted", "schedule": "linear_up"}},
+], ids=["shifting", "adaptive", "discounted"])
+def test_evaluation_holds_one_comparator_sized_temporary(config):
+    spec = parse_experiment(config)
+    traj = _run_batch(spec).rep(0)
+    tracemalloc.start()
+    try:
+        _evaluate(spec, traj, 0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * traj.losses.nbytes

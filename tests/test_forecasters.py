@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simplexshare import (ForecasterState, MixingRule, certificate_slacks,
-                          loss_update, mix_fixed_share, mix_max_share,
-                          mix_projected, run_forecaster,
+from simplexshare import (ForecasterState, MixingRule, as_loss_vector,
+                          certificate_slacks, loss_update, mix_fixed_share,
+                          mix_max_share, mix_projected, run_forecaster,
                           small_loss_certificate_slacks, step_time_varying,
                           varying_rate_certificate_slacks)
 from simplexshare.forecasters import _log_loss_step, _to_linear
@@ -310,6 +310,36 @@ def test_per_round_checks_still_raise(rule, losses, message):
     if callable(losses):
         with pytest.raises(ValueError, match=message):
             run_forecaster(rule, 1.0, [losses, losses], **kwargs)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "loss entries must be finite"),
+    (np.inf, "loss entries must be finite"),
+    (-np.inf, "loss entries must be finite"),
+    (-0.1, r"loss entries must lie in \[0, 1\]"),
+    (1.1, r"loss entries must lie in \[0, 1\]"),
+])
+def test_loss_checks_keep_their_messages(bad, message):
+    losses = np.full((2, 4, 3), 0.5)
+    losses[1, 2, 0] = bad
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        as_loss_vector([0.5, bad, 0.2])
+    for batch in (losses, losses[1]):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_forecaster(MixingRule.fixed_share(0.1), 1.0, batch)
+    # a non-finite entry is reported as such next to an out-of-range one
+    losses[0, 0, 0] = 2.0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_forecaster(MixingRule.fixed_share(0.1), 1.0, losses)
+
+
+def test_loss_checks_accept_the_closed_interval():
+    losses = np.array([[-0.0, 1.0], [0.0, 0.25]])
+    assert np.array_equal(as_loss_vector(losses[0]), losses[0])
+    traj = run_forecaster(MixingRule.fixed_share(0.1), 1.0, losses)
+    assert traj.T == 2
+    assert run_forecaster(MixingRule.fixed_share(0.1), 1.0,
+                          np.zeros((0, 3))).T == 0
 
 
 def test_run_forecaster_dimension_mismatch_midstream():

@@ -11,7 +11,8 @@ from simplexshare import (MixingRule, adaptive_regret, adaptive_regret_details,
                           sparsity_n, total_variation)
 from simplexshare.regret_eval import (KAHAN_MIN_LENGTH, CheckedComparator,
                                       _prefix, as_comparator)
-from oracles import adaptive_regret_brute, prefix_sums_brute
+from oracles import (adaptive_regret_brute, adaptive_regret_details_brute,
+                     prefix_sums_brute)
 
 
 def corners(indices, d):
@@ -192,6 +193,82 @@ def test_adaptive_regret_tie_break_on_zero_loss_rows():
     # with the first round dropped, arm 0's one-round window beats its
     # equally good widenings over the zero rows on either side
     assert adaptive_regret_details(p[1:], losses[1:], 3) == (0.5, 2, 2, 0)
+
+
+# The forecaster always plays the last action, so each action's regret in
+# a round is the last column minus its own; halves keep every sum exact.
+PLAY_LAST_TIES = {
+    # action 0 gains 1 over rounds 1-2, action 1 as much in round 5 alone
+    "equal value, different widths": (
+        [[0, .5, .5], [0, .5, .5], [0, 0, 0], [0, 0, 0], [1, 0, 1], [0, 0, 0]],
+        (1.0, 5, 5, 1)),
+    # both gain 1 over two rounds; action 1's window starts first
+    "equal width, different starts": (
+        [[0, 0, 0], [.5, 0, .5], [.5, 0, .5], [0, .5, .5], [0, .5, .5],
+         [0, 0, 0]],
+        (1.0, 2, 3, 1)),
+    # actions 1 and 2 have the same losses; action 0 gains less
+    "equal everything, different actions": (
+        [[.5, 0, 0, .5], [0, 0, 0, .5], [0, 0, 0, 0], [.5, .5, .5, .5]],
+        (1.0, 1, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", PLAY_LAST_TIES)
+def test_adaptive_regret_ties_across_actions(case):
+    rows, expected = PLAY_LAST_TIES[case]
+    losses = np.array(rows, dtype=float)
+    T, d = losses.shape
+    p = np.zeros((T, d))
+    p[:, -1] = 1.0
+    for tau0 in (2, T):
+        assert adaptive_regret_details(p, losses, tau0) == expected
+        assert adaptive_regret_details_brute(p, losses, tau0) == expected
+
+
+def test_adaptive_regret_ties_match_brute_force():
+    # uniform play and losses in {0, 1/2, 1}: exact sums and many ties
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        T, d = int(rng.integers(1, 16)), int(rng.choice([1, 2, 4]))
+        losses = rng.integers(0, 3, size=(T, d)) / 2.0
+        p = np.full((T, d), 1.0 / d)
+        tau0 = int(rng.integers(1, T + 1))
+        assert (adaptive_regret_details(p, losses, tau0)
+                == adaptive_regret_details_brute(p, losses, tau0))
+
+
+def test_adaptive_regret_float_losses_on_the_compensated_path():
+    rng = np.random.default_rng(47)
+    T, d, tau0 = KAHAN_MIN_LENGTH, 3, 3
+    losses = rng.random((T, d))
+    traj = run_forecaster(MixingRule.fixed_share(0.02), 0.3, losses)
+    p = traj.played
+    value, r, s, arm = adaptive_regret_details(traj, losses, tau0)
+    want = adaptive_regret_details_brute(p, losses, tau0)
+    assert value == pytest.approx(want[0], abs=1e-12)
+    assert (r, s, arm) == want[1:]
+    assert adaptive_regret_details(p, losses, tau0) == (value, r, s, arm)
+
+
+def test_evaluators_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(53)
+    T, d = KAHAN_MIN_LENGTH, 4
+    losses = rng.random((T, d))
+    u = rng.random((T, d))
+    traj = run_forecaster(MixingRule.fixed_share(0.05), 0.5, losses)
+    p = traj.played
+    inputs = (losses, u, p, traj.log_p)
+    kept = [a.copy() for a in inputs]
+    for comparator in (u, u.view(CheckedComparator)):
+        regularity_m(comparator)
+        for played in (traj, p):
+            generalized_shifting_regret(played, losses, comparator)
+    for played in (traj, p):
+        for tau0 in (1, 100, T):
+            adaptive_regret_details(played, losses, tau0)
+    for a, b in zip(inputs, kept):
+        assert np.array_equal(a, b)
 
 
 def test_discounted_regret_examples():
