@@ -160,6 +160,8 @@ def bound_shared_weights(d: int, T: int, eta: float, alpha: float, m: float,
     Z_max bounds the normalizers sum_j w_j over the run.
     """
     _check_common(eta, alpha, m, U_sum, u1_norm)
+    if not n >= 0.0:
+        raise ValueError("n must be nonnegative")
     if not C >= 1.0:
         raise ValueError("C must be >= 1")
     if not Z_max > 0.0:

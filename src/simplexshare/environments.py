@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .regret_eval import as_discounts
+from .regret_eval import Segment, as_discounts
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -126,15 +126,28 @@ def gen_losses(spec: EnvironmentSpec, stream: int = 0) -> np.ndarray:
         raise ValueError("adversarial_flip is adaptive; use make_adversary")
     if spec.kind == "from_file":
         return load_losses_csv(spec.path, d=spec.d or None, T=spec.T or None)
+    out = np.empty((spec.T, spec.d))
+    _fill_losses(spec, out, stream)
+    return out
+
+
+def _fill_losses(spec: EnvironmentSpec, out: np.ndarray, stream: int = 0
+                 ) -> None:
+    """Draw a random kind's losses into the C-contiguous (T, d) ``out``:
+    ``random(out=...)`` draws the doubles of ``random(shape)``, and
+    ``less`` writes the 0/1 floats that ``(... < means).astype(float)``
+    gives, so no other T x d array is made."""
     rng = make_rng(spec.seed, stream)
     if spec.kind == "iid_bernoulli":
-        means = np.asarray(spec.means, dtype=float)
-        return (rng.random((spec.T, spec.d)) < means).astype(float)
-    # piecewise_stationary
-    rows = [(rng.random((length, spec.d)) < np.asarray(means, dtype=float)
-             ).astype(float)
-            for length, means in zip(spec.segment_lengths, spec.means)]
-    return np.concatenate(rows, axis=0)
+        segments = [(spec.T, spec.means)]
+    else:  # piecewise_stationary
+        segments = zip(spec.segment_lengths, spec.means)
+    start = 0
+    for length, means in segments:
+        rows = out[start:start + length]
+        rng.random(out=rows)
+        np.less(rows, np.asarray(means, dtype=float), out=rows)
+        start += length
 
 
 class AdversarialFlip:
@@ -293,6 +306,30 @@ def gen_comparator(spec: ComparatorSpec, d: int, T: int,
             corner = int(np.argmin(betas @ losses))
         u[:, corner] = betas
     return u
+
+
+def comparator_segments(spec: ComparatorSpec, d: int, T: int,
+                        losses: np.ndarray) -> list[Segment] | np.ndarray:
+    """The comparator of a checked spec as ``regret_eval.Segment`` rows,
+    the same rows ``gen_comparator`` writes, or, for ``scaled_arbitrary``,
+    its (T, d) matrix.  Hindsight corners come from ``losses``."""
+    if spec.kind == "scaled_arbitrary":
+        return np.asarray(spec.vectors, dtype=float)
+    if spec.kind == "adaptive_window":
+        q = spec.q if np.ndim(spec.q) == 0 else np.asarray(spec.q, dtype=float)
+        return [Segment(spec.r - 1, spec.s, q)]
+    if spec.kind == "discounted":
+        betas = as_discounts(spec.betas, T)
+        corner = spec.corner
+        if corner is None:
+            corner = int(np.argmin(betas @ losses))
+        return [Segment(0, T, corner, betas)]
+    corners = spec.corners
+    if corners is None:
+        corners = hindsight_segment_corners(losses, spec.segment_lengths)
+    ends = np.cumsum(spec.segment_lengths).tolist()
+    return [Segment(b - n, b, j)
+            for n, b, j in zip(spec.segment_lengths, ends, corners)]
 
 
 def linear_up_discounts(T: int) -> np.ndarray:

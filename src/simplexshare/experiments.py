@@ -16,7 +16,9 @@ appended.  Every verdict is recomputable from the emitted columns
 alone.
 
 All repetitions of a config run as one lockstep batch, and each row is
-bit for bit the row its repetition would give alone.
+bit for bit the row its repetition would give alone.  The batch keeps
+its losses and realized losses, not the forecaster's T x d record, and
+a comparator is a few ``regret_eval.Segment`` rows.
 """
 
 from __future__ import annotations
@@ -30,16 +32,13 @@ from dataclasses import astuple, dataclass, field, fields, replace
 import numpy as np
 
 from . import bounds as bnd
-from .environments import (ComparatorSpec, EnvironmentSpec, check_comparator,
-                           gen_comparator, gen_losses, linear_down_discounts,
-                           linear_up_discounts, load_losses_csv,
-                           make_adversary)
-from .forecasters import MixingRule, Trajectory, run_forecaster
-from .regret_eval import (CheckedComparator, _regularity_in_place,
-                          adaptive_regret_details, as_discounts,
-                          discounted_regret_details,
-                          generalized_shifting_regret, sparsity_n)
-from .regret_eval import regularity_m  # noqa: F401 (perfbench traces it here)
+from .environments import (ComparatorSpec, EnvironmentSpec, _fill_losses,
+                           check_comparator, comparator_segments, gen_losses,
+                           linear_down_discounts, linear_up_discounts,
+                           load_losses_csv, make_adversary)
+from .forecasters import MixingRule, RealizedRun, _run_realized
+from .regret_eval import (Segment, _adaptive_details, _discounted_details,
+                          as_discounts, comparator_stats)
 
 VERDICT_SLACK = 1e-6
 
@@ -306,30 +305,20 @@ def parse_experiment(config: dict) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def _comparator_stats(u: np.ndarray, losses: np.ndarray
-                      ) -> tuple[float, float, float, float]:
-    # u is valid and the engine's own; m comes last, as it overwrites u
-    n = sparsity_n(u.view(CheckedComparator))
-    U_sum = float(u.sum())
-    L_sum = float(np.einsum("td,td->", u, losses))
-    return _regularity_in_place(u), n, U_sum, L_sum
-
-
-def _bound(spec: ExperimentSpec, traj: Trajectory, masses: np.ndarray,
+def _bound(spec: ExperimentSpec, run: RealizedRun, masses: np.ndarray,
            m: float, n: float, U_sum: float, L_sum: float) -> float:
     """The one guarantee that certifies a row, or nan when none does.
 
     A row's regret is the shifting regret against ``u`` (``masses``
-    holds its row masses ||u_t||_1, only the first unless the rule is
-    time-varying), so the rule's shifting guarantee at u's statistics
-    applies; adaptive rows bound the worst window instead (regularity
-    mass 1, total mass tau0).  A tuned fixed-share value is a worst case
-    over its caps, so it holds only for comparators inside them:
-    m + ||u_1||_1 <= m0, U_sum <= U0 and L_sum <= L0, each up to the
-    verdict slack.
+    holds its row masses ||u_t||_1), so the rule's shifting guarantee at
+    u's statistics applies; adaptive rows bound the worst window instead
+    (regularity mass 1, total mass tau0).  A tuned fixed-share value is a
+    worst case over its caps, so it holds only for comparators inside
+    them: m + ||u_1||_1 <= m0, U_sum <= U0 and L_sum <= L0, each up to
+    the verdict slack.
     """
     fc, rule = spec.forecaster, spec.forecaster.rule
-    d, T = traj.d, traj.T
+    d, T = run.losses.shape[-1], run.T
     u1_norm = float(masses[0])
     if spec.regret_kind == "adaptive":
         if rule.variant == "time_varying":
@@ -345,8 +334,7 @@ def _bound(spec: ExperimentSpec, traj: Trajectory, masses: np.ndarray,
     if rule.variant == "projected":
         return bnd.bound_projected(d, fc.eta, rule.alpha, m, U_sum, u1_norm)
     if rule.variant == "time_varying":
-        return bnd.bound_time_varying(d, T, traj.etas, traj.alphas, m,
-                                      masses)
+        return bnd.bound_time_varying(d, T, run.etas, run.alphas, m, masses)
     if rule.variant == "max_share":
         C, Z_max = 1.0, float(min(d, T))
     else:
@@ -355,55 +343,50 @@ def _bound(spec: ExperimentSpec, traj: Trajectory, masses: np.ndarray,
                                     C=C, Z_max=Z_max, u1_norm=u1_norm)
 
 
-def _run_batch(spec: ExperimentSpec) -> Trajectory:
+def _run_batch(spec: ExperimentSpec) -> RealizedRun:
     """All repetitions of the run, stepped in lockstep.
 
-    Repetition i uses stream i: its own loss stream, or its own
-    adversary (one generator per stream) for adaptive environments.  A
-    loss file is read once and replayed in every repetition.
+    Repetition i uses stream i: its own loss stream, drawn straight into
+    its row of the batch, or its own adversary (one generator per stream)
+    for adaptive environments.  A loss file is read once and replayed in
+    every repetition.
     """
     env = spec.environment
     fc = spec.forecaster
     reps = spec.repetitions
     if env.kind == "adversarial_flip":
         adversaries = [make_adversary(env, stream=rep) for rep in range(reps)]
-        return run_forecaster(fc.rule, fc.eta, adversaries, d=env.d,
-                              horizon=env.T)
+        return _run_realized(fc.rule, fc.eta, adversaries, d=env.d,
+                             horizon=env.T)
     losses = np.empty((reps, env.T, env.d))
     if env.kind == "from_file":
         losses[:] = gen_losses(env)  # one file: the same stream for every rep
     else:
         for rep in range(reps):
-            losses[rep] = gen_losses(env, stream=rep)
-    return run_forecaster(fc.rule, fc.eta, losses)
+            _fill_losses(env, losses[rep], stream=rep)
+    return _run_realized(fc.rule, fc.eta, losses)
 
 
-def _evaluate(spec: ExperimentSpec, traj: Trajectory, rep: int,
+def _evaluate(spec: ExperimentSpec, run: RealizedRun, rep: int,
               shared_ms: float) -> RegretReport:
     """The report row of one repetition; ``shared_ms`` is its share of
-    the batched generation and forecaster time."""
+    the batched generation, forecaster and realized-loss time."""
     start = time.perf_counter()
-    losses = traj.losses
-    d, T = traj.d, traj.T
-
-    # u (checked, and fresh from gen_comparator) is the one T x d temporary
+    losses, realized = run.losses[rep], run.realized[rep]
+    T, d = losses.shape
+    # the comparator is a few segments (a matrix only for scaled_arbitrary)
     if spec.regret_kind == "shifting":
-        u = gen_comparator(spec.comparator, d, T, losses=losses)
-        regret = generalized_shifting_regret(traj, losses,
-                                             u.view(CheckedComparator))
+        u = comparator_segments(spec.comparator, d, T, losses)
     elif spec.regret_kind == "adaptive":
-        regret, r, s, arm = adaptive_regret_details(traj, losses, spec.tau0)
-        u = np.zeros((T, d))
-        u[r - 1:s, arm] = 1.0
-    else:  # discounted
-        regret, arm = discounted_regret_details(traj, losses, spec.betas)
-        # the shifting regret against the maximizing discounted corner
-        u = np.zeros((T, d))
-        u[:, arm] = spec.betas
-    varying = spec.forecaster.rule.variant == "time_varying"
-    masses = u[:T if varying else 1].sum(axis=1)
-    m, n, U_sum, L_sum = _comparator_stats(u, losses)
-    bound = _bound(spec, traj, masses, m, n, U_sum, L_sum)
+        regret, r, s, arm = _adaptive_details(realized, losses, spec.tau0)
+        u = [Segment(r - 1, s, arm)]
+    else:  # discounted: the maximizing discounted corner
+        regret, arm = _discounted_details(realized, losses, spec.betas)
+        u = [Segment(0, T, arm, spec.betas)]
+    masses, m, n, U_sum, L_sum = comparator_stats(u, losses)
+    if spec.regret_kind == "shifting":
+        regret = float(masses @ realized - L_sum)
+    bound = _bound(spec, run, masses, m, n, U_sum, L_sum)
     return RegretReport(run_id=f"{rep:04d}", seed=spec.environment.seed, T=T,
                         d=d, regret_kind=spec.regret_kind, regret=regret, m=m,
                         n=n, U_sum=U_sum, L_sum=L_sum, bound=bound,
@@ -417,13 +400,13 @@ def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
     bound (nan when any row's is), with its verdict recomputed by the
     standard rule, so a passing summary is conservative.  Its
     ``wall_ms`` is the elapsed time of this call; a repetition's is its
-    own evaluation time plus 1/R of the batched generation and
-    forecaster time.
+    own evaluation time plus 1/R of the batched generation, forecaster
+    and realized-loss time.
     """
     start = time.perf_counter()
     batch = _run_batch(spec)
     shared_ms = (time.perf_counter() - start) * 1e3 / spec.repetitions
-    reports = [_evaluate(spec, batch.rep(rep), rep, shared_ms)
+    reports = [_evaluate(spec, batch, rep, shared_ms)
                for rep in range(spec.repetitions)]
     worst = {key: max(getattr(r, key) for r in reports)
              for key in ("regret", "m", "n", "U_sum", "L_sum")}

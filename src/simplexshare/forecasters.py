@@ -380,22 +380,25 @@ class ForecasterState:
         self.t += 1
 
 
-def _linear_blocks(log_w: np.ndarray):
-    """``_to_linear`` of the rows of a log-weight record, as (row slice,
-    block) pairs of at most 2^15 entries, so that no temporary grows
-    with the horizon."""
-    rows = log_w.reshape(-1, log_w.shape[-1])
-    block = max(1, (1 << 15) // rows.shape[1])
-    for lo in range(0, rows.shape[0], block):
-        yield slice(lo, lo + block), _to_linear(rows[lo:lo + block])
+def _block_rows(d: int) -> int:
+    """Rows of d entries in one block of at most 2^15 entries: the unit
+    in which records are converted, so no temporary grows with T."""
+    return max(1, (1 << 15) // d)
+
+
+def _played_losses(log_p: np.ndarray, losses: np.ndarray) -> np.ndarray:
+    """p_t . l_t of a block of log-weight rows and their loss rows."""
+    return np.einsum("td,td->t", _to_linear(log_p), losses)
 
 
 def _linear(log_w: np.ndarray) -> np.ndarray:
     """``_to_linear`` of every row of a log-weight record."""
-    out = np.empty(log_w.shape)
-    for rows, block in _linear_blocks(log_w):
-        out.reshape(-1, log_w.shape[-1])[rows] = block
-    return out
+    rows = log_w.reshape(-1, log_w.shape[-1])
+    out = np.empty(rows.shape)
+    block = _block_rows(rows.shape[1])
+    for lo in range(0, rows.shape[0], block):
+        out[lo:lo + block] = _to_linear(rows[lo:lo + block])
+    return out.reshape(log_w.shape)
 
 
 @dataclass
@@ -480,20 +483,58 @@ class Trajectory:
         return replace(self, log_p=self.log_p[i], losses=self.losses[i])
 
 
-def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
-                   d: int | None = None, horizon: int | None = None
-                   ) -> Trajectory:
-    """Run the share forecaster from uniform weights over a loss stream.
+def _rounds(state: ForecasterState, loss: np.ndarray, adversaries,
+            etas: np.ndarray, alphas: np.ndarray, record: np.ndarray,
+            block: int, done=None) -> None:
+    """Step ``state`` through the rounds of ``loss`` ((R, T, d); row t is
+    filled in round t by ``adversaries``, if given), storing each round's
+    (eta_t, alpha_t) and writing log p_1..log p_{T+1} into ``record``.
 
-    ``losses`` is either an array-like of shape (T, d) or a callable
-    ``(t, p_t) -> loss`` for adaptive environments (then ``d`` and
-    ``horizon`` are required).  An (R, T, d) array or a list of R
-    callables runs R repetitions in lockstep and returns one batched
-    Trajectory (see ``Trajectory.rep``); each repetition equals its
-    single run bit for bit.  Array losses are validated once, up front;
-    each callable's output is validated every round.  ``eta`` is
-    ignored by the time_varying rule, whose schedules carry the rates.
+    Rounds run in blocks of ``block``.  Without ``done``, ``record`` is
+    the whole (R, T+1, d) record.  With it, ``record`` is a ring of
+    block + 1 rows: after rounds [lo, hi) it holds log p_lo..log p_hi,
+    ``done(lo, hi, ring[:, :hi - lo])`` reads the rows played, and the
+    last row moves to the front for the next block.
     """
+    R, T, d = loss.shape
+    record[:, 0] = state.log_p
+    constant = state.rule.variant != "time_varying"
+    if constant:  # one (eta, alpha) for every round
+        etas[:], alphas[:] = eta_t, alpha_t = state.round_params()
+    # A constant eta times the loss is formed ahead in round-major blocks
+    # of at most 2^14 entries; varying rates and adversaries take a round.
+    step = max(1, 16384 // (R * d)) if constant and not adversaries else 1
+    scaled = np.empty((min(step, T), R, d))
+    k = 0
+    for lo in range(0, T, block):
+        off = lo - 1 if done is not None else -1  # record row of p_{t+1}
+        for t in range(lo, min(lo + block, T)):
+            if adversaries is not None:
+                p_t = state.p
+                for i, adversary in enumerate(adversaries):
+                    row = np.asarray(adversary(t + 1, p_t[i]), dtype=float)
+                    if row.shape != (d,):
+                        raise ValueError(f"loss has shape {row.shape}, "
+                                         f"expected ({d},)")
+                    loss[i, t] = row
+                _check_loss_entries(loss[:, t])
+            if not constant:
+                etas[t], alphas[t] = eta_t, alpha_t = state.round_params()
+                np.multiply(eta_t, loss[:, t], scaled[0])
+            elif (k := t % step) == 0:
+                np.multiply(eta_t, loss[:, t:t + step].swapaxes(0, 1),
+                            scaled[:T - t])
+            state._advance(scaled[k], eta_t, alpha_t, record[:, t - off])
+        if done is not None:
+            hi = min(lo + block, T)
+            done(lo, hi, record[:, :hi - lo])
+            record[:, 0] = record[:, hi - lo]
+            state.log_p = record[:, 0]
+
+
+def _start(rule: MixingRule, eta, losses, d, horizon):
+    """The state, the (R, T, d) loss array (empty for adversaries, which
+    fill it), the adversaries or None, and whether the input was one run."""
     adversaries = None
     if callable(losses):
         adversaries = [losses]
@@ -521,40 +562,68 @@ def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
         single = loss.ndim == 2
         if single:
             loss = loss[None]
-    R, T, _ = loss.shape
+    state = ForecasterState(d, rule, eta, reps=loss.shape[0])
+    return state, loss, adversaries, single
 
-    state = ForecasterState(d, rule, eta, reps=R)
+
+def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
+                   d: int | None = None, horizon: int | None = None
+                   ) -> Trajectory:
+    """Run the share forecaster from uniform weights over a loss stream.
+
+    ``losses`` is either an array-like of shape (T, d) or a callable
+    ``(t, p_t) -> loss`` for adaptive environments (then ``d`` and
+    ``horizon`` are required).  An (R, T, d) array or a list of R
+    callables runs R repetitions in lockstep and returns one batched
+    Trajectory (see ``Trajectory.rep``); each repetition equals its
+    single run bit for bit.  Array losses are validated once, up front;
+    each callable's output is validated every round.  ``eta`` is
+    ignored by the time_varying rule, whose schedules carry the rates.
+    """
+    state, loss, adversaries, single = _start(rule, eta, losses, d, horizon)
+    R, T, d = loss.shape
     log_p = np.empty((R, T + 1, d))
-    log_p[:, 0] = state.log_p
     etas, alphas = np.empty(T), np.empty(T)
-    constant = rule.variant != "time_varying"
-    if constant:  # one (eta, alpha) for every round
-        etas[:], alphas[:] = eta_t, alpha_t = state.round_params()
-    # A constant eta times the loss is formed ahead in round-major blocks
-    # of at most 2^14 entries; varying rates and adversaries take a round.
-    block = max(1, 16384 // (R * d)) if constant and not adversaries else 1
-    scaled = np.empty((min(block, T), R, d))
-    for t in range(T):
-        if adversaries is not None:
-            p_t = state.p
-            for i, adversary in enumerate(adversaries):
-                row = np.asarray(adversary(t + 1, p_t[i]), dtype=float)
-                if row.shape != (d,):
-                    raise ValueError(f"loss has shape {row.shape}, "
-                                     f"expected ({d},)")
-                loss[i, t] = row
-            _check_loss_entries(loss[:, t])
-        if not constant:
-            etas[t], alphas[t] = eta_t, alpha_t = state.round_params()
-        k = t % block
-        if k == 0:
-            np.multiply(eta_t, loss[:, t:t + block].swapaxes(0, 1),
-                        scaled[:T - t])
-        state._advance(scaled[k], eta_t, alpha_t, log_p[:, t + 1])
-
+    _rounds(state, loss, adversaries, etas, alphas, log_p, max(T, 1))
     traj = Trajectory(rule=rule, d=d, T=T, log_p=log_p, losses=loss,
                       etas=etas, alphas=alphas)
     return traj.rep(0) if single else traj
+
+
+@dataclass
+class RealizedRun:
+    """What certifying a batch of R lockstep runs needs from them: the
+    (R, T, d) losses, the (R, T) realized losses p_t . l_t (bit for bit
+    what the regret evaluators form from a ``Trajectory``) and the
+    per-round parameters."""
+
+    T: int
+    losses: np.ndarray
+    realized: np.ndarray
+    etas: np.ndarray
+    alphas: np.ndarray
+
+
+def _run_realized(rule: MixingRule, eta: float | None, losses, *,
+                  d: int | None = None, horizon: int | None = None
+                  ) -> RealizedRun:
+    """``run_forecaster`` without the record: the rounds go through a ring
+    of at most 2^15 entries per run, and each full block of it becomes
+    realized losses, so a run holds O(2^15 R + R T) besides its losses.
+    One run's input still gives R = 1."""
+    state, loss, adversaries, _ = _start(rule, eta, losses, d, horizon)
+    R, T, d = loss.shape
+    block = _block_rows(d)
+    realized, etas, alphas = np.empty((R, T)), np.empty(T), np.empty(T)
+
+    def done(lo, hi, rows):
+        for i in range(R):
+            realized[i, lo:hi] = _played_losses(rows[i], loss[i, lo:hi])
+
+    _rounds(state, loss, adversaries, etas, alphas,
+            np.empty((R, min(block, T) + 1, d)), block, done)
+    return RealizedRun(T=T, losses=loss, realized=realized, etas=etas,
+                       alphas=alphas)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ by specific comparator constructions; they get direct evaluators here.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .forecasters import Trajectory, _linear_blocks
+from .forecasters import Trajectory, _block_rows, _played_losses
 from .simplex_core import as_nonneg_vector
 
 # Prefix sums switch to compensated summation at this length: window
@@ -21,17 +23,12 @@ from .simplex_core import as_nonneg_vector
 KAHAN_MIN_LENGTH = 10_000
 
 
-class CheckedComparator(np.ndarray):
-    """A comparator view known valid: ``as_comparator`` checks its shape."""
-
-
 def as_comparator(u) -> np.ndarray:
     """Validate a (T, d) matrix of nonnegative comparator vectors."""
     m = np.asarray(u, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1:
         raise ValueError("comparator must be a (T, d) matrix with T >= 1")
-    if not isinstance(u, CheckedComparator) and (
-            not np.all(np.isfinite(m)) or np.any(m < 0.0)):
+    if not np.all(np.isfinite(m)) or np.any(m < 0.0):
         raise ValueError("comparator entries must be finite and nonnegative")
     return m
 
@@ -46,16 +43,25 @@ def _realized(p_traj, losses) -> tuple[np.ndarray, np.ndarray]:
          else np.asarray(p_traj, dtype=float))
     if p.shape != l.shape or l.ndim != 2:
         raise ValueError("trajectory and losses shapes differ")
+    if not traj:
+        return np.einsum("td,td->t", p, l), l
     realized = np.empty(l.shape[0])
-    for rows, block in _linear_blocks(p) if traj else [(slice(None), p)]:
-        realized[rows] = np.einsum("td,td->t", block, l[rows])
+    block = _block_rows(l.shape[1])
+    for lo in range(0, l.shape[0], block):
+        realized[lo:lo + block] = _played_losses(p[lo:lo + block],
+                                                 l[lo:lo + block])
     return realized, l
 
 
-def _regularity_in_place(u: np.ndarray) -> float:
-    """``regularity_m`` of a valid comparator, writing its clipped
-    increments over its rows 1..T-1 in blocks of at most 2^14 entries
-    (numpy copies one), from the last back."""
+def regularity_m(u) -> float:
+    """Summed one-sided total-variation increments of the comparator.
+
+    Counts exactly the number of hard switches when the sequence moves
+    between probability vectors.  The clipped increments overwrite a
+    copy's rows 1..T-1 in blocks of at most 2^14 entries (numpy copies
+    one), from the last back, so the copy is the one temporary.
+    """
+    u = as_comparator(u).copy()
     block = max(1, (1 << 14) // max(1, u.shape[1]))
     for hi in range(u.shape[0], 1, -block):
         lo = max(1, hi - block)
@@ -64,19 +70,122 @@ def _regularity_in_place(u: np.ndarray) -> float:
     return float(u[1:].sum())
 
 
-def regularity_m(u) -> float:
-    """Summed one-sided total-variation increments of the comparator.
-
-    Counts exactly the number of hard switches when the sequence moves
-    between probability vectors.
-    """
-    return _regularity_in_place(as_comparator(u).copy())
-
-
 def sparsity_n(u) -> float:
     """Sum over coordinates of the comparator's maximum weight over time."""
     m = as_comparator(u)
     return float(m.max(axis=0).sum())
+
+
+class Segment(NamedTuple):
+    """Rounds [a, b) (0-based) of a comparator: the corner ``vec`` (an
+    action) or the d-vector ``vec``, scaled by ``scale[t]`` in round t
+    (corners only) or by 1 when ``scale`` is None."""
+
+    a: int
+    b: int
+    vec: int | np.ndarray
+    scale: np.ndarray | None = None
+
+
+# einsum sums a full contraction in chunks of its iterator's buffer size
+EINSUM_CHUNK = 8192
+
+
+def _rows(segs, r0: int, r1: int, d: int) -> np.ndarray:
+    """Rows [r0, r1) of the comparator, as ``gen_comparator`` writes them."""
+    block = np.zeros((r1 - r0, d))
+    for a, b, vec, scale in segs:
+        lo, hi = max(a, r0), min(b, r1)
+        if lo >= hi:
+            continue
+        if isinstance(vec, np.ndarray):
+            block[lo - r0:hi - r0] = vec
+        else:
+            block[lo - r0:hi - r0, vec] = 1.0 if scale is None else scale[lo:hi]
+    return block
+
+
+def _flat(segs, lo: int, hi: int, d: int) -> np.ndarray:
+    """Entries [lo, hi) of the flattened comparator."""
+    r0 = lo // d
+    return _rows(segs, r0, -(-hi // d), d).reshape(-1)[lo - r0 * d:hi - r0 * d]
+
+
+def _touches(segs, lo: int, hi: int, d: int) -> bool:
+    """Whether entries [lo, hi) of the flattened comparator meet a segment."""
+    for a, b, vec, _ in segs:
+        if isinstance(vec, np.ndarray):
+            if a * d < hi and lo < b * d:
+                return True
+        else:  # the first of the segment's corner entries at or after lo
+            t = max(a, -(-(lo - vec) // d))
+            if t < b and t * d + vec < hi:
+                return True
+    return False
+
+
+def _flat_sum(segs, size: int, d: int) -> float:
+    """``np.add.reduce`` of the first ``size`` flattened entries, bit for
+    bit.  Integer entries sum exactly in any order.  Otherwise numpy's
+    pairwise order is followed (halves split at multiples of 8 down to
+    blocks of at most 128, each summed by ``np.add.reduce`` itself), and
+    a range no segment meets adds an exact 0."""
+    # a vector is written in each row, a scale's factors once each
+    rows = [(v, b - a) if isinstance(v, np.ndarray) else
+            (1.0, b - a) if s is None else (s[a:b], 1) for a, b, v, s in segs]
+    if all(np.array_equal(v, np.floor(v)) for v, _ in rows):
+        return float(sum(np.sum(v) * times for v, times in rows))
+
+    def pairwise(lo: int, n: int) -> float:
+        if not _touches(segs, lo, lo + n, d):
+            return 0.0
+        if n <= 128:
+            return float(np.add.reduce(_flat(segs, lo, lo + n, d)))
+        half = n // 2 - n // 2 % 8
+        return pairwise(lo, half) + pairwise(lo + half, n - half)
+
+    return pairwise(0, size)
+
+
+def comparator_stats(u, losses: np.ndarray
+                     ) -> tuple[np.ndarray, float, float, float, float]:
+    """The row masses ||u_t||_1, m, n, U_sum and L_sum of a comparator.
+
+    ``u`` is a valid (T, d) matrix, or a list of ``Segment`` whose rows
+    hold no T x d array: then each statistic takes O(T + k d) memory and
+    equals, bit for bit, what the dense functions (``regularity_m``,
+    ``sparsity_n``, ``u.sum()`` and ``einsum("td,td->", u, losses)``)
+    give on ``gen_comparator``'s matrix, by summing in their order.
+    """
+    if isinstance(u, np.ndarray):
+        return (u.sum(axis=1), regularity_m(u), sparsity_n(u), float(u.sum()),
+                float(np.einsum("td,td->", u, losses)))
+    T, d = losses.shape
+    masses, peaks = np.zeros(T), np.zeros(d)
+    for a, b, vec, scale in u:
+        if isinstance(vec, np.ndarray):
+            masses[a:b] = vec.sum()  # a row's sum, as u.sum(axis=1) forms it
+            np.maximum(peaks, vec, out=peaks)
+        else:
+            masses[a:b] = 1.0 if scale is None else scale[a:b]
+            peaks[vec] = max(peaks[vec],
+                             1.0 if scale is None else scale[a:b].max())
+    # the clipped increments of rows 1..T-1, as segments of rows t - 1:
+    # whole rows where segments meet, and a scaled corner's own steps
+    incs = [Segment(a, b - 1, vec, np.maximum(np.diff(scale), 0.0))
+            for a, b, vec, scale in u if scale is not None and b - a > 1]
+    for t in sorted({x for a, b, _, _ in u for x in (a, b) if 0 < x < T}):
+        before, after = _rows(u, t - 1, t + 1, d)
+        incs.append(Segment(t - 1, t, np.maximum(after - before, 0.0)))
+    flat = losses.reshape(-1)
+    L_sum = 0.0
+    for lo in range(0, flat.size, EINSUM_CHUNK):
+        hi = min(lo + EINSUM_CHUNK, flat.size)
+        if _touches(u, lo, hi, d):
+            L_sum = L_sum + np.einsum("i,i->", _flat(u, lo, hi, d),
+                                      flat[lo:hi])
+    return (masses, _flat_sum(incs, (T - 1) * d, d), float(peaks.sum()),
+            _flat_sum(u, T * d, d), float(L_sum))
 
 
 def generalized_shifting_regret(p_traj, losses, u) -> float:
@@ -149,7 +258,12 @@ def adaptive_regret_details(p_traj, losses, tau0: int
     then the lowest action; when no window has positive regret (always
     for d = 1) the answer is (0, 1, 1, 0).
     """
-    realized, l = _realized(p_traj, losses)
+    return _adaptive_details(*_realized(p_traj, losses), tau0)
+
+
+def _adaptive_details(realized: np.ndarray, l: np.ndarray, tau0: int
+                      ) -> tuple[float, int, int, int]:
+    """``adaptive_regret_details`` from the realized losses."""
     T = l.shape[0]
     if not 1 <= tau0 <= T:
         raise ValueError("tau0 must satisfy 1 <= tau0 <= T")
@@ -173,12 +287,14 @@ def _best_window(gains: np.ndarray, width: int) -> tuple[float, int, int]:
     [s - width, s - 1], clipped at 0.  Blockwise prefix and suffix
     minima (van Herk / Gil-Werman) find it for every s: a window of
     ``width`` entries spans the tail of one block and the head of the
-    next, so its minimum is the smaller of a suffix and a prefix minimum.
+    next, so its minimum is the smaller of a suffix and a prefix minimum;
+    a window clipped at 0 is a prefix of the first block.  Only the last
+    block is padded, so the arrays hold fewer than T + width entries.
     """
     n = gains.size - 1
-    blocks = -(-(n + width - 1) // width)
+    blocks = -(-n // width)
     pad = np.full((blocks, width), np.inf)
-    pad.reshape(-1)[width - 1:width - 1 + n] = gains[:-1]
+    pad.reshape(-1)[:n] = gains[:-1]
     pos = np.arange(pad.size).reshape(pad.shape)
     head = np.minimum.accumulate(pad, axis=1)
     head_at = np.maximum.accumulate(np.where(pad == head, pos, -1), axis=1)
@@ -191,15 +307,16 @@ def _best_window(gains: np.ndarray, width: int) -> tuple[float, int, int]:
     del pad
     tail_at = np.where(last, pos, pos.size)
     np.minimum.accumulate(tail_at[:, ::-1], axis=1, out=tail_at[:, ::-1])
-    # the window ending at s is padded entries [s, s + width - 1]; the
-    # head wins ties, and the regret and starts overwrite it
-    right = slice(width - 1, width - 1 + n)
-    low, start = head.reshape(-1)[right], head_at.reshape(-1)[right]
-    tail, tail_at = tail.reshape(-1)[:n], tail_at.reshape(-1)[:n]
-    use_tail = low > tail
-    np.copyto(low, tail, where=use_tail)
-    np.copyto(start, tail_at, where=use_tail)
-    start -= width - 1
+    # the window ending at s is entries [s - width, s - 1]: the head up to
+    # s - 1 and, once s >= width, the tail from s - width; the head wins
+    # ties, and the regret and starts overwrite it
+    low, start = head.reshape(-1)[:n], head_at.reshape(-1)[:n]
+    whole = slice(width - 1, n)
+    tail = tail.reshape(-1)[:n - width + 1]
+    use_tail = low[whole] > tail
+    np.copyto(low[whole], tail, where=use_tail)
+    np.copyto(start[whole], tail_at.reshape(-1)[:n - width + 1],
+              where=use_tail)
     regret = np.subtract(gains[1:], low, out=low)
     value = regret.max()
     ends = np.flatnonzero(regret == value)
@@ -225,7 +342,12 @@ def discounted_regret(p_traj, losses, betas) -> float:
 
 def discounted_regret_details(p_traj, losses, betas) -> tuple[float, int]:
     """Discounted regret and the maximizing corner (linear objective)."""
-    realized, l = _realized(p_traj, losses)
+    return _discounted_details(*_realized(p_traj, losses), betas)
+
+
+def _discounted_details(realized: np.ndarray, l: np.ndarray, betas
+                        ) -> tuple[float, int]:
+    """``discounted_regret_details`` from the realized losses."""
     b = as_discounts(betas, l.shape[0])
     arm_totals = b @ l
     j = int(np.argmin(arm_totals))

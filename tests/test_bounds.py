@@ -202,6 +202,18 @@ def test_bounds_reject_nan_statistics():
         bound_time_varying(2, 3, etas, [0.1, nan, 0.1], 1.0, np.ones(3))
 
 
+def test_shared_weights_bounds_reject_a_bad_sparsity():
+    # a nan n gave a nan bound, and a negative n a smaller one
+    for n in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            bound_shared_weights(20, 100, 2.0, 0.09, 9.0, n, 100.0, C=1.0,
+                                 Z_max=20.0)
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            bound_max_share(200, 100, 2.56, 0.09, 9.0, n)
+    assert bound_shared_weights(20, 100, 2.0, 0.09, 9.0, 0.0, 100.0, C=1.0,
+                                Z_max=20.0) > 0.0
+
+
 def test_horizon_and_dimension_are_checked_before_z_max():
     for d, T in ((0, 100), (200, 0)):
         with pytest.raises(ValueError, match="^need d >= 1 and T >= 1$"):

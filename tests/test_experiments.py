@@ -1,4 +1,5 @@
 import json
+import pathlib
 import time
 import tracemalloc
 
@@ -8,12 +9,16 @@ import pytest
 from simplexshare.bounds import tune_fixed_share
 from simplexshare.cli import main as cli_main
 from simplexshare.environments import (gen_comparator, gen_losses,
-                                       make_adversary)
+                                       make_adversary, make_rng)
 from simplexshare.experiments import (CSV_COLUMNS, ConfigError, VERDICT_SLACK,
-                                      _evaluate, _run_batch, any_failed,
+                                      _run_batch, any_failed,
                                       parse_experiment, report_rows,
                                       run_experiment, write_report_csv)
 from simplexshare.forecasters import run_forecaster
+from simplexshare.regret_eval import (_realized, adaptive_regret_details,
+                                      discounted_regret_details,
+                                      generalized_shifting_regret,
+                                      regularity_m, sparsity_n)
 
 
 def rotating_best_arm_config(reps=5, seed=42):
@@ -126,36 +131,6 @@ def test_loss_file_is_read_once_per_run(tmp_path, monkeypatch):
     assert all(row[1:] == rows[1][1:] for row in rows[2:])
 
 
-def test_engine_scans_each_comparator_once(monkeypatch):
-    # gen_comparator checks each repetition's comparator once; the
-    # evaluators take it as a CheckedComparator and never scan it again
-    from simplexshare import environments, regret_eval
-
-    check, spec_check = regret_eval.as_comparator, environments.check_comparator
-    scans, spec_checks = [], []
-
-    def counted(u):
-        if not isinstance(u, regret_eval.CheckedComparator):
-            scans.append(np.shape(u))
-        return check(u)
-
-    def spec_counted(*args):
-        spec_checks.append(args[1:])
-        return spec_check(*args)
-
-    monkeypatch.setattr(regret_eval, "as_comparator", counted)
-    monkeypatch.setattr(environments, "check_comparator", spec_counted)
-    spec = parse_experiment(rotating_best_arm_config(reps=3))
-    reports = run_experiment(spec)
-    assert scans == []
-    assert spec_checks == [(10, 1000)] * 3
-    # the statistics equal those of the public, validating functions
-    traj = _run_batch(spec).rep(1)
-    u = gen_comparator(spec.comparator, 10, 1000, losses=traj.losses)
-    assert reports[1].m == regret_eval.regularity_m(u)
-    assert reports[1].n == regret_eval.sparsity_n(u)
-
-
 def test_comparator_errors_raise_at_parse_time():
     cfg = rotating_best_arm_config(reps=4)
     cfg["environment"]["T"] = 20000
@@ -170,8 +145,8 @@ def test_comparator_errors_raise_at_parse_time():
                          "segment_lengths": [5000] * 3}
     with pytest.raises(ConfigError, match="comparator.segment_lengths"):
         parse_experiment(cfg)
-    # the evaluators take the comparator as checked, so the spec check
-    # rejects what they would (JSON reads Infinity as inf)
+    # the engine never checks the comparator again, so the spec check
+    # rejects what the evaluators would (JSON reads Infinity as inf)
     vectors = [[0.1] * 10 for _ in range(20000)]
     for bad in (-0.5, float("inf"), float("nan")):
         vectors[7][3] = bad
@@ -298,8 +273,14 @@ def test_batched_run_equals_single_runs():
         spec = parse_experiment(cfg)
         env, fc = spec.environment, spec.forecaster
         rule = fc.rule
-        batch = _run_batch(spec)
-        singles = []
+        if env.kind == "adversarial_flip":
+            batch = run_forecaster(rule, fc.eta, [make_adversary(env, stream=i)
+                                                  for i in range(reps)],
+                                   d=env.d, horizon=env.T)
+        else:
+            batch = run_forecaster(rule, fc.eta, [gen_losses(env, stream=i)
+                                                  for i in range(reps)])
+        engine = _run_batch(spec)
         for rep in range(reps):
             if env.kind == "adversarial_flip":
                 traj = run_forecaster(rule, fc.eta,
@@ -313,10 +294,13 @@ def test_batched_run_equals_single_runs():
                 single, batched = getattr(traj, name), getattr(batch.rep(rep), name)
                 assert (single is None and batched is None) or np.array_equal(
                     single, batched), (rule.variant, env.kind, rep, name)
-            singles.append(_evaluate(spec, traj, rep, 0.0))
-        engine = run_experiment(spec)[:-1]
-        assert report_rows(engine, include_timing=False) == report_rows(
-            singles, include_timing=False), (rule.variant, env.kind)
+            # the engine keeps only the losses and p_t . l_t of each run,
+            # the p_t . l_t that the evaluators form from a trajectory
+            assert np.array_equal(engine.losses[rep], traj.losses)
+            assert np.array_equal(engine.realized[rep],
+                                  _realized(traj, traj.losses)[0])
+        assert np.array_equal(engine.etas, batch.etas)
+        assert np.array_equal(engine.alphas, batch.alphas)
 
 
 def test_summary_wall_ms_is_elapsed_time():
@@ -548,6 +532,8 @@ def test_cli_guarantees_print_exactly(capsys, argv, printed):
      "m, U_sum, and u1_norm must be nonnegative"),
     ("bound shared-weights --d 20 --T 100 --eta 2 --alpha 0.09 --m 9 --n 2 "
      "--U-sum 100 --C nan --Z-max 20", "C must be >= 1"),
+    ("bound shared-weights --d 20 --T 100 --eta 2 --alpha 0.09 --m 9 "
+     "--n nan --U-sum 100 --C 1 --Z-max 20", "n must be nonnegative"),
     ("bound max-share --d 0 --T 100 --eta 2.56 --alpha 0.09 --m 9 --n 2",
      "need d >= 1 and T >= 1"),
     ("bound max-share --d 200 --T 0 --eta 2.56 --alpha 0.09 --m 9 --n 2",
@@ -619,25 +605,157 @@ def _piecewise_env(d, T, segments):
             "segment_lengths": [T // segments] * segments, "means": means}
 
 
-@pytest.mark.parametrize("config", [
-    {"environment": _piecewise_env(1000, 2000, 4),
-     "comparator": {"kind": "piecewise_corner", "segment_lengths": [500] * 4},
-     "forecaster": {"rule": "projected", "eta": 0.1, "alpha": 0.01},
-     "regret": {"kind": "shifting"}},
-    {"environment": _piecewise_env(10, 20_000, 8),
-     "forecaster": {"rule": "fixed_share", "tune": {"m0": 1, "U0": 5000}},
-     "regret": {"kind": "adaptive", "tau0": 5000}},
-    {"environment": _piecewise_env(10, 20_000, 8),
-     "forecaster": {"rule": "fixed_share"},
-     "regret": {"kind": "discounted", "schedule": "linear_up"}},
-], ids=["shifting", "adaptive", "discounted"])
-def test_evaluation_holds_one_comparator_sized_temporary(config):
+_ADAPTIVE = {"environment": _piecewise_env(10, 20_000, 8),
+             "forecaster": {"rule": "fixed_share", "eta": 0.3, "alpha": 0.01}}
+
+
+@pytest.mark.parametrize("config, allowance", [
+    ({"environment": _piecewise_env(1000, 2000, 4),
+      "comparator": {"kind": "piecewise_corner", "segment_lengths": [500] * 4},
+      "forecaster": {"rule": "projected", "eta": 0.1, "alpha": 0.01},
+      "regret": {"kind": "shifting"}}, 0.1),
+    ({**_ADAPTIVE, "regret": {"kind": "adaptive", "tau0": 5000}}, 1.5),
+    ({**_ADAPTIVE, "regret": {"kind": "adaptive", "tau0": 20_000}}, 1.5),
+    ({**_ADAPTIVE, "regret": {"kind": "discounted", "schedule": "linear_up"}},
+     1.5),
+], ids=["shifting", "adaptive", "adaptive_whole_horizon", "discounted"])
+def test_run_experiment_holds_the_losses_and_small_arrays(config, allowance):
+    # no T x d record or comparator: besides the losses, a run holds a
+    # ring of 2^15 entries, and a d = 10 row its O(T) window-scan arrays
     spec = parse_experiment(config)
-    traj = _run_batch(spec).rep(0)
+    make_rng(0)  # numpy imports its generators on first use
     tracemalloc.start()
     try:
-        _evaluate(spec, traj, 0, 0.0)
+        run_experiment(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * traj.losses.nbytes
+    losses_nbytes = 8 * spec.environment.T * spec.environment.d
+    assert peak <= (1.0 + allowance) * losses_nbytes
+
+
+def _file_env(tmp_path, d, T, seed):
+    """A from_file environment of float losses, written exactly."""
+    losses = np.random.default_rng(seed).random((T, d))
+    path = tmp_path / f"losses_{seed}.csv"
+    path.write_text("\n".join(",".join(format(x, ".17g") for x in row)
+                              for row in losses) + "\n")
+    return {"kind": "from_file", "d": d, "T": T, "path": str(path)}
+
+
+def _oracle_configs(floats):
+    """Each regret kind and comparator kind, on 0/1 losses and on the
+    from_file environment ``floats`` (d = 7, T = 1500); T * d spans
+    several einsum chunks and pairwise-sum blocks."""
+    rng = np.random.default_rng(61)
+    T = 1500
+    piecewise = _piecewise_env(7, T, 3)
+    iid = {"kind": "iid_bernoulli", "d": 6, "T": T, "seed": 5,
+           "means": [0.2, 0.4, 0.5, 0.5, 0.6, 0.8]}
+    flip = {"kind": "adversarial_flip", "d": 5, "T": 1700, "seed": 9}
+    betas = rng.random(T).tolist()
+    fixed = {"rule": "fixed_share", "eta": 0.3, "alpha": 0.01}
+    shifting = {
+        "corner_hindsight": (piecewise, {"kind": "piecewise_corner",
+                                         "segment_lengths": [500] * 3}),
+        "corner_given_float": (floats, {"kind": "piecewise_corner",
+                                        "segment_lengths": [400, 600, 500],
+                                        "corners": [0, 3, 0]}),
+        "window_corner_float": (floats, {"kind": "adaptive_window", "r": 200,
+                                         "s": 1300, "q": 2}),
+        "window_vector": (iid, {"kind": "adaptive_window", "r": 300,
+                                "s": T, "q": rng.random(6).tolist()}),
+        "window_vector_float": (floats, {"kind": "adaptive_window", "r": 1,
+                                         "s": 977,
+                                         "q": [0.3, 0, 0.1, 0.2, 0, 0.7, 0.1]}),
+        "discounted_corner_float": (floats, {"kind": "discounted",
+                                             "betas": betas, "corner": 4}),
+        "discounted_hindsight": (piecewise, {"kind": "discounted",
+                                             "betas": betas}),
+        "scaled_arbitrary_float": (floats, {
+            "kind": "scaled_arbitrary",
+            "vectors": (rng.random((T, 7)) * 0.3).tolist()}),
+    }
+    configs = {name: {"environment": env, "comparator": comparator,
+                      "forecaster": fixed, "regret": {"kind": "shifting"}}
+               for name, (env, comparator) in shifting.items()}
+    configs["corner_hindsight_time_varying"] = {
+        **configs["corner_hindsight"],
+        "forecaster": {"rule": "time_varying", "schedules": "anytime"}}
+    configs["window_vector_decayed_max_share"] = {
+        **configs["window_vector"],
+        "forecaster": {"rule": "decayed_max_share", "eta": 0.2,
+                       "alpha": 0.02, "gamma": 0.01}}
+    for name, env, regret in [
+            ("adaptive_float", floats, {"kind": "adaptive", "tau0": 400}),
+            ("adaptive_flip", flip, {"kind": "adaptive", "tau0": 1700}),
+            ("discounted_list_float", floats,
+             {"kind": "discounted", "schedule": betas}),
+            ("discounted_flip", flip,
+             {"kind": "discounted", "schedule": "linear_down"}),
+            ("discounted_linear_up", iid,
+             {"kind": "discounted", "schedule": "linear_up"})]:
+        configs[name] = {"environment": env, "forecaster": fixed,
+                         "regret": regret}
+    configs["adaptive_flip_time_varying"] = {
+        **configs["adaptive_flip"],
+        "forecaster": {"rule": "time_varying", "schedules": "anytime"}}
+    configs["discounted_flip_projected"] = {
+        **configs["discounted_flip"],
+        "forecaster": {"rule": "projected", "eta": 0.4, "alpha": 0.05}}
+    return configs
+
+
+_ORACLE_CASES = sorted(_oracle_configs({}))
+
+
+def _dense_row(spec, rep):
+    """(regret, m, n, U_sum, L_sum) of one repetition by the public
+    functions, with the comparator as a dense (T, d) matrix."""
+    env, fc = spec.environment, spec.forecaster
+    if env.kind == "adversarial_flip":
+        traj = run_forecaster(fc.rule, fc.eta, make_adversary(env, stream=rep),
+                              d=env.d, horizon=env.T)
+    else:
+        traj = run_forecaster(fc.rule, fc.eta, gen_losses(env, stream=rep))
+    l, T, d = traj.losses, traj.T, traj.d
+    if spec.regret_kind == "shifting":
+        u = gen_comparator(spec.comparator, d, T, losses=l)
+        regret = generalized_shifting_regret(traj, l, u)
+    elif spec.regret_kind == "adaptive":
+        regret, r, s, arm = adaptive_regret_details(traj, l, spec.tau0)
+        u = np.zeros((T, d))
+        u[r - 1:s, arm] = 1.0
+    else:
+        regret, arm = discounted_regret_details(traj, l, spec.betas)
+        u = np.zeros((T, d))
+        u[:, arm] = spec.betas
+    return (regret, regularity_m(u), sparsity_n(u), float(u.sum()),
+            float(np.einsum("td,td->", u, l)))
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_engine_rows_equal_the_dense_path_bit_for_bit(tmp_path, case):
+    floats = _file_env(tmp_path, 7, 1500, 62)
+    spec = parse_experiment({**_oracle_configs(floats)[case],
+                             "repetitions": 2})
+    reports = run_experiment(spec)
+    for rep in range(2):
+        row = reports[rep]
+        assert (row.regret, row.m, row.n, row.U_sum, row.L_sum) == \
+            _dense_row(spec, rep), (case, rep)
+
+
+_GOLDEN = pathlib.Path(__file__).parent / "data" / "benchmark_set0"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in
+                                        _GOLDEN.glob("*.json")))
+def test_benchmark_shaped_configs_give_their_recorded_csvs(tmp_path, name):
+    # configs and include_timing-false reports of input set 0 of each
+    # benchmark workload, recorded before the engine dropped its T x d
+    # record and comparator
+    spec = parse_experiment(json.loads((_GOLDEN / f"{name}.json").read_text()))
+    write_report_csv(run_experiment(spec), tmp_path / "report.csv", False)
+    assert (tmp_path / "report.csv").read_bytes() == \
+        (_GOLDEN / f"{name}.csv").read_bytes()
