@@ -466,8 +466,9 @@ class Trajectory:
 
     @property
     def realized(self) -> np.ndarray:
-        """The forecaster's loss p_t . l_t in each round."""
-        # stacked vector products: bitwise equal to p[t] @ losses[t]
+        """The forecaster's loss in each round as the stacked vector
+        products p[t] @ losses[t].  They can differ in the last bits from
+        the blocked ``einsum`` values the evaluators and the engine use."""
         return np.matmul(self.played[..., None, :],
                          self.losses[..., None])[..., 0, 0]
 

@@ -11,6 +11,7 @@ by specific comparator constructions; they get direct evaluators here.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -57,17 +58,18 @@ def regularity_m(u) -> float:
     """Summed one-sided total-variation increments of the comparator.
 
     Counts exactly the number of hard switches when the sequence moves
-    between probability vectors.  The clipped increments overwrite a
-    copy's rows 1..T-1 in blocks of at most 2^14 entries (numpy copies
-    one), from the last back, so the copy is the one temporary.
+    between probability vectors.  Each round's increment is numpy's sum
+    of its row of clipped differences, formed in blocks of at most 2^14
+    entries, and the rounds are summed exactly (``math.fsum``).
     """
-    u = as_comparator(u).copy()
+    u = as_comparator(u)
+    T = u.shape[0]
     block = max(1, (1 << 14) // max(1, u.shape[1]))
-    for hi in range(u.shape[0], 1, -block):
-        lo = max(1, hi - block)
-        inc = np.subtract(u[lo:hi], u[lo - 1:hi - 1], u[lo:hi])
-        np.maximum(inc, 0.0, out=inc)
-    return float(u[1:].sum())
+    incs = np.zeros(T)
+    for lo in range(1, T, block):
+        hi = min(lo + block, T)
+        incs[lo:hi] = np.maximum(u[lo:hi] - u[lo - 1:hi - 1], 0.0).sum(axis=1)
+    return math.fsum(incs)
 
 
 def sparsity_n(u) -> float:
@@ -87,10 +89,6 @@ class Segment(NamedTuple):
     scale: np.ndarray | None = None
 
 
-# einsum sums a full contraction in chunks of its iterator's buffer size
-EINSUM_CHUNK = 8192
-
-
 def _rows(segs, r0: int, r1: int, d: int) -> np.ndarray:
     """Rows [r0, r1) of the comparator, as ``gen_comparator`` writes them."""
     block = np.zeros((r1 - r0, d))
@@ -105,87 +103,45 @@ def _rows(segs, r0: int, r1: int, d: int) -> np.ndarray:
     return block
 
 
-def _flat(segs, lo: int, hi: int, d: int) -> np.ndarray:
-    """Entries [lo, hi) of the flattened comparator."""
-    r0 = lo // d
-    return _rows(segs, r0, -(-hi // d), d).reshape(-1)[lo - r0 * d:hi - r0 * d]
-
-
-def _touches(segs, lo: int, hi: int, d: int) -> bool:
-    """Whether entries [lo, hi) of the flattened comparator meet a segment."""
-    for a, b, vec, _ in segs:
-        if isinstance(vec, np.ndarray):
-            if a * d < hi and lo < b * d:
-                return True
-        else:  # the first of the segment's corner entries at or after lo
-            t = max(a, -(-(lo - vec) // d))
-            if t < b and t * d + vec < hi:
-                return True
-    return False
-
-
-def _flat_sum(segs, size: int, d: int) -> float:
-    """``np.add.reduce`` of the first ``size`` flattened entries, bit for
-    bit.  Integer entries sum exactly in any order.  Otherwise numpy's
-    pairwise order is followed (halves split at multiples of 8 down to
-    blocks of at most 128, each summed by ``np.add.reduce`` itself), and
-    a range no segment meets adds an exact 0."""
-    # a vector is written in each row, a scale's factors once each
-    rows = [(v, b - a) if isinstance(v, np.ndarray) else
-            (1.0, b - a) if s is None else (s[a:b], 1) for a, b, v, s in segs]
-    if all(np.array_equal(v, np.floor(v)) for v, _ in rows):
-        return float(sum(np.sum(v) * times for v, times in rows))
-
-    def pairwise(lo: int, n: int) -> float:
-        if not _touches(segs, lo, lo + n, d):
-            return 0.0
-        if n <= 128:
-            return float(np.add.reduce(_flat(segs, lo, lo + n, d)))
-        half = n // 2 - n // 2 % 8
-        return pairwise(lo, half) + pairwise(lo + half, n - half)
-
-    return pairwise(0, size)
-
-
 def comparator_stats(u, losses: np.ndarray
                      ) -> tuple[np.ndarray, float, float, float, float]:
     """The row masses ||u_t||_1, m, n, U_sum and L_sum of a comparator.
 
     ``u`` is a valid (T, d) matrix, or a list of ``Segment`` whose rows
-    hold no T x d array: then each statistic takes O(T + k d) memory and
-    equals, bit for bit, what the dense functions (``regularity_m``,
-    ``sparsity_n``, ``u.sum()`` and ``einsum("td,td->", u, losses)``)
-    give on ``gen_comparator``'s matrix, by summing in their order.
+    hold no T x d array: then the statistics take O(T + k d) memory.
+    Each round's mass, increment and loss u_t . l_t is numpy's sum over
+    the round's d entries, and m, U_sum and L_sum sum the rounds exactly
+    (``math.fsum``).  Segments give the dense values bit for bit: inside
+    a corner segment each of them has one nonzero entry, and the rows of
+    q vectors and where segments meet are built and summed.
     """
     if isinstance(u, np.ndarray):
-        return (u.sum(axis=1), regularity_m(u), sparsity_n(u), float(u.sum()),
-                float(np.einsum("td,td->", u, losses)))
+        masses = u.sum(axis=1)
+        return (masses, regularity_m(u), sparsity_n(u), math.fsum(masses),
+                math.fsum(np.einsum("td,td->t", u, losses)))
     T, d = losses.shape
-    masses, peaks = np.zeros(T), np.zeros(d)
+    masses, incs, row_losses = np.zeros(T), np.zeros(T), np.zeros(T)
+    peaks = np.zeros(d)
+    block = _block_rows(d)
     for a, b, vec, scale in u:
         if isinstance(vec, np.ndarray):
             masses[a:b] = vec.sum()  # a row's sum, as u.sum(axis=1) forms it
             np.maximum(peaks, vec, out=peaks)
+            for lo in range(a, b, block):
+                hi = min(lo + block, b)
+                row_losses[lo:hi] = np.einsum("td,td->t", _rows(u, lo, hi, d),
+                                              losses[lo:hi])
         else:
             masses[a:b] = 1.0 if scale is None else scale[a:b]
-            peaks[vec] = max(peaks[vec],
-                             1.0 if scale is None else scale[a:b].max())
-    # the clipped increments of rows 1..T-1, as segments of rows t - 1:
-    # whole rows where segments meet, and a scaled corner's own steps
-    incs = [Segment(a, b - 1, vec, np.maximum(np.diff(scale), 0.0))
-            for a, b, vec, scale in u if scale is not None and b - a > 1]
-    for t in sorted({x for a, b, _, _ in u for x in (a, b) if 0 < x < T}):
-        before, after = _rows(u, t - 1, t + 1, d)
-        incs.append(Segment(t - 1, t, np.maximum(after - before, 0.0)))
-    flat = losses.reshape(-1)
-    L_sum = 0.0
-    for lo in range(0, flat.size, EINSUM_CHUNK):
-        hi = min(lo + EINSUM_CHUNK, flat.size)
-        if _touches(u, lo, hi, d):
-            L_sum = L_sum + np.einsum("i,i->", _flat(u, lo, hi, d),
-                                      flat[lo:hi])
-    return (masses, _flat_sum(incs, (T - 1) * d, d), float(peaks.sum()),
-            _flat_sum(u, T * d, d), float(L_sum))
+            peaks[vec] = max(peaks[vec], masses[a:b].max())
+            row_losses[a:b] = masses[a:b] * losses[a:b, vec]
+            if scale is not None:
+                incs[a + 1:b] = np.maximum(np.diff(scale[a:b]), 0.0)
+    for t in {x for a, b, _, _ in u for x in (a, b) if 0 < x < T}:
+        before, after = _rows(u, t - 1, t + 1, d)  # rows where segments meet
+        incs[t] = np.maximum(after - before, 0.0).sum()
+    return (masses, math.fsum(incs), float(peaks.sum()), math.fsum(masses),
+            math.fsum(row_losses))
 
 
 def generalized_shifting_regret(p_traj, losses, u) -> float:
@@ -194,7 +150,8 @@ def generalized_shifting_regret(p_traj, losses, u) -> float:
     m = as_comparator(u)
     if m.shape != l.shape:
         raise ValueError("comparator and losses shapes differ")
-    return float(m.sum(axis=1) @ realized - np.einsum("td,td->", m, l))
+    return float(m.sum(axis=1) @ realized
+                 - math.fsum(np.einsum("td,td->t", m, l)))
 
 
 def _kahan_cumsum(col: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ Everything here is deliberately naive (grids, double loops, definitional
 formulas) and shares no code with the library paths it checks.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -190,6 +192,22 @@ def prefix_sums_brute(a: np.ndarray, compensated: bool) -> np.ndarray:
                 total = t
             out[i + 1, j] = total
     return out
+
+
+def exact_sum(values) -> float:
+    """The sum of floats in rationals, rounded once to the nearest float."""
+    return float(sum((Fraction(float(x)) for x in values), Fraction(0)))
+
+
+def comparator_sums_exact(u: np.ndarray, losses: np.ndarray
+                          ) -> tuple[float, float, float]:
+    """(m, U_sum, L_sum) of a dense (T, d) comparator: each round's
+    increment, mass and loss is numpy's sum over its d entries, and the
+    rounds are summed exactly (``exact_sum``)."""
+    increments = np.maximum(u[1:] - u[:-1], 0.0).sum(axis=1)
+    masses = u.sum(axis=1)
+    row_losses = np.einsum("td,td->t", u, losses)
+    return exact_sum(increments), exact_sum(masses), exact_sum(row_losses)
 
 
 def decayed_max_brute(v_history: np.ndarray, gamma: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import time
 import tracemalloc
@@ -399,9 +400,10 @@ def test_tuned_bound_applies_only_inside_caps():
 
 
 def test_auto_tuned_discounted_caps_allow_float_rounding():
-    # U_sum exceeds U0 = sum(betas) by float summation alone
+    # U_sum, the exact sum of the betas, exceeds U0 = sum(betas) summed
+    # pairwise in floats, by 5.7e-14
     spec = parse_experiment({
-        "environment": {"kind": "iid_bernoulli", "d": 2, "T": 1001,
+        "environment": {"kind": "iid_bernoulli", "d": 2, "T": 997,
                         "seed": 7, "means": [0.3, 0.6]},
         "forecaster": {"rule": "fixed_share"},
         "regret": {"kind": "discounted", "schedule": "linear_up"},
@@ -614,11 +616,17 @@ _ADAPTIVE = {"environment": _piecewise_env(10, 20_000, 8),
       "comparator": {"kind": "piecewise_corner", "segment_lengths": [500] * 4},
       "forecaster": {"rule": "projected", "eta": 0.1, "alpha": 0.01},
       "regret": {"kind": "shifting"}}, 0.1),
+    ({"environment": _piecewise_env(1000, 2000, 4),
+      "comparator": {"kind": "adaptive_window", "r": 301, "s": 1900,
+                     "q": [(j % 7) / 3500 for j in range(1000)]},
+      "forecaster": {"rule": "projected", "eta": 0.1, "alpha": 0.01},
+      "regret": {"kind": "shifting"}}, 0.1),
     ({**_ADAPTIVE, "regret": {"kind": "adaptive", "tau0": 5000}}, 1.5),
     ({**_ADAPTIVE, "regret": {"kind": "adaptive", "tau0": 20_000}}, 1.5),
     ({**_ADAPTIVE, "regret": {"kind": "discounted", "schedule": "linear_up"}},
      1.5),
-], ids=["shifting", "adaptive", "adaptive_whole_horizon", "discounted"])
+], ids=["shifting", "window_vector", "adaptive", "adaptive_whole_horizon",
+        "discounted"])
 def test_run_experiment_holds_the_losses_and_small_arrays(config, allowance):
     # no T x d record or comparator: besides the losses, a run holds a
     # ring of 2^15 entries, and a d = 10 row its O(T) window-scan arrays
@@ -645,8 +653,7 @@ def _file_env(tmp_path, d, T, seed):
 
 def _oracle_configs(floats):
     """Each regret kind and comparator kind, on 0/1 losses and on the
-    from_file environment ``floats`` (d = 7, T = 1500); T * d spans
-    several einsum chunks and pairwise-sum blocks."""
+    from_file environment ``floats`` (d = 7, T = 1500)."""
     rng = np.random.default_rng(61)
     T = 1500
     piecewise = _piecewise_env(7, T, 3)
@@ -730,8 +737,8 @@ def _dense_row(spec, rep):
         regret, arm = discounted_regret_details(traj, l, spec.betas)
         u = np.zeros((T, d))
         u[:, arm] = spec.betas
-    return (regret, regularity_m(u), sparsity_n(u), float(u.sum()),
-            float(np.einsum("td,td->", u, l)))
+    return (regret, regularity_m(u), sparsity_n(u), math.fsum(u.sum(axis=1)),
+            math.fsum(np.einsum("td,td->t", u, l)))
 
 
 @pytest.mark.parametrize("case", _ORACLE_CASES)

@@ -9,9 +9,10 @@ from simplexshare import (MixingRule, adaptive_regret, adaptive_regret_details,
                           generalized_shifting_regret, linear_down_discounts,
                           linear_up_discounts, regularity_m, run_forecaster,
                           sparsity_n, total_variation)
-from simplexshare.regret_eval import KAHAN_MIN_LENGTH, _prefix, as_comparator
+from simplexshare.regret_eval import (KAHAN_MIN_LENGTH, Segment, _prefix,
+                                      as_comparator, comparator_stats)
 from oracles import (adaptive_regret_brute, adaptive_regret_details_brute,
-                     prefix_sums_brute)
+                     comparator_sums_exact, prefix_sums_brute)
 
 
 def corners(indices, d):
@@ -51,7 +52,7 @@ def test_regularity_counts_hard_switches_exactly():
 
 def test_regularity_needs_one_temporary_of_the_comparator_size():
     u = np.random.default_rng(4).random((2000, 1000))
-    expected = float(np.maximum(u[1:] - u[:-1], 0.0).sum())
+    expected = math.fsum(np.maximum(u[1:] - u[:-1], 0.0).sum(axis=1))
     tracemalloc.start()
     try:
         value = regularity_m(u)
@@ -59,7 +60,7 @@ def test_regularity_needs_one_temporary_of_the_comparator_size():
     finally:
         tracemalloc.stop()
     assert value == expected
-    assert peak <= 1.1 * u.nbytes
+    assert peak <= 0.2 * u.nbytes
 
 
 def test_sparsity_examples():
@@ -118,6 +119,48 @@ def test_comparator_statistics_validate_their_input():
                 fn(bad)
     with pytest.raises(ValueError, match="matrix"):
         as_comparator(np.ones(3))
+
+
+def _random_segments(rng, T, d):
+    """Segments over random cuts of [0, T), adjacent or with zero rows
+    between them: corners with and without a scale, and q vectors."""
+    cuts = rng.choice(np.arange(1, T), size=int(rng.integers(1, 6)),
+                      replace=False)
+    ends = [0, *sorted(cuts.tolist()), T]
+    segs = []
+    for a, b in zip(ends[:-1], ends[1:]):
+        kind = rng.integers(4)
+        if kind == 1:
+            segs.append(Segment(a, b, int(rng.integers(d))))
+        elif kind == 2:
+            segs.append(Segment(a, b, int(rng.integers(d)), rng.random(T)))
+        elif kind == 3:
+            segs.append(Segment(a, b, rng.random(d) * (rng.random(d) < 0.7)))
+    return segs
+
+
+def test_comparator_stats_sum_rounds_exactly():
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        T = 300 if trial == 0 else int(rng.integers(300, 2000))
+        d = 1000 if trial == 0 else int(rng.integers(1, 40))
+        segs = _random_segments(rng, T, d)
+        u = np.zeros((T, d))
+        for a, b, vec, scale in segs:
+            if isinstance(vec, np.ndarray):
+                u[a:b] = vec
+            else:
+                u[a:b, vec] = 1.0 if scale is None else scale[a:b]
+        losses = rng.random((T, d))
+        if trial % 2:
+            losses = np.floor(2.0 * losses)
+        exact = comparator_sums_exact(u, losses)
+        for comparator in (segs, u):
+            masses, m, n, U_sum, L_sum = comparator_stats(comparator, losses)
+            assert (m, U_sum, L_sum) == exact, (trial, type(comparator))
+            assert np.array_equal(masses, u.sum(axis=1))
+            assert n == u.max(axis=0).sum()
+        assert regularity_m(u) == exact[0]
 
 
 def test_adaptive_regret_examples():
