@@ -19,7 +19,7 @@ from .forecasters import (ForecasterState, MixingRule, Trajectory,
                           as_loss_vector, certificate_slacks, loss_update,
                           mix_fixed_share, mix_max_share, mix_projected,
                           run_forecaster, small_loss_certificate_slacks,
-                          step_time_varying, varying_rate_certificate_slacks)
+                          step_time_varying)
 from .regret_eval import (adaptive_regret, adaptive_regret_details,
                           discount_regularity, discounted_regret,
                           discounted_regret_details,

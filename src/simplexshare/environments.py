@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .regret_eval import Segment, as_discounts
+from .regret_eval import Segment, _rows, as_discounts
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -244,8 +244,8 @@ def check_comparator(spec: ComparatorSpec, d: int, T: int) -> None:
             _check_index(spec.q, d, "q")
         else:
             q = _floats(spec.q, "q")
-            if q.shape != (d,) or not np.all(q >= 0.0):
-                raise ValueError("q: expected a nonnegative d-vector")
+            if q.shape != (d,) or not np.all(np.isfinite(q) & (q >= 0.0)):
+                raise ValueError("q: expected a finite nonnegative d-vector")
     elif spec.kind == "discounted":
         try:
             as_discounts(spec.betas, T)
@@ -273,7 +273,8 @@ def hindsight_segment_corners(losses: np.ndarray, segment_lengths) -> list[int]:
 
 def gen_comparator(spec: ComparatorSpec, d: int, T: int,
                    losses: np.ndarray | None = None) -> np.ndarray:
-    """Materialize a (T, d) comparator matrix.
+    """Materialize a (T, d) comparator matrix: the rows of
+    ``comparator_segments``.
 
     Kinds with hindsight defaults (piecewise_corner without explicit
     corners, discounted without an explicit corner) need the loss matrix.
@@ -281,38 +282,15 @@ def gen_comparator(spec: ComparatorSpec, d: int, T: int,
     check_comparator(spec, d, T)
     if spec.kind == "scaled_arbitrary":
         return np.array(spec.vectors, dtype=float)  # a copy the caller owns
-    u = np.zeros((T, d))
-    if spec.kind == "piecewise_corner":
-        corners = spec.corners
-        if corners is None:
-            if losses is None:
-                raise ValueError("hindsight corners need the loss matrix")
-            corners = hindsight_segment_corners(losses, spec.segment_lengths)
-        start = 0
-        for length, j in zip(spec.segment_lengths, corners):
-            u[start:start + length, j] = 1.0
-            start += length
-    elif spec.kind == "adaptive_window":
-        if np.ndim(spec.q) == 0:
-            u[spec.r - 1:spec.s, spec.q] = 1.0
-        else:
-            u[spec.r - 1:spec.s] = np.asarray(spec.q, dtype=float)
-    else:  # discounted
-        betas = as_discounts(spec.betas, T)
-        corner = spec.corner
-        if corner is None:
-            if losses is None:
-                raise ValueError("hindsight corner needs the loss matrix")
-            corner = int(np.argmin(betas @ losses))
-        u[:, corner] = betas
-    return u
+    return _rows(comparator_segments(spec, d, T, losses), 0, T, d)
 
 
 def comparator_segments(spec: ComparatorSpec, d: int, T: int,
-                        losses: np.ndarray) -> list[Segment] | np.ndarray:
+                        losses: np.ndarray | None
+                        ) -> list[Segment] | np.ndarray:
     """The comparator of a checked spec as ``regret_eval.Segment`` rows,
-    the same rows ``gen_comparator`` writes, or, for ``scaled_arbitrary``,
-    its (T, d) matrix.  Hindsight corners come from ``losses``."""
+    or, for ``scaled_arbitrary``, its (T, d) matrix.  Hindsight corners
+    come from ``losses``."""
     if spec.kind == "scaled_arbitrary":
         return np.asarray(spec.vectors, dtype=float)
     if spec.kind == "adaptive_window":
@@ -322,10 +300,14 @@ def comparator_segments(spec: ComparatorSpec, d: int, T: int,
         betas = as_discounts(spec.betas, T)
         corner = spec.corner
         if corner is None:
+            if losses is None:
+                raise ValueError("hindsight corner needs the loss matrix")
             corner = int(np.argmin(betas @ losses))
         return [Segment(0, T, corner, betas)]
     corners = spec.corners
     if corners is None:
+        if losses is None:
+            raise ValueError("hindsight corners need the loss matrix")
         corners = hindsight_segment_corners(losses, spec.segment_lengths)
     ends = np.cumsum(spec.segment_lengths).tolist()
     return [Segment(b - n, b, j)

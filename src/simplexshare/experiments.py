@@ -60,6 +60,8 @@ def _get(mapping, key, path, required=True, default=None):
 def _number(value, path):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite")
     return float(value)
 
 

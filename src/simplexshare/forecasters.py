@@ -387,8 +387,15 @@ def _block_rows(d: int) -> int:
 
 
 def _played_losses(log_p: np.ndarray, losses: np.ndarray) -> np.ndarray:
-    """p_t . l_t of a block of log-weight rows and their loss rows."""
-    return np.einsum("td,td->t", _to_linear(log_p), losses)
+    """p_t . l_t of (T, d) log-weight rows and their loss rows, formed in
+    blocks of ``_block_rows(d)`` rows: the one p_t . l_t of the library."""
+    out = np.empty(losses.shape[0])
+    block = _block_rows(losses.shape[1])
+    for lo in range(0, losses.shape[0], block):
+        out[lo:lo + block] = np.einsum("td,td->t",
+                                       _to_linear(log_p[lo:lo + block]),
+                                       losses[lo:lo + block])
+    return out
 
 
 def _linear(log_w: np.ndarray) -> np.ndarray:
@@ -466,11 +473,11 @@ class Trajectory:
 
     @property
     def realized(self) -> np.ndarray:
-        """The forecaster's loss in each round as the stacked vector
-        products p[t] @ losses[t].  They can differ in the last bits from
-        the blocked ``einsum`` values the evaluators and the engine use."""
-        return np.matmul(self.played[..., None, :],
-                         self.losses[..., None])[..., 0, 0]
+        """The forecaster's loss p_t . l_t in each round."""
+        if self.log_p.ndim == 3:
+            return np.stack([self.rep(i).realized
+                             for i in range(len(self.log_p))])
+        return _played_losses(self.log_p[: self.T], self.losses)
 
     @property
     def eta_prevs(self) -> np.ndarray:
@@ -633,17 +640,22 @@ def _run_realized(rule: MixingRule, eta: float | None, losses, *,
 
 
 def certificate_slacks(traj: Trajectory, comparators) -> np.ndarray:
-    """Slack of the per-round regret certificate, for constant-rate runs.
+    """Slack of the per-round regret certificate.
 
     For each round t and each comparison distribution q the certificate
-    states (p_t - q) . l_t <= (1/eta) sum_i q_i ln(v_{i,t+1}/p_{i,t})
-    + eta/8; the returned (T, n_q) array is RHS - LHS, so every entry of
-    a valid run is >= -1e-9 up to float error.  A batch gives (R, T, n_q).
+    states (p_t - q) . l_t <= sum_i q_i ((1/eta_{t-1}) ln(1/p_{i,t})
+    - (1/eta_t) ln(1/v_{i,t+1})) + (1/eta_t - 1/eta_{t-1}) ln d
+    + eta_{t-1}/8, with eta_0 = eta_1.  At a constant rate this is
+    (p_t - q) . l_t <= (1/eta) sum_i q_i ln(v_{i,t+1}/p_{i,t}) + eta/8.
+    The returned (T, n_q) array is RHS - LHS, so every entry of a valid
+    run is >= -1e-9 up to float error.  A batch gives (R, T, n_q).
     """
     q = np.atleast_2d(np.asarray(comparators, dtype=float))
-    log_ratio = traj.log_v - traj.log_p[..., : traj.T, :]
+    eta_t, eta_prev = traj.etas[:, None], traj.eta_prevs[:, None]
+    log_p = traj.log_p[..., : traj.T, :]
+    rhs = ((traj.log_v / eta_t - log_p / eta_prev) @ q.T
+           + (1.0 / eta_t - 1.0 / eta_prev) * np.log(traj.d) + eta_prev / 8.0)
     lhs = traj.realized[..., None] - traj.losses @ q.T
-    rhs = (log_ratio @ q.T) / traj.etas[:, None] + traj.etas[:, None] / 8.0
     return rhs - lhs
 
 
@@ -659,23 +671,4 @@ def small_loss_certificate_slacks(traj: Trajectory, comparators) -> np.ndarray:
     factor = (1.0 - np.exp(-eta)) / eta
     lhs = factor * traj.realized[..., None] - traj.losses @ q.T
     rhs = (log_ratio @ q.T) / eta
-    return rhs - lhs
-
-
-def varying_rate_certificate_slacks(traj: Trajectory, comparators) -> np.ndarray:
-    """Slack of the per-round certificate for time-varying rates.
-
-    (p_t - q) . l_t <= sum_i q_i ((1/eta_{t-1}) ln(1/p_{i,t})
-    - (1/eta_t) ln(1/v_{i,t+1})) + (1/eta_t - 1/eta_{t-1}) ln d
-    + eta_{t-1}/8.
-    """
-    q = np.atleast_2d(np.asarray(comparators, dtype=float))
-    eta_t = traj.etas[:, None]
-    eta_prev = traj.eta_prevs[:, None]
-    neg_log_p = -traj.log_p[..., : traj.T, :]
-    neg_log_v = -traj.log_v
-    rhs = ((neg_log_p / eta_prev - neg_log_v / eta_t) @ q.T
-           + (1.0 / eta_t - 1.0 / eta_prev) * np.log(traj.d)
-           + eta_prev / 8.0)
-    lhs = traj.realized[..., None] - traj.losses @ q.T
     return rhs - lhs

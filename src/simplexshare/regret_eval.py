@@ -36,8 +36,8 @@ def as_comparator(u) -> np.ndarray:
 
 def _realized(p_traj, losses) -> tuple[np.ndarray, np.ndarray]:
     """The per-round losses p_t . l_t of the played rows (of a trajectory
-    or a (T, d) matrix), and the losses as an array.  A trajectory's rows
-    come from ``log_p`` in blocks, bitwise its ``played``."""
+    or a (T, d) matrix), and the losses as an array.  A trajectory's are
+    ``_played_losses`` of its ``log_p``, the values of its ``realized``."""
     l = np.asarray(losses, dtype=float)
     traj = isinstance(p_traj, Trajectory)
     p = (p_traj.log_p[..., : p_traj.T, :] if traj
@@ -46,12 +46,7 @@ def _realized(p_traj, losses) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("trajectory and losses shapes differ")
     if not traj:
         return np.einsum("td,td->t", p, l), l
-    realized = np.empty(l.shape[0])
-    block = _block_rows(l.shape[1])
-    for lo in range(0, l.shape[0], block):
-        realized[lo:lo + block] = _played_losses(p[lo:lo + block],
-                                                 l[lo:lo + block])
-    return realized, l
+    return _played_losses(p, l), l
 
 
 def regularity_m(u) -> float:

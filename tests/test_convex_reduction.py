@@ -34,8 +34,8 @@ def test_linear_losses_reproduce_the_linear_forecaster():
     for t in range(T):
         c = losses[t]
         played.append(state.p)
-        loss_value, state = step_convex(state, lambda p: float(p @ c),
-                                        lambda p: c)
+        loss_value, state = step_convex(
+            state, lambda p: float(np.einsum("d,d->", p, c)), lambda p: c)
         realized.append(loss_value)
     assert np.array_equal(np.array(played), reference.played)
     assert np.array_equal(np.array(realized), reference.realized)

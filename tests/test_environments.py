@@ -138,6 +138,49 @@ def test_scaled_arbitrary_comparator():
                                       vectors=-vectors), d=2, T=5)
 
 
+def test_gen_comparator_lays_out_the_rows_written_here():
+    """Each kind's matrix, written out by hand, pins the spec-to-rows
+    layout apart from the segment code that builds it."""
+    losses = np.array([[0.9, 0.1, 0.5],
+                       [0.8, 0.2, 0.5],
+                       [0.1, 0.9, 0.5],
+                       [0.0, 0.7, 0.6],
+                       [0.2, 0.9, 0.1]])
+    betas = [1.0, 0.5, 0.25, 0.125, 0.0625]
+    # betas @ losses = [1.3375, 0.56875, 0.95625]: arm 1 in hindsight
+    cases = [
+        (ComparatorSpec(kind="piecewise_corner", segment_lengths=[1, 3, 1],
+                        corners=[2, 0, 1]),
+         [[0, 0, 1], [1, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0]]),
+        # segment sums [1.7, 0.3, 1.0], [0.1, 1.6, 1.1], [0.2, 0.9, 0.1]
+        (ComparatorSpec(kind="piecewise_corner", segment_lengths=[2, 2, 1]),
+         [[0, 1, 0], [0, 1, 0], [1, 0, 0], [1, 0, 0], [0, 0, 1]]),
+        (ComparatorSpec(kind="adaptive_window", r=2, s=4, q=1),
+         [[0, 0, 0], [0, 1, 0], [0, 1, 0], [0, 1, 0], [0, 0, 0]]),
+        (ComparatorSpec(kind="adaptive_window", r=3, s=5,
+                        q=[0.25, 0.0, 0.75]),
+         [[0, 0, 0], [0, 0, 0], [0.25, 0, 0.75], [0.25, 0, 0.75],
+          [0.25, 0, 0.75]]),
+        (ComparatorSpec(kind="discounted", betas=betas, corner=2),
+         [[0, 0, 1.0], [0, 0, 0.5], [0, 0, 0.25], [0, 0, 0.125],
+          [0, 0, 0.0625]]),
+        (ComparatorSpec(kind="discounted", betas=betas),
+         [[0, 1.0, 0], [0, 0.5, 0], [0, 0.25, 0], [0, 0.125, 0],
+          [0, 0.0625, 0]]),
+    ]
+    for spec, rows in cases:
+        u = gen_comparator(spec, d=3, T=5, losses=losses)
+        assert u.shape == (5, 3) and u.dtype == float
+        assert np.array_equal(u, np.array(rows, dtype=float)), spec
+    for spec, message in (
+            (ComparatorSpec(kind="piecewise_corner", segment_lengths=[2, 3]),
+             "hindsight corners need the loss matrix"),
+            (ComparatorSpec(kind="discounted", betas=betas),
+             "hindsight corner needs the loss matrix")):
+        with pytest.raises(ValueError, match=message):
+            gen_comparator(spec, d=3, T=5)
+
+
 def test_make_rng_split_streams():
     a = make_rng(9, 0).random(4)
     b = make_rng(9, 0).random(4)

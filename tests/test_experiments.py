@@ -16,7 +16,7 @@ from simplexshare.experiments import (CSV_COLUMNS, ConfigError, VERDICT_SLACK,
                                       parse_experiment, report_rows,
                                       run_experiment, write_report_csv)
 from simplexshare.forecasters import run_forecaster
-from simplexshare.regret_eval import (_realized, adaptive_regret_details,
+from simplexshare.regret_eval import (adaptive_regret_details,
                                       discounted_regret_details,
                                       generalized_shifting_regret,
                                       regularity_m, sparsity_n)
@@ -183,6 +183,31 @@ def test_unread_config_keys_are_errors(path, section, value):
         parse_experiment(cfg)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("path, section, value", [
+    ("forecaster.eta", "forecaster", {**_SHARE, "eta": _NAN}),
+    ("forecaster.eta", "forecaster", {**_SHARE, "eta": _INF}),
+    ("forecaster.alpha", "forecaster", {**_SHARE, "alpha": -_INF}),
+    ("forecaster.gamma", "forecaster",
+     {**_SHARE, "rule": "decayed_max_share", "gamma": _NAN}),
+    ("forecaster.tune.L0", "forecaster",
+     {"rule": "fixed_share", "tune": {"m0": 4, "U0": 1000, "L0": _NAN}}),
+    ("forecaster.tune.U0", "forecaster",
+     {"rule": "fixed_share", "tune": {"m0": 4, "U0": _INF}}),
+    ("comparator.q", "comparator",
+     {"kind": "adaptive_window", "r": 1, "s": 5, "q": [_INF] + [0.5] * 9}),
+])
+def test_non_finite_config_numbers_fail_at_parse_time(path, section, value):
+    """Python's json reads NaN and Infinity; the parser rejects them."""
+    cfg = rotating_best_arm_config()
+    cfg[section] = value
+    text = json.dumps(cfg)  # writes NaN, Infinity and -Infinity
+    with pytest.raises(ConfigError, match=rf"^{path}: .*\bfinite"):
+        parse_experiment(json.loads(text))
+
+
 def test_comparator_section_is_read_for_shifting_regret_only():
     cfg = rotating_best_arm_config()
     cfg["regret"] = {"kind": "adaptive", "tau0": 8}
@@ -296,10 +321,9 @@ def test_batched_run_equals_single_runs():
                 assert (single is None and batched is None) or np.array_equal(
                     single, batched), (rule.variant, env.kind, rep, name)
             # the engine keeps only the losses and p_t . l_t of each run,
-            # the p_t . l_t that the evaluators form from a trajectory
+            # the p_t . l_t of a trajectory
             assert np.array_equal(engine.losses[rep], traj.losses)
-            assert np.array_equal(engine.realized[rep],
-                                  _realized(traj, traj.losses)[0])
+            assert np.array_equal(engine.realized[rep], traj.realized)
         assert np.array_equal(engine.etas, batch.etas)
         assert np.array_equal(engine.alphas, batch.alphas)
 

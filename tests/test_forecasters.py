@@ -6,8 +6,7 @@ import pytest
 from simplexshare import (ForecasterState, MixingRule, as_loss_vector,
                           certificate_slacks, loss_update, mix_fixed_share,
                           mix_max_share, mix_projected, run_forecaster,
-                          small_loss_certificate_slacks, step_time_varying,
-                          varying_rate_certificate_slacks)
+                          small_loss_certificate_slacks, step_time_varying)
 from simplexshare.forecasters import _log_loss_step, _to_linear
 from oracles import (decayed_max_brute, kl_project_argsort,
                      share_rounds_reference)
@@ -174,7 +173,8 @@ def test_trajectory_views_match_hand_stepped_state():
                 state = ForecasterState(d, rule, 0.8)
                 for t in range(T):
                     assert np.array_equal(p[t], state.p)
-                    assert realized[t] == state.p @ loss[t]
+                    assert realized[t] == np.einsum("d,d->", state.p,
+                                                    loss[t])
                     if w is not None:
                         assert np.array_equal(w[t], state.w)
                     state.update(loss[t])
@@ -370,8 +370,16 @@ def test_certificates_across_rules():
     for eta in (0.1, 1.0, 3.0):
         for rule in rules:
             traj = run_forecaster(rule, eta, losses)
-            assert certificate_slacks(traj, q).min() >= -1e-9
+            slacks = certificate_slacks(traj, q)
+            assert slacks.min() >= -1e-9
             assert small_loss_certificate_slacks(traj, q).min() >= -1e-9
+            # at a constant rate eta_{t-1} = eta_t and the ln d term is 0:
+            # the constant-rate form, written out
+            played = np.einsum("td,td->t", traj.played, losses)
+            constant_rate = ((traj.log_v - traj.log_p[:T]) @ q.T / eta
+                             + eta / 8.0 - (played[:, None] - losses @ q.T))
+            np.testing.assert_allclose(slacks, constant_rate, rtol=0.0,
+                                       atol=1e-12)
 
 
 def test_varying_rate_certificate():
@@ -382,7 +390,7 @@ def test_varying_rate_certificate():
         lambda t: 1.5 / np.sqrt(t), lambda t: 0.4 / t)
     traj = run_forecaster(rule, None, losses)
     q = random_q(rng, d, 50)
-    assert varying_rate_certificate_slacks(traj, q).min() >= -1e-9
+    assert certificate_slacks(traj, q).min() >= -1e-9
 
 
 def test_certificates_of_a_batch_stack_the_runs():
@@ -394,7 +402,7 @@ def test_certificates_of_a_batch_stack_the_runs():
              (MixingRule.max_share(0.2), 0.7, small_loss_certificate_slacks),
              (MixingRule.time_varying(lambda t: 1.0 / np.sqrt(t),
                                       lambda t: 0.3 / t), None,
-              varying_rate_certificate_slacks)]
+              certificate_slacks)]
     for rule, eta, slacks in cases:
         batch = run_forecaster(rule, eta, losses)
         got = slacks(batch, q)
