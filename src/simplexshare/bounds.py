@@ -9,9 +9,10 @@ a realized regret against the returned number.  Conventions:
 * ``u1_norm`` -- mass ||u_1||_1 of the first comparator vector,
 * ``n``     -- sparsity (summed coordinatewise maxima).
 
-Terms of the form coefficient * log(...) are defined as 0 whenever the
-coefficient is 0, so boundary parameters (alpha = 0 with m = 0, say)
-evaluate to their limits instead of raising.
+Terms coefficient * ln(num / den) are 0 at a zero coefficient and +inf
+at den = 0, so boundary parameters evaluate to their limits instead of
+raising: alpha = 0 with m > 0, say, gives +inf.  Fixed share is the
+shared-weights guarantee with w = 1 (C = 1, Z = d).
 """
 
 from __future__ import annotations
@@ -30,17 +31,21 @@ class TuneResult(NamedTuple):
     bound: float
 
 
-def _coef_log(coefficient: float, log_argument: float) -> float:
-    """coefficient * ln(log_argument) with the 0 * ln(...) := 0 convention."""
+def _coef_log(coefficient: float, num: float, den: float = 1.0) -> float:
+    """coefficient * ln(num / den); 0 at a zero coefficient, +inf at den 0."""
     if coefficient == 0.0:
         return 0.0
-    if log_argument <= 0.0:
+    if den == 0.0:
+        return math.inf
+    if num / den <= 0.0:
         raise ValueError("parameter outside the bound's domain")
-    return coefficient * math.log(log_argument)
+    return coefficient * math.log(num / den)
 
 
-def _check_common(eta: float, alpha: float, m: float, U_sum: float,
+def _check_common(d: int, eta: float, alpha: float, m: float, U_sum: float,
                   u1_norm: float) -> None:
+    if not d >= 1:
+        raise ValueError("need d >= 1")
     if not eta > 0.0:
         raise ValueError("eta must be positive")
     if not 0.0 <= alpha <= 1.0:
@@ -54,24 +59,18 @@ def _check_common(eta: float, alpha: float, m: float, U_sum: float,
 def bound_projected(d: int, eta: float, alpha: float, m: float, U_sum: float,
                     u1_norm: float) -> float:
     """Shifting-regret guarantee of the KL-projected share update."""
-    _check_common(eta, alpha, m, U_sum, u1_norm)
+    _check_common(d, eta, alpha, m, U_sum, u1_norm)
     return (_coef_log(u1_norm / eta, d)
-            + _coef_log(m / eta, d / alpha if m > 0 else 1.0)
+            + _coef_log(m / eta, d, alpha)
             + (eta / 8.0 + alpha) * U_sum)
 
 
 def bound_fixed_share(d: int, eta: float, alpha: float, m: float,
                       U_sum: float, u1_norm: float) -> float:
-    """Shifting-regret guarantee of the fixed-share update."""
-    _check_common(eta, alpha, m, U_sum, u1_norm)
-    tail = U_sum - u1_norm - m
-    if tail < -1e-9:
-        raise ValueError("m cannot exceed the comparator mass after round 1")
-    tail = max(tail, 0.0)
-    return (_coef_log(u1_norm / eta, d)
-            + eta / 8.0 * U_sum
-            + _coef_log(m / eta, d / alpha if m > 0 else 1.0)
-            + _coef_log(tail / eta, 1.0 / (1.0 - alpha) if tail != 0 else 1.0))
+    """Shifting-regret guarantee of the fixed-share update: the
+    shared-weights guarantee with w = 1, so C = 1, Z = d and n = u1_norm."""
+    return bound_shared_weights(d, 1, eta, alpha, m, u1_norm, U_sum, C=1.0,
+                                Z_max=d, u1_norm=u1_norm)
 
 
 def fixed_share_envelope(d: int, m0: float, U0: float, eta: float,
@@ -82,8 +81,7 @@ def fixed_share_envelope(d: int, m0: float, U0: float, eta: float,
         raise ValueError("need 0 < m0 <= U0")
     if not eta > 0.0 or not 0.0 < alpha <= 1.0:
         raise ValueError("need eta > 0 and alpha in (0, 1]")
-    mix_cost = (_coef_log(m0, 1.0 / alpha)
-                + _coef_log(U0 - m0, 1.0 / (1.0 - alpha) if U0 > m0 else 1.0))
+    mix_cost = _coef_log(m0, 1.0, alpha) + _coef_log(U0 - m0, 1.0, 1.0 - alpha)
     return (m0 * math.log(d) + mix_cost) / eta + eta * U0 / 8.0
 
 
@@ -159,7 +157,7 @@ def bound_shared_weights(d: int, T: int, eta: float, alpha: float, m: float,
     satisfy v_j <= w_j <= 1 and C w_{j,t+1} >= w_{j,t} with C >= 1;
     Z_max bounds the normalizers sum_j w_j over the run.
     """
-    _check_common(eta, alpha, m, U_sum, u1_norm)
+    _check_common(d, eta, alpha, m, U_sum, u1_norm)
     if not n >= 0.0:
         raise ValueError("n must be nonnegative")
     if not C >= 1.0:
@@ -173,8 +171,8 @@ def bound_shared_weights(d: int, T: int, eta: float, alpha: float, m: float,
     return (_coef_log(n / eta, d)
             + n * T * math.log(C) / eta
             + eta / 8.0 * U_sum
-            + _coef_log(m / eta, Z_max / alpha if m > 0 else 1.0)
-            + _coef_log(tail / eta, 1.0 / (1.0 - alpha) if tail != 0 else 1.0))
+            + _coef_log(m / eta, Z_max, alpha)
+            + _coef_log(tail / eta, 1.0, 1.0 - alpha))
 
 
 def bound_max_share(d: int, T: int, eta: float, alpha: float, m: float,
@@ -237,8 +235,7 @@ def bound_time_varying(d: int, T: int, etas: Sequence[float],
     first = (u[0] / eta[0] + float(np.sum(u[1:] * (1.0 / eta[1:]
                                                    - 1.0 / eta_prev[1:]))))
     first *= math.log(d)
-    second = _coef_log(m / eta[-1],
-                       d * (1.0 - al[-1]) / al[-1] if m > 0 else 1.0)
+    second = _coef_log(m / eta[-1], d * (1.0 - al[-1]), al[-1])
     with np.errstate(divide="ignore"):
         mix = np.where(u[1:] > 0.0, -np.log1p(-al[1:]), 0.0)
     third = float(np.sum(u[1:] / eta_prev[1:] * mix))

@@ -280,19 +280,16 @@ def gen_comparator(spec: ComparatorSpec, d: int, T: int,
     corners, discounted without an explicit corner) need the loss matrix.
     """
     check_comparator(spec, d, T)
-    if spec.kind == "scaled_arbitrary":
-        return np.array(spec.vectors, dtype=float)  # a copy the caller owns
     return _rows(comparator_segments(spec, d, T, losses), 0, T, d)
 
 
 def comparator_segments(spec: ComparatorSpec, d: int, T: int,
-                        losses: np.ndarray | None
-                        ) -> list[Segment] | np.ndarray:
-    """The comparator of a checked spec as ``regret_eval.Segment`` rows,
-    or, for ``scaled_arbitrary``, its (T, d) matrix.  Hindsight corners
-    come from ``losses``."""
+                        losses: np.ndarray | None) -> list[Segment]:
+    """The comparator of a checked spec as ``regret_eval.Segment`` rows;
+    ``scaled_arbitrary`` is one block of T rows.  Hindsight corners come
+    from ``losses``."""
     if spec.kind == "scaled_arbitrary":
-        return np.asarray(spec.vectors, dtype=float)
+        return [Segment(0, T, np.ascontiguousarray(spec.vectors, dtype=float))]
     if spec.kind == "adaptive_window":
         q = spec.q if np.ndim(spec.q) == 0 else np.asarray(spec.q, dtype=float)
         return [Segment(spec.r - 1, spec.s, q)]

@@ -240,9 +240,10 @@ def _parse_forecaster(cfg, d: int, regret_kind: str,
         with _reported_as("forecaster.tune: "):
             tuned = (bnd.tune_small_loss(d, **caps) if "L0" in caps
                      else bnd.tune_fixed_share(d, **caps))
-        if not math.isfinite(tuned.eta):
-            raise ConfigError("forecaster.tune.L0: L0 = 0 gives an "
-                              "infinite learning rate; pass a positive cap")
+        if not (0.0 < tuned.eta < math.inf and tuned.bound < math.inf):
+            raise ConfigError(
+                f"forecaster.tune: the caps give eta = {tuned.eta:g}, bound = "
+                f"{tuned.bound:g}; need 0 < eta < inf and a finite bound")
         eta, alpha = tuned.eta, tuned.alpha
     else:
         eta = _number(_get(cfg, "eta", "forecaster"), "forecaster.eta")
@@ -376,7 +377,6 @@ def _evaluate(spec: ExperimentSpec, run: RealizedRun, rep: int,
     start = time.perf_counter()
     losses, realized = run.losses[rep], run.realized[rep]
     T, d = losses.shape
-    # the comparator is a few segments (a matrix only for scaled_arbitrary)
     if spec.regret_kind == "shifting":
         u = comparator_segments(spec.comparator, d, T, losses)
     elif spec.regret_kind == "adaptive":

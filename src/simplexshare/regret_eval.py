@@ -49,22 +49,24 @@ def _realized(p_traj, losses) -> tuple[np.ndarray, np.ndarray]:
     return _played_losses(p, l), l
 
 
-def regularity_m(u) -> float:
-    """Summed one-sided total-variation increments of the comparator.
-
-    Counts exactly the number of hard switches when the sequence moves
-    between probability vectors.  Each round's increment is numpy's sum
-    of its row of clipped differences, formed in blocks of at most 2^14
-    entries, and the rounds are summed exactly (``math.fsum``).
-    """
-    u = as_comparator(u)
-    T = u.shape[0]
+def _increments(u: np.ndarray) -> np.ndarray:
+    """The increments of rounds 1..k-1 of the (k, d) rows ``u``: numpy's sums
+    of rows of clipped differences, formed in blocks of <= 2^14 entries."""
+    k = u.shape[0]
     block = max(1, (1 << 14) // max(1, u.shape[1]))
-    incs = np.zeros(T)
-    for lo in range(1, T, block):
-        hi = min(lo + block, T)
-        incs[lo:hi] = np.maximum(u[lo:hi] - u[lo - 1:hi - 1], 0.0).sum(axis=1)
-    return math.fsum(incs)
+    incs = np.empty(k - 1)
+    for lo in range(1, k, block):
+        hi = min(lo + block, k)
+        incs[lo - 1:hi - 1] = np.maximum(u[lo:hi] - u[lo - 1:hi - 1],
+                                         0.0).sum(axis=1)
+    return incs
+
+
+def regularity_m(u) -> float:
+    """Summed one-sided total-variation increments of the comparator, which
+    count the hard switches between probability vectors: the rounds'
+    ``_increments``, summed exactly (``math.fsum``)."""
+    return math.fsum(_increments(as_comparator(u)))
 
 
 def sparsity_n(u) -> float:
@@ -75,8 +77,9 @@ def sparsity_n(u) -> float:
 
 class Segment(NamedTuple):
     """Rounds [a, b) (0-based) of a comparator: the corner ``vec`` (an
-    action) or the d-vector ``vec``, scaled by ``scale[t]`` in round t
-    (corners only) or by 1 when ``scale`` is None."""
+    action), the d-vector ``vec`` in every round, or the (b - a, d) rows
+    ``vec``.  A corner is scaled by ``scale[t]`` in round t, or by 1 when
+    ``scale`` is None."""
 
     a: int
     b: int
@@ -92,36 +95,33 @@ def _rows(segs, r0: int, r1: int, d: int) -> np.ndarray:
         if lo >= hi:
             continue
         if isinstance(vec, np.ndarray):
-            block[lo - r0:hi - r0] = vec
+            rows = vec if vec.ndim == 1 else vec[lo - a:hi - a]  # q or block
+            block[lo - r0:hi - r0] = rows
         else:
             block[lo - r0:hi - r0, vec] = 1.0 if scale is None else scale[lo:hi]
     return block
 
 
-def comparator_stats(u, losses: np.ndarray
+def comparator_stats(u: list[Segment], losses: np.ndarray
                      ) -> tuple[np.ndarray, float, float, float, float]:
-    """The row masses ||u_t||_1, m, n, U_sum and L_sum of a comparator.
+    """The row masses ||u_t||_1, m, n, U_sum and L_sum of ``Segment`` rows.
 
-    ``u`` is a valid (T, d) matrix, or a list of ``Segment`` whose rows
-    hold no T x d array: then the statistics take O(T + k d) memory.
-    Each round's mass, increment and loss u_t . l_t is numpy's sum over
-    the round's d entries, and m, U_sum and L_sum sum the rounds exactly
-    (``math.fsum``).  Segments give the dense values bit for bit: inside
-    a corner segment each of them has one nonzero entry, and the rows of
-    q vectors and where segments meet are built and summed.
+    Beyond the row blocks they take O(T + k d) memory.  Each round's
+    mass, increment and loss u_t . l_t is numpy's sum over its d entries,
+    and m, U_sum and L_sum sum the rounds exactly (``math.fsum``), so they
+    equal the dense functions on ``_rows`` bit for bit: a corner round has
+    one nonzero entry, and other rounds' rows are built and summed.
     """
-    if isinstance(u, np.ndarray):
-        masses = u.sum(axis=1)
-        return (masses, regularity_m(u), sparsity_n(u), math.fsum(masses),
-                math.fsum(np.einsum("td,td->t", u, losses)))
     T, d = losses.shape
     masses, incs, row_losses = np.zeros(T), np.zeros(T), np.zeros(T)
     peaks = np.zeros(d)
     block = _block_rows(d)
     for a, b, vec, scale in u:
         if isinstance(vec, np.ndarray):
-            masses[a:b] = vec.sum()  # a row's sum, as u.sum(axis=1) forms it
-            np.maximum(peaks, vec, out=peaks)
+            masses[a:b] = vec.sum(axis=-1)  # as u.sum(axis=1) forms a row's
+            np.maximum(peaks, vec.reshape(-1, d).max(axis=0), out=peaks)
+            if vec.ndim == 2:
+                incs[a + 1:b] = _increments(vec)
             for lo in range(a, b, block):
                 hi = min(lo + block, b)
                 row_losses[lo:hi] = np.einsum("td,td->t", _rows(u, lo, hi, d),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,54 @@ def test_bound_fixed_share_examples():
         math.log(4) + 10.0 / 8.0 + 9.0 * math.log(4 / 0.3), abs=1e-12)
     with pytest.raises(ValueError):
         bound_fixed_share(4, 1.0, 0.3, 9.5, 10.0, 1.0)
+
+
+def test_bound_fixed_share_is_its_closed_form_bit_for_bit():
+    """u1/eta ln d + eta/8 U + m/eta ln(d/alpha) + tail/eta ln(1/(1-alpha)),
+    written out here in that order, with alpha in (0, 1)."""
+    rng = np.random.default_rng(21)
+    zero_tails = 0
+    for trial in range(3000):
+        d = int(rng.integers(1, 2000))
+        eta = float(rng.uniform(1e-3, 10.0))
+        alpha = float(rng.uniform(1e-12, 1.0))
+        u1 = 1.0 if trial % 2 else float(rng.uniform(0.0, 2.0))
+        m = (0.0, float(rng.integers(1, 50)), float(rng.uniform(0.0, 50.0)))[
+            trial % 3]
+        U = u1 + m + (0.0 if trial % 4 == 0 else float(rng.uniform(0.0, 1e4)))
+        tail = max(U - u1 - m, 0.0)
+        zero_tails += tail == 0.0
+        expected = (u1 / eta * math.log(d) + eta / 8.0 * U
+                    + m / eta * math.log(d / alpha)
+                    + tail / eta * math.log(1.0 / (1.0 - alpha)))
+        assert bound_fixed_share(d, eta, alpha, m, U, u1) == expected, trial
+    assert zero_tails >= 500
+
+
+def test_boundary_alphas_give_the_limit_inf():
+    """A positive coefficient on ln(1/0) (alpha = 0 with m > 0, or alpha = 1
+    with mass left after the shifts) makes the bound +inf; a zero
+    coefficient drops its term."""
+    d, T, eta = 3, 50, 0.5
+    for alpha in (0.0, 1.0):
+        assert bound_fixed_share(d, eta, alpha, 1.0, 50.0, 1.0) == math.inf
+        assert bound_shared_weights(d, T, eta, alpha, 1.0, 2.0, 50.0, C=1.0,
+                                    Z_max=3.0) == math.inf
+        assert bound_max_share(d, T, eta, alpha, 1.0, 2.0) == math.inf
+        assert bound_decayed_max_share(d, T, eta, alpha, 1.0, 2.0) == math.inf
+    assert bound_projected(2, 1.0, 0.0, 1.0, 10.0, 1.0) == math.inf
+    assert fixed_share_envelope(d, 1.0, 50.0, eta, 1.0) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bound_time_varying(d, 3, [1.0, 1.0, 1.0], [0.5, 0.2, 0.0],
+                                  1.0, np.ones(3)) == math.inf
+    # zero coefficients: no shift at alpha = 0, no tail at alpha = 1
+    assert bound_fixed_share(d, eta, 0.0, 0.0, 50.0, 1.0) == (
+        math.log(d) / eta + eta / 8.0 * 50.0)
+    assert bound_fixed_share(d, eta, 1.0, 49.0, 50.0, 1.0) == (
+        math.log(d) / eta + eta / 8.0 * 50.0 + 49.0 / eta * math.log(d))
+    assert bound_projected(2, 1.0, 0.0, 0.0, 10.0, 1.0) == (
+        math.log(2) + 10.0 / 8.0)
 
 
 def test_tune_fixed_share_examples():

@@ -133,6 +133,8 @@ def test_scaled_arbitrary_comparator():
     u = gen_comparator(ComparatorSpec(kind="scaled_arbitrary",
                                       vectors=vectors), d=2, T=5)
     assert np.array_equal(u, vectors)
+    u[:] = 7.0  # the result is the caller's own copy
+    assert np.all(vectors < 1.0)
     with pytest.raises(ValueError):
         gen_comparator(ComparatorSpec(kind="scaled_arbitrary",
                                       vectors=-vectors), d=2, T=5)

@@ -208,6 +208,18 @@ def test_non_finite_config_numbers_fail_at_parse_time(path, section, value):
         parse_experiment(json.loads(text))
 
 
+@pytest.mark.parametrize("tune", [
+    {"m0": 1, "U0": 1e308},  # eta 7.5e-153 and an infinite bound
+    {"m0": 1e-320, "U0": 1e10},  # eta and alpha underflow to 0
+    {"m0": 4, "U0": 1000, "L0": 0},  # an infinite learning rate
+])
+def test_tune_caps_without_a_usable_tuning_fail_at_parse_time(tune):
+    cfg = rotating_best_arm_config()
+    cfg["forecaster"] = {"rule": "fixed_share", "tune": tune}
+    with pytest.raises(ConfigError, match="^forecaster.tune: the caps give "):
+        parse_experiment(cfg)
+
+
 def test_comparator_section_is_read_for_shifting_regret_only():
     cfg = rotating_best_arm_config()
     cfg["regret"] = {"kind": "adaptive", "tau0": 8}
@@ -530,6 +542,7 @@ def test_cli_run_tune_project_bound(tmp_path, capsys):
      "eta=inf\nalpha=0.0040000000000000001\nbound=8.8240460108562928\n"),
     ("bound projected --d 2 --eta 1 --alpha 0.1 --m 1 --U-sum 10",
      "5.9388794541139358\n"),
+    ("bound projected --d 2 --eta 1 --alpha 0 --m 1 --U-sum 10", "inf\n"),
     ("bound fixed-share --d 2 --eta 1 --alpha 0.1 --m 1 --U-sum 10 "
      "--u1-norm 1", "5.7817635793765465\n"),
     ("bound adaptive --d 2 --tau0 8",
@@ -562,6 +575,12 @@ def test_cli_guarantees_print_exactly(capsys, argv, printed):
      "--n nan --U-sum 100 --C 1 --Z-max 20", "n must be nonnegative"),
     ("bound max-share --d 0 --T 100 --eta 2.56 --alpha 0.09 --m 9 --n 2",
      "need d >= 1 and T >= 1"),
+    ("bound fixed-share --d 0 --eta 1 --alpha 0.1 --m 0 --U-sum 10 "
+     "--u1-norm 0", "need d >= 1"),
+    ("bound projected --d -3 --eta 1 --alpha 0.1 --m 0 --U-sum 10 "
+     "--u1-norm 0", "need d >= 1"),
+    ("bound shared-weights --d 0 --T 5 --eta 1 --alpha 0.1 --m 0 --n 0 "
+     "--U-sum 10 --C 1 --Z-max 1 --u1-norm 0", "need d >= 1"),
     ("bound max-share --d 200 --T 0 --eta 2.56 --alpha 0.09 --m 9 --n 2",
      "need d >= 1 and T >= 1"),
     ("bound decayed-max-share --d 200 --T 0 --eta 2.56 --alpha 0.09 "
@@ -570,6 +589,69 @@ def test_cli_guarantees_print_exactly(capsys, argv, printed):
 def test_cli_bound_domain_errors_name_the_flag(capsys, argv, message):
     assert cli_main(argv.split()) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+_BOUNDARY_CALLS = [
+    f"bound {family} --d 3 --eta 0.5 --alpha {alpha} --m {m} --U-sum {U}"
+    for family in ("projected", "fixed-share") for alpha in (0, 1)
+    for m, U in ((0, 1), (0, 50), (1, 2), (1, 50))
+] + [
+    f"bound shared-weights --d 3 --T 50 --eta 0.5 --alpha {alpha} --m {m} "
+    f"--n 1 --U-sum {U} --C 1 --Z-max 3"
+    for alpha in (0, 1) for m, U in ((0, 1), (0, 50), (1, 2), (1, 50))
+] + [
+    f"bound max-share --d 3 --T {T} --eta 0.5 --alpha {alpha} --m {m} --n 1"
+    for alpha in (0, 1) for m, T in ((0, 1), (0, 50), (1, 2), (1, 50))
+] + [
+    f"bound decayed-max-share --d 3 --T {T} --eta 0.5 --alpha {alpha} "
+    f"--m0 {m} --n0 1"
+    for alpha in (0, 1) for m, T in ((0, 1), (0, 50), (1, 2), (1, 50))
+] + [
+    "bound adaptive --d 2 --tau0 1", "bound adaptive --d 1 --tau0 1",
+    "bound small-loss --d 2 --m0 1 --U0 1 --L0 0",
+    "bound small-loss --d 2 --m0 0 --U0 1 --L0 0",
+    "bound anytime-adaptive --d 2 --T 3", "bound anytime-adaptive --d 2 --T 2",
+    "tune --d 2 --m0 1 --U0 1", "tune --d 2 --m0 1 --U0 1 --L0 0",
+    "tune --d 2 --m0 0 --U0 1",
+]
+
+
+@pytest.mark.parametrize("argv", _BOUNDARY_CALLS)
+def test_cli_guarantees_at_boundary_inputs(capsys, argv):
+    """alpha 0 and 1, m = 0 and no mass after the shifts: a number (inf
+    included) or an ``error:`` line, never a traceback."""
+    code = cli_main(argv.split())
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert code == 0 and err == ""
+    for line in out.splitlines():
+        assert not math.isnan(float(line.rpartition("=")[2])), line
+
+
+def _boundary_alpha_config(rule, alpha):
+    return {"environment": {"kind": "iid_bernoulli", "d": 3, "T": 50,
+                            "seed": 5, "means": [0.2, 0.5, 0.8]},
+            "comparator": {"kind": "piecewise_corner",
+                           "segment_lengths": [25, 25], "corners": [0, 1]},
+            "forecaster": {"rule": rule, "eta": 0.5, "alpha": alpha},
+            "regret": {"kind": "shifting"}, "repetitions": 2}
+
+
+@pytest.mark.parametrize("rule, alpha", [("fixed_share", 0.0),
+                                         ("fixed_share", 1.0),
+                                         ("max_share", 1.0)])
+def test_boundary_alpha_certifies_with_an_infinite_bound(tmp_path, capsys,
+                                                         rule, alpha):
+    cfg = _boundary_alpha_config(rule, alpha)
+    reports = run_experiment(parse_experiment(cfg))
+    assert all(r.bound == math.inf and r.verdict == "pass" for r in reports)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["certify", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert "min_bound=inf verdict=pass" in out and err == ""
 
 
 def test_cli_certify_exit_codes(tmp_path, capsys):

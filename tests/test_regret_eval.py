@@ -123,19 +123,23 @@ def test_comparator_statistics_validate_their_input():
 
 def _random_segments(rng, T, d):
     """Segments over random cuts of [0, T), adjacent or with zero rows
-    between them: corners with and without a scale, and q vectors."""
+    between them: corners with and without a scale, q vectors and sparse
+    blocks of rows."""
     cuts = rng.choice(np.arange(1, T), size=int(rng.integers(1, 6)),
                       replace=False)
     ends = [0, *sorted(cuts.tolist()), T]
     segs = []
     for a, b in zip(ends[:-1], ends[1:]):
-        kind = rng.integers(4)
+        kind = rng.integers(5)
         if kind == 1:
             segs.append(Segment(a, b, int(rng.integers(d))))
         elif kind == 2:
             segs.append(Segment(a, b, int(rng.integers(d)), rng.random(T)))
         elif kind == 3:
             segs.append(Segment(a, b, rng.random(d) * (rng.random(d) < 0.7)))
+        elif kind == 4:
+            rows = rng.random((b - a, d)) * (rng.random((b - a, d)) < 0.3)
+            segs.append(Segment(a, b, rows))
     return segs
 
 
@@ -155,9 +159,9 @@ def test_comparator_stats_sum_rounds_exactly():
         if trial % 2:
             losses = np.floor(2.0 * losses)
         exact = comparator_sums_exact(u, losses)
-        for comparator in (segs, u):
+        for comparator in (segs, [Segment(0, T, u)]):
             masses, m, n, U_sum, L_sum = comparator_stats(comparator, losses)
-            assert (m, U_sum, L_sum) == exact, (trial, type(comparator))
+            assert (m, U_sum, L_sum) == exact, (trial, len(comparator))
             assert np.array_equal(masses, u.sum(axis=1))
             assert n == u.max(axis=0).sum()
         assert regularity_m(u) == exact[0]
