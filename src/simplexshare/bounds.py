@@ -9,10 +9,11 @@ a realized regret against the returned number.  Conventions:
 * ``u1_norm`` -- mass ||u_1||_1 of the first comparator vector,
 * ``n``     -- sparsity (summed coordinatewise maxima).
 
-Terms coefficient * ln(num / den) are 0 at a zero coefficient and +inf
-at den = 0, so boundary parameters evaluate to their limits instead of
-raising: alpha = 0 with m > 0, say, gives +inf.  Fixed share is the
-shared-weights guarantee with w = 1 (C = 1, Z = d).
+Terms coefficient * ln(num / den) are 0 at a zero coefficient or
+num = den and +inf at den = 0, so boundary parameters evaluate to their
+limits instead of raising or giving nan: alpha = 0 with m > 0, say,
+gives +inf.  Fixed share is the shared-weights guarantee with w = 1
+(C = 1, Z = d).
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ class TuneResult(NamedTuple):
 
 
 def _coef_log(coefficient: float, num: float, den: float = 1.0) -> float:
-    """coefficient * ln(num / den); 0 at a zero coefficient, +inf at den 0."""
-    if coefficient == 0.0:
+    """coefficient * ln(num / den); 0 at a zero coefficient or num = den,
+    +inf at den = 0."""
+    if coefficient == 0.0 or num == den:
         return 0.0
     if den == 0.0:
         return math.inf
-    if num / den <= 0.0:
-        raise ValueError("parameter outside the bound's domain")
     return coefficient * math.log(num / den)
 
 
@@ -46,8 +46,8 @@ def _check_common(d: int, eta: float, alpha: float, m: float, U_sum: float,
                   u1_norm: float) -> None:
     if not d >= 1:
         raise ValueError("need d >= 1")
-    if not eta > 0.0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
     if not (m >= 0.0 and U_sum >= 0.0 and u1_norm >= 0.0):
@@ -92,8 +92,8 @@ def tune_fixed_share(d: int, m0: float, U0: float) -> TuneResult:
     B = m0 ln d + U0 h(m0/U0); the resulting guarantee is
     sqrt(U0 B / 2).
     """
-    if not 0.0 < m0 <= U0:
-        raise ValueError("need 0 < m0 <= U0")
+    if not 0.0 < m0 <= U0 < math.inf:
+        raise ValueError("need 0 < m0 <= U0 < inf")
     if d < 2:
         raise ValueError("need d >= 2")
     alpha = m0 / U0
@@ -110,18 +110,15 @@ class AdaptiveBound(NamedTuple):
 def bound_adaptive(d: int, tau0: int) -> AdaptiveBound:
     """Guarantee on the best-window regret of the tuned fixed share.
 
-    Returns the exact form sqrt(tau0/2 (tau0 h(1/tau0) + ln d)) and the
+    Returns the exact form sqrt(tau0/2 (tau0 h(1/tau0) + ln d)), the
+    fixed-share tuning's guarantee at caps m0 = 1, U0 = tau0, and the
     relaxed form sqrt(tau0/2 ln(e d tau0)); the exact form never exceeds
     the relaxed one.
     """
     if tau0 < 1:
         raise ValueError("tau0 must be >= 1")
-    if d < 2:
-        raise ValueError("need d >= 2")
-    exact = math.sqrt(tau0 / 2.0 * (tau0 * binary_entropy(1.0 / tau0)
-                                    + math.log(d)))
-    relaxed = math.sqrt(tau0 / 2.0 * math.log(math.e * d * tau0))
-    return AdaptiveBound(exact, relaxed)
+    return AdaptiveBound(tune_fixed_share(d, 1.0, float(tau0)).bound,
+                         math.sqrt(tau0 / 2.0 * math.log(math.e * d * tau0)))
 
 
 def tune_small_loss(d: int, m0: float, U0: float, L0: float) -> TuneResult:
@@ -133,13 +130,15 @@ def tune_small_loss(d: int, m0: float, U0: float, L0: float) -> TuneResult:
     at L0 = 0 the rate degenerates to +inf (follow the leader) and only
     the returned bound value remains meaningful.
     """
-    if not 0.0 < m0 <= U0:
-        raise ValueError("need 0 < m0 <= U0")
-    if L0 < 0.0:
+    if not 0.0 < m0 <= U0 < math.inf:
+        raise ValueError("need 0 < m0 <= U0 < inf")
+    if not L0 >= 0.0:
         raise ValueError("L0 must be nonnegative")
     if d < 2:
         raise ValueError("need d >= 2")
     budget = math.log(d) + math.log(math.e * U0 / m0)
+    if budget == math.inf:
+        raise ValueError("need e U0 / m0 within the float range")
     if L0 == 0.0:
         eta = math.inf
     else:
@@ -165,11 +164,11 @@ def bound_shared_weights(d: int, T: int, eta: float, alpha: float, m: float,
     if not Z_max > 0.0:
         raise ValueError("Z_max must be positive")
     tail = U_sum - u1_norm - m
-    if tail < -1e-9:
+    if not tail >= -1e-9:
         raise ValueError("m cannot exceed the comparator mass after round 1")
     tail = max(tail, 0.0)
     return (_coef_log(n / eta, d)
-            + n * T * math.log(C) / eta
+            + _coef_log(n * T, C) / eta
             + eta / 8.0 * U_sum
             + _coef_log(m / eta, Z_max, alpha)
             + _coef_log(tail / eta, 1.0, 1.0 - alpha))
@@ -196,19 +195,28 @@ def bound_decayed_max_share(d: int, T: int, eta: float, alpha: float,
     """
     if not (d >= 1 and T >= 1):
         raise ValueError("need d >= 1 and T >= 1")
-    if not (m0 > 0.0 and n0 > 0.0):
-        raise ValueError("need m0 > 0 and n0 > 0")
-    gamma = m0 / (n0 * T)
+    C, Z_max = _decay_constants(d, decayed_max_share_gamma(m0, n0, T))
     return bound_shared_weights(d, T, eta, alpha, m0, n0, U_sum=float(T),
-                                C=math.exp(gamma),
-                                Z_max=min(float(d), 1.0 / gamma), u1_norm=1.0)
+                                C=C, Z_max=Z_max, u1_norm=1.0)
 
 
 def decayed_max_share_gamma(m0: float, n0: float, T: int) -> float:
-    """The decay tuned to the regularity/sparsity caps: gamma = m0/(n0 T)."""
-    if m0 <= 0.0 or n0 <= 0.0 or T < 1:
+    """The decay tuned to the caps: gamma = m0/(n0 T), positive and finite."""
+    if not (m0 > 0.0 and n0 > 0.0 and T >= 1):
         raise ValueError("need m0 > 0, n0 > 0, T >= 1")
-    return m0 / (n0 * T)
+    gamma = m0 / (n0 * T)
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"m0/(n0 T) = {gamma:g}; need 0 < gamma < inf")
+    return gamma
+
+
+def _decay_constants(d: int, gamma: float) -> tuple[float, float]:
+    """C = e^gamma (+inf past the float range) and Z_max = min(d, 1/gamma)."""
+    try:
+        C = math.exp(gamma)
+    except OverflowError:
+        C = math.inf
+    return C, min(float(d), 1.0 / gamma)
 
 
 def bound_time_varying(d: int, T: int, etas: Sequence[float],
@@ -218,8 +226,11 @@ def bound_time_varying(d: int, T: int, etas: Sequence[float],
 
     ``etas`` and ``alphas`` hold the per-round parameters for rounds
     1..T with the convention eta_0 = eta_1.  With constant schedules
-    this equals the fixed-share guarantee exactly.
+    this equals the fixed-share guarantee exactly.  It needs d >= 1 and,
+    when m > 0, alpha_T < 1: the shifts pay ln(d (1 - alpha_T) / alpha_T).
     """
+    if not d >= 1:
+        raise ValueError("need d >= 1")
     eta = np.asarray(etas, dtype=float)
     al = np.asarray(alphas, dtype=float)
     u = np.asarray(u_norms, dtype=float)
@@ -231,10 +242,11 @@ def bound_time_varying(d: int, T: int, etas: Sequence[float],
         raise ValueError("alpha schedule must be non-increasing within [0, 1]")
     if not (np.all(u >= 0.0) and m >= 0.0):
         raise ValueError("comparator masses must be nonnegative")
+    if m > 0.0 and al[-1] == 1.0:
+        raise ValueError("alpha schedule must end below 1 when m > 0")
     eta_prev = np.concatenate([[eta[0]], eta[:-1]])
-    first = (u[0] / eta[0] + float(np.sum(u[1:] * (1.0 / eta[1:]
-                                                   - 1.0 / eta_prev[1:]))))
-    first *= math.log(d)
+    first = _coef_log(u[0] / eta[0] + float(np.sum(
+        u[1:] * (1.0 / eta[1:] - 1.0 / eta_prev[1:]))), d)
     second = _coef_log(m / eta[-1], d * (1.0 - al[-1]), al[-1])
     with np.errstate(divide="ignore"):
         mix = np.where(u[1:] > 0.0, -np.log1p(-al[1:]), 0.0)

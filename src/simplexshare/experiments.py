@@ -9,8 +9,8 @@ the only validation; their errors come back as ``ConfigError`` with the
 config path, before anything runs.
 
 Each repetition runs the forecaster on a freshly seeded loss stream,
-evaluates the requested regret notion, and gets the one guarantee that
-``_bound`` picks for its (rule, regret kind) pair, or ``nan`` when no
+evaluates the requested regret notion, and gets its rule's shifting
+guarantee at the row's comparator (``_bound``), or ``nan`` when no
 guarantee covers it; a summary row (worst regret vs. smallest bound) is
 appended.  Every verdict is recomputable from the emitted columns
 alone.
@@ -273,14 +273,6 @@ def parse_experiment(config: dict) -> ExperimentSpec:
                                        env.d, env.T)
     forecaster = _parse_forecaster(_get(config, "forecaster", "config"),
                                    env.d, regret_kind, betas)
-    variant = forecaster.rule.variant
-    if regret_kind == "adaptive" and variant not in ("fixed_share", "projected",
-                                                     "time_varying"):
-        raise ConfigError("regret.kind: no certified adaptive-regret bound "
-                          f"for forecaster rule {variant!r}")
-    if regret_kind == "adaptive" and variant == "time_varying":
-        with _reported_as("regret.kind: "):
-            bnd.anytime_adaptive_bound(env.d, env.T)  # the bound's domain check
     repetitions = _integer(config.get("repetitions", 1), "repetitions",
                            minimum=1)
     output = config.get("output", {})
@@ -308,25 +300,20 @@ def parse_experiment(config: dict) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def _bound(spec: ExperimentSpec, run: RealizedRun, masses: np.ndarray,
+def _bound(fc: ForecasterConfig, run: RealizedRun, masses: np.ndarray,
            m: float, n: float, U_sum: float, L_sum: float) -> float:
-    """The one guarantee that certifies a row, or nan when none does.
+    """The rule's shifting guarantee at a row's comparator u, or nan.
 
-    A row's regret is the shifting regret against ``u`` (``masses``
-    holds its row masses ||u_t||_1), so the rule's shifting guarantee at
-    u's statistics applies; adaptive rows bound the worst window instead
-    (regularity mass 1, total mass tau0).  A tuned fixed-share value is a
-    worst case over its caps, so it holds only for comparators inside
-    them: m + ||u_1||_1 <= m0, U_sum <= U0 and L_sum <= L0, each up to
-    the verdict slack.
+    u is the given or hindsight comparator, an adaptive row's worst
+    window or a discounted row's corner (``masses`` holds its ||u_t||_1),
+    and the guarantee holds for every nonnegative u.  A tuned fixed-share
+    value is a worst case over its caps, so it holds only for comparators
+    inside them: m + ||u_1||_1 <= m0, U_sum <= U0 and L_sum <= L0, each
+    up to the verdict slack.
     """
-    fc, rule = spec.forecaster, spec.forecaster.rule
+    rule = fc.rule
     d, T = run.losses.shape[-1], run.T
     u1_norm = float(masses[0])
-    if spec.regret_kind == "adaptive":
-        if rule.variant == "time_varying":
-            return bnd.anytime_adaptive_bound(d, T)
-        m, U_sum, u1_norm = 1.0, float(spec.tau0), 0.0
     if rule.variant == "fixed_share" and fc.tuned is not None:
         realized = {"m0": m + u1_norm, "U0": U_sum, "L0": L_sum}
         inside = all(realized[key] <= cap + VERDICT_SLACK * max(1.0, cap)
@@ -341,7 +328,7 @@ def _bound(spec: ExperimentSpec, run: RealizedRun, masses: np.ndarray,
     if rule.variant == "max_share":
         C, Z_max = 1.0, float(min(d, T))
     else:
-        C, Z_max = math.exp(rule.gamma), min(float(d), 1.0 / rule.gamma)
+        C, Z_max = bnd._decay_constants(d, rule.gamma)
     return bnd.bound_shared_weights(d, T, fc.eta, rule.alpha, m, n, U_sum,
                                     C=C, Z_max=Z_max, u1_norm=u1_norm)
 
@@ -388,7 +375,7 @@ def _evaluate(spec: ExperimentSpec, run: RealizedRun, rep: int,
     masses, m, n, U_sum, L_sum = comparator_stats(u, losses)
     if spec.regret_kind == "shifting":
         regret = float(masses @ realized - L_sum)
-    bound = _bound(spec, run, masses, m, n, U_sum, L_sum)
+    bound = _bound(spec.forecaster, run, masses, m, n, U_sum, L_sum)
     return RegretReport(run_id=f"{rep:04d}", seed=spec.environment.seed, T=T,
                         d=d, regret_kind=spec.regret_kind, regret=regret, m=m,
                         n=n, U_sum=U_sum, L_sum=L_sum, bound=bound,

@@ -318,3 +318,45 @@ def test_bounds_monotone_in_comparator_statistics():
                                     max(1.0, min(d, T)), u1)
         assert bound_shared_weights(d, T, eta, alpha, m, n + 0.5, U, 1.3,
                                     max(1.0, min(d, T)), u1) >= base - 1e-9
+
+
+def test_bound_time_varying_names_its_domain():
+    # ln(d (1 - alpha_T) / alpha_T) is ln 0 at alpha_T = 1, and ln d needs
+    # d >= 1; both raised messages that named no parameter
+    with pytest.raises(ValueError,
+                       match="^alpha schedule must end below 1 when m > 0$"):
+        bound_time_varying(3, 2, [1, 1], [1.0, 1.0], 1.0, [1, 1])
+    with pytest.raises(ValueError, match="^need d >= 1$"):
+        bound_time_varying(0, 2, [1, 1], [0.5, 0.5], 0.0, [1, 1])
+    # with m = 0 no shift is paid, so alpha_T = 1 stays in the domain
+    assert bound_time_varying(3, 2, [1, 1], [1.0, 1.0], 0.0,
+                              [1, 0]) == math.log(3) + 1.0 / 8.0
+
+
+def test_non_finite_inputs_give_the_limit_or_a_named_error():
+    inf, nan = math.inf, math.nan
+    # an infinite coefficient times ln 1 is 0, not nan
+    assert bound_max_share(10, 100, 1.0, 0.1, 1.0, inf) == inf
+    assert bound_shared_weights(1, 100, 2.0, 0.09, 9.0, inf, 100.0, C=1.0,
+                                Z_max=1.0) == bound_shared_weights(
+        1, 100, 2.0, 0.09, 9.0, 2.0, 100.0, C=1.0, Z_max=1.0)
+    assert bound_fixed_share(3, 0.5, 0.0, 0.0, inf, 1.0) == inf
+    # C = e^gamma past the float range is +inf
+    assert decayed_max_share_gamma(2.0, 1e-5, 50) == 4000.0
+    assert bound_decayed_max_share(3, 50, 0.5, 0.1, 2.0, 1e-5) == inf
+    for m0, n0 in ((nan, 1.0), (1.0, nan), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match="^need m0 > 0, n0 > 0, T >= 1$"):
+            decayed_max_share_gamma(m0, n0, 10)
+    for m0, n0 in ((1.0, inf), (1e-320, 1e10), (inf, 1.0)):
+        with pytest.raises(ValueError, match="need 0 < gamma < inf$"):
+            decayed_max_share_gamma(m0, n0, 10)
+    with pytest.raises(ValueError, match="^eta must be positive and finite$"):
+        bound_projected(3, inf, 0.1, 0.0, 0.0, 0.0)
+    for tune in (lambda U0: tune_fixed_share(10, 4.0, U0),
+                 lambda U0: tune_small_loss(10, 4.0, U0, 10.0)):
+        with pytest.raises(ValueError, match="^need 0 < m0 <= U0 < inf$"):
+            tune(inf)
+    with pytest.raises(ValueError, match="^L0 must be nonnegative$"):
+        tune_small_loss(10, 4.0, 1000.0, nan)
+    with pytest.raises(ValueError, match="float range"):
+        tune_small_loss(10, 1e-320, 40.0, 0.0)

@@ -7,7 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simplexshare.bounds import tune_fixed_share
+from simplexshare.bounds import (bound_fixed_share, bound_projected,
+                                 bound_shared_weights, bound_time_varying,
+                                 tune_fixed_share)
 from simplexshare.cli import main as cli_main
 from simplexshare.environments import (gen_comparator, gen_losses,
                                        make_adversary, make_rng)
@@ -74,8 +76,7 @@ def test_parse_reports_config_paths():
     cfg["forecaster"] = {"rule": "max_share", "eta": 1.0, "alpha": 0.1}
     cfg["regret"] = {"kind": "adaptive", "tau0": 8}
     del cfg["comparator"]
-    with pytest.raises(ConfigError, match="adaptive"):
-        parse_experiment(cfg)
+    assert parse_experiment(cfg).regret_kind == "adaptive"
     cfg = rotating_best_arm_config()
     cfg["environment"] = {"kind": "iid_bernoulli", "d": 1, "T": 1000,
                           "means": [0.5]}
@@ -85,8 +86,8 @@ def test_parse_reports_config_paths():
     cfg["environment"] = {"kind": "iid_bernoulli", "d": 2, "T": 2,
                           "means": [0.5, 0.5]}
     cfg["regret"] = {"kind": "adaptive", "tau0": 2}
-    with pytest.raises(ConfigError, match="regret.kind: need d >= 2 and T >= 3"):
-        parse_experiment(cfg)
+    del cfg["comparator"]
+    assert not any_failed(run_experiment(parse_experiment(cfg)))
 
 
 def test_unreadable_loss_file_is_a_config_error(tmp_path, capsys):
@@ -495,6 +496,69 @@ def test_adaptive_and_discounted_engine_paths():
     assert not any_failed(run_experiment(discounted_max_share))
 
 
+_ADAPTIVE_RULES = {
+    "fixed_share": {"rule": "fixed_share", "eta": 0.4, "alpha": 0.05},
+    "projected": {"rule": "projected", "eta": 0.4, "alpha": 0.05},
+    "time_varying": {"rule": "time_varying", "schedules": "anytime"},
+    "max_share": {"rule": "max_share", "eta": 0.4, "alpha": 0.05},
+    "decayed_max_share": {"rule": "decayed_max_share", "eta": 0.4,
+                          "alpha": 0.05, "gamma": 0.02},
+    "tuned": None,  # tuned fixed share with caps m0 = 1, U0 = tau0
+}
+
+
+def _rule_bound(spec, traj, row, window):
+    """The rule's shifting guarantee at the worst window's statistics,
+    by the public bound functions."""
+    fc, rule, (T, d) = spec.forecaster, spec.forecaster.rule, traj.losses.shape
+    u1 = float(window[0])
+    if rule.variant == "fixed_share":
+        return bound_fixed_share(d, fc.eta, rule.alpha, row.m, row.U_sum, u1)
+    if rule.variant == "projected":
+        return bound_projected(d, fc.eta, rule.alpha, row.m, row.U_sum, u1)
+    if rule.variant == "time_varying":
+        return bound_time_varying(d, T, traj.etas, traj.alphas, row.m, window)
+    C, Z = ((1.0, float(min(d, T))) if rule.variant == "max_share" else
+            (math.exp(rule.gamma), min(float(d), 1.0 / rule.gamma)))
+    return bound_shared_weights(d, T, fc.eta, rule.alpha, row.m, row.n,
+                                row.U_sum, C=C, Z_max=Z, u1_norm=u1)
+
+
+@pytest.mark.parametrize("rule", sorted(_ADAPTIVE_RULES))
+def test_adaptive_rows_take_their_rules_bound_at_the_window(rule):
+    # an adaptive row is the shifting regret against its worst window
+    # (one arm over rounds r..s), and its bound is the rule's shifting
+    # guarantee there: m + ||u_1||_1 = 1 and U_sum = s - r + 1 <= tau0
+    starts = set()
+    for env, tau0 in (({"kind": "adversarial_flip", "d": 3, "T": 60,
+                        "seed": 4}, 60),
+                      (_piecewise_env(5, 90, 3), 30),
+                      (_piecewise_env(5, 90, 3), 90),
+                      ({"kind": "iid_bernoulli", "d": 4, "T": 40, "seed": 2,
+                        "means": [0.0, 1.0, 1.0, 1.0]}, 10)):
+        spec = parse_experiment({"environment": env,
+                                 "forecaster": _ADAPTIVE_RULES[rule] or {
+                                     "rule": "fixed_share",
+                                     "tune": {"m0": 1, "U0": tau0}},
+                                 "regret": {"kind": "adaptive", "tau0": tau0},
+                                 "repetitions": 2})
+        reports = run_experiment(spec)
+        assert not any_failed(reports)
+        for rep, row in enumerate(reports[:-1]):
+            traj = _trajectory(spec, rep)
+            regret, r, s, _ = adaptive_regret_details(traj, traj.losses, tau0)
+            window = np.zeros(traj.T)
+            window[r - 1:s] = 1.0
+            starts.add(r == 1)
+            assert row.regret == regret
+            assert (row.m + window[0], row.U_sum) == (1.0, s - r + 1)
+            if rule == "tuned":
+                assert row.bound == spec.forecaster.tuned.bound
+            else:
+                assert row.bound == _rule_bound(spec, traj, row, window)
+    assert starts == {True, False}
+
+
 def test_max_share_engine_bound_path():
     lengths = [10] * 10
     means = []
@@ -613,6 +677,24 @@ _BOUNDARY_CALLS = [
     "bound anytime-adaptive --d 2 --T 3", "bound anytime-adaptive --d 2 --T 2",
     "tune --d 2 --m0 1 --U0 1", "tune --d 2 --m0 1 --U0 1 --L0 0",
     "tune --d 2 --m0 0 --U0 1",
+    # non-finite flags
+    "bound decayed-max-share --d 10 --T 100 --eta 1 --alpha 0.1 --m0 1 "
+    "--n0 inf",
+    "bound decayed-max-share --d 3 --T 50 --eta 0.5 --alpha 0.1 --m0 2 "
+    "--n0 1e308",
+    "bound decayed-max-share --d 3 --T 50 --eta 0.5 --alpha 0.1 --m0 2 "
+    "--n0 1e-5",
+    "bound max-share --d 10 --T 100 --eta 1 --alpha 0.1 --m 1 --n inf",
+    "bound shared-weights --d 20 --T 100 --eta 2 --alpha 0.09 --m 9 --n inf "
+    "--U-sum 100 --C 1 --Z-max 20",
+    "bound shared-weights --d 1 --T 100 --eta 2 --alpha 0.09 --m 9 --n 2 "
+    "--U-sum 100 --C inf --Z-max 1 --u1-norm 0",
+    "bound projected --d 3 --eta inf --alpha 0.1 --m 0 --U-sum 0 --u1-norm 0",
+    "bound fixed-share --d 3 --eta 0.5 --alpha 0 --m 0 --U-sum inf",
+    "tune --d 10 --m0 4 --U0 inf", "tune --d 10 --m0 inf --U0 inf",
+    "tune --d 10 --m0 4 --U0 1000 --L0 nan",
+    "tune --d 10 --m0 1e-320 --U0 40 --L0 0",
+    "bound small-loss --d 10 --m0 4 --U0 1000 --L0 nan",
 ]
 
 
@@ -652,6 +734,15 @@ def test_boundary_alpha_certifies_with_an_infinite_bound(tmp_path, capsys,
     assert cli_main(["certify", str(path)]) == 0
     out, err = capsys.readouterr()
     assert "min_bound=inf verdict=pass" in out and err == ""
+
+
+def test_a_decay_beyond_the_float_range_certifies_with_an_infinite_bound():
+    # C = e^gamma overflows at gamma = 1000: certify raised OverflowError
+    # after the run; the guarantee's limit is +inf
+    cfg = _boundary_alpha_config("decayed_max_share", 0.1)
+    cfg["forecaster"]["gamma"] = 1000.0
+    reports = run_experiment(parse_experiment(cfg))
+    assert all(r.bound == math.inf and r.verdict == "pass" for r in reports)
 
 
 def test_cli_certify_exit_codes(tmp_path, capsys):
@@ -822,15 +913,19 @@ def _oracle_configs(floats):
 _ORACLE_CASES = sorted(_oracle_configs({}))
 
 
+def _trajectory(spec, rep):
+    """Repetition ``rep`` of the config, run alone with its record."""
+    env, fc = spec.environment, spec.forecaster
+    if env.kind == "adversarial_flip":
+        return run_forecaster(fc.rule, fc.eta, make_adversary(env, stream=rep),
+                              d=env.d, horizon=env.T)
+    return run_forecaster(fc.rule, fc.eta, gen_losses(env, stream=rep))
+
+
 def _dense_row(spec, rep):
     """(regret, m, n, U_sum, L_sum) of one repetition by the public
     functions, with the comparator as a dense (T, d) matrix."""
-    env, fc = spec.environment, spec.forecaster
-    if env.kind == "adversarial_flip":
-        traj = run_forecaster(fc.rule, fc.eta, make_adversary(env, stream=rep),
-                              d=env.d, horizon=env.T)
-    else:
-        traj = run_forecaster(fc.rule, fc.eta, gen_losses(env, stream=rep))
+    traj = _trajectory(spec, rep)
     l, T, d = traj.losses, traj.T, traj.d
     if spec.regret_kind == "shifting":
         u = gen_comparator(spec.comparator, d, T, losses=l)
