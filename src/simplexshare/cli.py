@@ -59,7 +59,8 @@ def _cmd_project(args) -> int:
 
 
 # (guarantee, its flags in order; "=1" marks a flag defaulting to 1.0, a
-# bare "=" one defaulting to None).  d, T and tau0 are integers, others floats.
+# bare "=" one defaulting to None).  INTEGERS are integers, others floats.
+INTEGERS = ("d", "T", "tau0")
 TUNE = (lambda d, m0, U0, L0: bnd.tune_fixed_share(d, m0, U0) if L0 is None
         else bnd.tune_small_loss(d, m0, U0, L0), "d m0 U0 L0=")
 BOUND_FAMILIES = {
@@ -78,8 +79,11 @@ BOUND_FAMILIES = {
 def _cmd_guarantee(args) -> int:
     """Print a float bare, a result with named fields as name=value."""
     guarantee, flags = args.guarantee
-    value = guarantee(*(getattr(args, flag.partition("=")[0])
-                        for flag in flags.split()))
+    names = [flag.partition("=")[0] for flag in flags.split()]
+    for name in INTEGERS:  # the guarantees compute in floats
+        if name in names and not abs(getattr(args, name)) <= sys.float_info.max:
+            raise ValueError(f"--{name}: beyond the float range")
+    value = guarantee(*(getattr(args, name) for name in names))
     if isinstance(value, tuple):  # a NamedTuple
         for name, x in zip(value._fields, value):
             print(f"{name}={_fmt(x)}")
@@ -93,7 +97,7 @@ def _add_guarantee(parser, entry) -> None:
         name, marked, default = flag.partition("=")
         parser.add_argument(
             f"--{name.replace('_', '-')}", dest=name, required=not marked,
-            type=int if name in ("d", "T", "tau0") else float,
+            type=int if name in INTEGERS else float,
             default=float(default) if default else None)
     parser.set_defaults(func=_cmd_guarantee, guarantee=entry)
 

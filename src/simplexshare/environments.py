@@ -11,6 +11,8 @@ parser can report it under the field's config path.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import numbers
 import os
 from dataclasses import dataclass, field
@@ -18,7 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .forecasters import LossRows, _one_run
 from .regret_eval import Segment, _rows, as_discounts
+
+
+INDEX_MAX = int(np.iinfo(np.intp).max)
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -92,12 +98,15 @@ class EnvironmentSpec:
         if not isinstance(self.kind, str) or self.kind not in self.KINDS:
             raise ValueError(f"kind: unknown kind {self.kind!r}")
         min_d = 0 if self.kind == "from_file" else 1
-        for name, least in (("d", min_d), ("T", 0), ("seed", 0)):
+        for name, least, most in (("d", min_d, INDEX_MAX), ("T", 0, INDEX_MAX),
+                                  ("seed", 0, None)):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name}: expected an integer")
             if value < least:
                 raise ValueError(f"{name}: must be >= {least}")
+            if most is not None and value > most:  # numpy's index range
+                raise ValueError(f"{name}: must be <= {most}")
         if self.kind == "from_file":
             if not isinstance(self.path, (str, os.PathLike)):
                 raise ValueError("path: expected a file path")
@@ -117,7 +126,8 @@ class EnvironmentSpec:
 
 
 def gen_losses(spec: EnvironmentSpec, stream: int = 0) -> np.ndarray:
-    """Generate the (T, d) loss matrix for an offline environment kind.
+    """Generate the (T, d) loss matrix for an offline environment kind:
+    stream ``stream`` of ``loss_rows``, read in one block.
 
     The adaptive adversary cannot be pre-generated; use
     ``make_adversary`` for it.
@@ -126,28 +136,73 @@ def gen_losses(spec: EnvironmentSpec, stream: int = 0) -> np.ndarray:
         raise ValueError("adversarial_flip is adaptive; use make_adversary")
     if spec.kind == "from_file":
         return load_losses_csv(spec.path, d=spec.d or None, T=spec.T or None)
-    out = np.empty((spec.T, spec.d))
-    _fill_losses(spec, out, stream)
-    return out
+    return DrawnLosses(spec, (stream,)).matrix()
 
 
-def _fill_losses(spec: EnvironmentSpec, out: np.ndarray, stream: int = 0
-                 ) -> None:
-    """Draw a random kind's losses into the C-contiguous (T, d) ``out``:
-    ``random(out=...)`` draws the doubles of ``random(shape)``, and
-    ``less`` writes the 0/1 floats that ``(... < means).astype(float)``
-    gives, so no other T x d array is made."""
-    rng = make_rng(spec.seed, stream)
-    if spec.kind == "iid_bernoulli":
-        segments = [(spec.T, spec.means)]
-    else:  # piecewise_stationary
-        segments = zip(spec.segment_lengths, spec.means)
-    start = 0
-    for length, means in segments:
-        rows = out[start:start + length]
-        rng.random(out=rows)
-        np.less(rows, np.asarray(means, dtype=float), out=rows)
-        start += length
+def loss_rows(spec: EnvironmentSpec, reps: int = 1) -> LossRows:
+    """The losses of ``reps`` runs of ``spec``, run i on stream i, as
+    ``LossRows`` to replay.  A random kind is redrawn on every pass, a
+    loss file is read once and its one matrix serves every run, and the
+    adaptive adversary's runs get empty (R, T, d) rows for the run to
+    record."""
+    if spec.kind == "adversarial_flip":
+        return LossRows(np.empty((reps, spec.T, spec.d)))
+    if spec.kind == "from_file":
+        losses = gen_losses(spec)
+        return LossRows(np.broadcast_to(losses, (reps,) + losses.shape))
+    return DrawnLosses(spec, range(reps))
+
+
+class DrawnLosses(LossRows):
+    """The losses of a random kind, one run per stream, redrawn from
+    ``make_rng(seed, stream)`` on every pass.
+
+    ``random(out=...)`` into consecutive blocks draws the doubles of one
+    ``random((T, d))``, and ``less`` writes the 0/1 floats that
+    ``(... < means).astype(float)`` gives, so every pass and every block
+    size reads the same losses.
+    """
+
+    def __init__(self, spec: EnvironmentSpec, streams):
+        self.spec, self.streams = spec, tuple(streams)
+        self.R, self.T, self.d = len(self.streams), spec.T, spec.d
+        if spec.kind == "iid_bernoulli":
+            lengths, means = [spec.T], [spec.means]
+        else:  # piecewise_stationary
+            lengths, means = spec.segment_lengths, spec.means
+        self._ends = np.cumsum(lengths).tolist()
+        self._segments = [(b - n, b, np.asarray(row, dtype=float))
+                          for n, b, row in zip(lengths, self._ends, means)]
+
+    def _draw(self, rng: np.random.Generator, out: np.ndarray, lo: int
+              ) -> None:
+        """Rounds [lo, lo + len(out)) of one run, into the C-contiguous
+        ``out``; ``rng`` has drawn the rounds before lo."""
+        rng.random(out=out)
+        hi = lo + len(out)
+        first = bisect.bisect_right(self._ends, lo)  # the segment of lo
+        for a, b, means in itertools.islice(self._segments, first, None):
+            if a >= hi:
+                break
+            rows = out[max(a, lo) - lo:min(b, hi) - lo]
+            np.less(rows, means, out=rows)
+
+    def _blocks(self, rows: int):
+        rngs = [make_rng(self.spec.seed, s) for s in self.streams]
+        out = np.empty((self.R, min(rows, self.T), self.d))
+        for lo in range(0, self.T, rows):
+            hi = min(lo + rows, self.T)
+            for rng, run in zip(rngs, out):
+                self._draw(rng, run[:hi - lo], lo)
+            yield lo, hi, out[:, :hi - lo]
+
+    def run(self, i: int) -> "DrawnLosses":
+        return DrawnLosses(self.spec, self.streams[i:i + 1])
+
+    def matrix(self) -> np.ndarray:
+        out = np.empty((self.T, self.d))
+        self._draw(make_rng(self.spec.seed, self.streams[0]), out, 0)
+        return out
 
 
 class AdversarialFlip:
@@ -259,16 +314,49 @@ def check_comparator(spec: ComparatorSpec, d: int, T: int) -> None:
             raise ValueError("vectors: expected a nonnegative (T, d) matrix")
 
 
-def hindsight_segment_corners(losses: np.ndarray, segment_lengths) -> list[int]:
-    """Best arm per segment in hindsight (summed losses argmin)."""
-    lengths = [int(x) for x in segment_lengths]
-    if sum(lengths) != losses.shape[0]:
+class SegmentCorners:
+    """Best arm per segment in hindsight (summed losses argmin) of R runs,
+    summed as their blocks pass: ``add(lo, hi, rows)`` takes rounds
+    [lo, hi) as an (R, hi - lo, d) array, in round order, and
+    ``corners[i]`` holds run i's corners once every round is added.
+
+    A segment's column sums are carried across blocks in the order of
+    ``losses[a:b].sum(axis=0)``, which adds the rows in turn for d >= 2:
+    the carried sum joins the block's first row.  (At d = 1 that sum is
+    pairwise, but one arm is the corner whatever its sum.)  An empty
+    segment's corner is 0.
+    """
+
+    def __init__(self, segment_lengths, R: int):
+        self._ends = np.cumsum([int(x) for x in segment_lengths]).tolist()
+        self.corners = np.zeros((R, len(self._ends)), dtype=int)
+        self._k, self._total = 0, None  # the open segment and its sums
+
+    def add(self, lo: int, hi: int, rows: np.ndarray) -> None:
+        x = lo
+        while x < hi:
+            y = min(hi, self._ends[self._k])
+            part = rows[:, x - lo:y - lo]
+            if self._total is not None:
+                part = part.copy()
+                part[:, 0] += self._total
+            self._total = part.sum(axis=1)
+            if y == self._ends[self._k]:
+                self.corners[:, self._k] = np.argmin(self._total, axis=1)
+                self._k, self._total = self._k + 1, None
+            x = y
+
+
+def hindsight_segment_corners(losses, segment_lengths) -> list[int]:
+    """Best arm per segment in hindsight (summed losses argmin) of a
+    (T, d) matrix or one run's ``LossRows``, read in one pass."""
+    rows = _one_run(losses)
+    if sum(int(x) for x in segment_lengths) != rows.T:
         raise ValueError("segment_lengths must sum to T")
-    corners, start = [], 0
-    for length in lengths:
-        corners.append(int(np.argmin(losses[start:start + length].sum(axis=0))))
-        start += length
-    return corners
+    corners = SegmentCorners(segment_lengths, 1)
+    for block in rows.blocks():
+        corners.add(*block)
+    return corners.corners[0].tolist()
 
 
 def gen_comparator(spec: ComparatorSpec, d: int, T: int,
@@ -277,17 +365,19 @@ def gen_comparator(spec: ComparatorSpec, d: int, T: int,
     ``comparator_segments``.
 
     Kinds with hindsight defaults (piecewise_corner without explicit
-    corners, discounted without an explicit corner) need the loss matrix.
+    corners, discounted without an explicit corner) need the losses.
     """
     check_comparator(spec, d, T)
     return _rows(comparator_segments(spec, d, T, losses), 0, T, d)
 
 
-def comparator_segments(spec: ComparatorSpec, d: int, T: int,
-                        losses: np.ndarray | None) -> list[Segment]:
+def comparator_segments(spec: ComparatorSpec, d: int, T: int, losses
+                        ) -> list[Segment]:
     """The comparator of a checked spec as ``regret_eval.Segment`` rows;
     ``scaled_arbitrary`` is one block of T rows.  Hindsight corners come
-    from ``losses``."""
+    from ``losses``, a (T, d) matrix or one run's ``LossRows``: segment
+    corners from one pass, a discounted corner from the whole matrix,
+    as ``betas @ losses`` needs all T rows."""
     if spec.kind == "scaled_arbitrary":
         return [Segment(0, T, np.ascontiguousarray(spec.vectors, dtype=float))]
     if spec.kind == "adaptive_window":
@@ -299,7 +389,7 @@ def comparator_segments(spec: ComparatorSpec, d: int, T: int,
         if corner is None:
             if losses is None:
                 raise ValueError("hindsight corner needs the loss matrix")
-            corner = int(np.argmin(betas @ losses))
+            corner = int(np.argmin(betas @ _one_run(losses).matrix()))
         return [Segment(0, T, corner, betas)]
     corners = spec.corners
     if corners is None:

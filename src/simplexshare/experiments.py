@@ -17,8 +17,14 @@ alone.
 
 All repetitions of a config run as one lockstep batch, and each row is
 bit for bit the row its repetition would give alone.  The batch keeps
-its losses and realized losses, not the forecaster's T x d record, and
-a comparator is a few ``regret_eval.Segment`` rows.
+realized losses, not the forecaster's T x d record, and a comparator is
+a few ``regret_eval.Segment`` rows.  The losses are replayed from
+``environments.loss_rows`` a block at a time, so what a run holds
+besides them is O(R 2^15 + R T + k d).  Of the losses themselves, a
+drawn kind holds nothing (it is redrawn on each pass), a loss file its
+one matrix and the adversary the R x T x d rows it recorded; an
+adaptive or discounted row reads one repetition's T x d matrix at a
+time.
 """
 
 from __future__ import annotations
@@ -32,10 +38,11 @@ from dataclasses import astuple, dataclass, field, fields, replace
 import numpy as np
 
 from . import bounds as bnd
-from .environments import (ComparatorSpec, EnvironmentSpec, _fill_losses,
-                           check_comparator, comparator_segments, gen_losses,
-                           linear_down_discounts, linear_up_discounts,
-                           load_losses_csv, make_adversary)
+from .environments import (INDEX_MAX, ComparatorSpec, EnvironmentSpec,
+                           SegmentCorners, check_comparator,
+                           comparator_segments, linear_down_discounts,
+                           linear_up_discounts, load_losses_csv, loss_rows,
+                           make_adversary)
 from .forecasters import MixingRule, RealizedRun, _run_realized
 from .regret_eval import (Segment, _adaptive_details, _discounted_details,
                           as_discounts, comparator_stats)
@@ -70,6 +77,8 @@ def _integer(value, path, minimum=None):
         raise ConfigError(f"{path}: expected an integer")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}")
+    if value > INDEX_MAX:
+        raise ConfigError(f"{path}: must be <= {INDEX_MAX}")
     return value
 
 
@@ -312,7 +321,7 @@ def _bound(fc: ForecasterConfig, run: RealizedRun, masses: np.ndarray,
     up to the verdict slack.
     """
     rule = fc.rule
-    d, T = run.losses.shape[-1], run.T
+    d, T = run.source.d, run.source.T
     u1_norm = float(masses[0])
     if rule.variant == "fixed_share" and fc.tuned is not None:
         realized = {"m0": m + u1_norm, "U0": U_sum, "L0": L_sum}
@@ -333,43 +342,46 @@ def _bound(fc: ForecasterConfig, run: RealizedRun, masses: np.ndarray,
                                     C=C, Z_max=Z_max, u1_norm=u1_norm)
 
 
-def _run_batch(spec: ExperimentSpec) -> RealizedRun:
-    """All repetitions of the run, stepped in lockstep.
+def _run_batch(spec: ExperimentSpec, each_block=None) -> RealizedRun:
+    """All repetitions of the run, stepped in lockstep over one pass of
+    their losses (``environments.loss_rows``), which ``each_block`` (as
+    in ``_run_realized``) also reads.
 
-    Repetition i uses stream i: its own loss stream, drawn straight into
-    its row of the batch, or its own adversary (one generator per stream)
-    for adaptive environments.  A loss file is read once and replayed in
-    every repetition.
+    Repetition i uses stream i: its own loss stream, or its own adversary
+    (one generator per stream) for adaptive environments.  A loss file is
+    read once and replayed in every repetition.
     """
-    env = spec.environment
-    fc = spec.forecaster
-    reps = spec.repetitions
+    env, fc, reps = spec.environment, spec.forecaster, spec.repetitions
+    adversaries = None
     if env.kind == "adversarial_flip":
         adversaries = [make_adversary(env, stream=rep) for rep in range(reps)]
-        return _run_realized(fc.rule, fc.eta, adversaries, d=env.d,
-                             horizon=env.T)
-    losses = np.empty((reps, env.T, env.d))
-    if env.kind == "from_file":
-        losses[:] = gen_losses(env)  # one file: the same stream for every rep
-    else:
-        for rep in range(reps):
-            _fill_losses(env, losses[rep], stream=rep)
-    return _run_realized(fc.rule, fc.eta, losses)
+    return _run_realized(fc.rule, fc.eta, loss_rows(env, reps), adversaries,
+                         each_block)
 
 
 def _evaluate(spec: ExperimentSpec, run: RealizedRun, rep: int,
-              shared_ms: float) -> RegretReport:
+              shared_ms: float, comparator: ComparatorSpec | None
+              ) -> RegretReport:
     """The report row of one repetition; ``shared_ms`` is its share of
-    the batched generation, forecaster and realized-loss time."""
+    the batched generation, forecaster and realized-loss time, and
+    ``comparator`` its shifting comparator.
+
+    A shifting row replays the repetition's losses a block at a time for
+    the comparator's statistics.  The adaptive window scan and the
+    discounted arm totals need all T rows at once, so those rows read the
+    repetition's (T, d) matrix.
+    """
     start = time.perf_counter()
-    losses, realized = run.losses[rep], run.realized[rep]
-    T, d = losses.shape
+    losses, realized = run.source.run(rep), run.realized[rep]
+    T, d = run.source.T, run.source.d
     if spec.regret_kind == "shifting":
-        u = comparator_segments(spec.comparator, d, T, losses)
+        u = comparator_segments(comparator, d, T, losses)
     elif spec.regret_kind == "adaptive":
+        losses = losses.matrix()
         regret, r, s, arm = _adaptive_details(realized, losses, spec.tau0)
         u = [Segment(r - 1, s, arm)]
     else:  # discounted: the maximizing discounted corner
+        losses = losses.matrix()
         regret, arm = _discounted_details(realized, losses, spec.betas)
         u = [Segment(0, T, arm, spec.betas)]
     masses, m, n, U_sum, L_sum = comparator_stats(u, losses)
@@ -390,13 +402,21 @@ def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
     standard rule, so a passing summary is conservative.  Its
     ``wall_ms`` is the elapsed time of this call; a repetition's is its
     own evaluation time plus 1/R of the batched generation, forecaster
-    and realized-loss time.
+    and realized-loss time.  Hindsight segment corners are summed as the
+    run's blocks pass, so evaluation need not replay the losses for them.
     """
     start = time.perf_counter()
-    batch = _run_batch(spec)
-    shared_ms = (time.perf_counter() - start) * 1e3 / spec.repetitions
-    reports = [_evaluate(spec, batch, rep, shared_ms)
-               for rep in range(spec.repetitions)]
+    comparator, reps, hindsight = spec.comparator, spec.repetitions, None
+    if (comparator is not None and comparator.kind == "piecewise_corner"
+            and comparator.corners is None):
+        hindsight = SegmentCorners(comparator.segment_lengths, reps)
+    batch = _run_batch(spec, None if hindsight is None else hindsight.add)
+    comparators = ([comparator] * reps if hindsight is None else
+                   [replace(comparator, corners=corners.tolist())
+                    for corners in hindsight.corners])
+    shared_ms = (time.perf_counter() - start) * 1e3 / reps
+    reports = [_evaluate(spec, batch, rep, shared_ms, comparators[rep])
+               for rep in range(reps)]
     worst = {key: max(getattr(r, key) for r in reports)
              for key in ("regret", "m", "n", "U_sum", "L_sum")}
     reports.append(replace(reports[0], run_id="summary", **worst,

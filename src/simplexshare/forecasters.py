@@ -386,6 +386,44 @@ def _block_rows(d: int) -> int:
     return max(1, (1 << 15) // d)
 
 
+class LossRows:
+    """Replayable losses of R runs over T rounds of d actions.
+
+    ``blocks()`` is one pass over the rounds in order: it yields
+    ``(lo, hi, rows)``, ``rows`` being rounds [lo, hi) of every run as an
+    (R, hi - lo, d) array that stays valid until the next block is read.
+    Blocks have ``_block_rows(d)`` rows unless asked otherwise, so a pass
+    holds at most 2^15 entries per run.  ``run(i)`` is run i alone and
+    ``matrix()`` a one-run source's (T, d) losses.  This class reads an
+    (R, T, d) array, which may broadcast one (T, d) matrix to every run.
+    """
+
+    def __init__(self, losses: np.ndarray):
+        self.losses = losses
+        self.R, self.T, self.d = losses.shape
+
+    def blocks(self, rows: int | None = None):
+        return self._blocks(rows or _block_rows(self.d))
+
+    def _blocks(self, rows: int):
+        for lo in range(0, self.T, rows):
+            yield lo, min(lo + rows, self.T), self.losses[:, lo:lo + rows]
+
+    def run(self, i: int) -> "LossRows":
+        return LossRows(self.losses[i:i + 1])
+
+    def matrix(self) -> np.ndarray:
+        return self.losses[0]
+
+
+def _one_run(losses) -> LossRows:
+    """One run's losses as ``LossRows``: the rows themselves, or a (T, d)
+    matrix."""
+    if isinstance(losses, LossRows):
+        return losses
+    return LossRows(np.asarray(losses, dtype=float)[None])
+
+
 def _played_losses(log_p: np.ndarray, losses: np.ndarray) -> np.ndarray:
     """p_t . l_t of (T, d) log-weight rows and their loss rows, formed in
     blocks of ``_block_rows(d)`` rows: the one p_t . l_t of the library."""
@@ -491,58 +529,63 @@ class Trajectory:
         return replace(self, log_p=self.log_p[i], losses=self.losses[i])
 
 
-def _rounds(state: ForecasterState, loss: np.ndarray, adversaries,
+def _rounds(state: ForecasterState, source: LossRows, adversaries,
             etas: np.ndarray, alphas: np.ndarray, record: np.ndarray,
-            block: int, done=None) -> None:
-    """Step ``state`` through the rounds of ``loss`` ((R, T, d); row t is
-    filled in round t by ``adversaries``, if given), storing each round's
-    (eta_t, alpha_t) and writing log p_1..log p_{T+1} into ``record``.
+            rows: int, done=None) -> None:
+    """Step ``state`` through the rounds of ``source``, one pass read in
+    blocks of ``rows`` rounds, storing each round's (eta_t, alpha_t) and
+    writing log p_1..log p_{T+1} into ``record``.
 
-    Rounds run in blocks of ``block``.  Without ``done``, ``record`` is
-    the whole (R, T+1, d) record.  With it, ``record`` is a ring of
-    block + 1 rows: after rounds [lo, hi) it holds log p_lo..log p_hi,
-    ``done(lo, hi, ring[:, :hi - lo])`` reads the rows played, and the
-    last row moves to the front for the next block.
+    Each block is validated before its rounds; with ``adversaries``, row
+    t of a block is written and validated in round t instead.  Without
+    ``done``, ``record`` is the whole (R, T+1, d) record.  With it,
+    ``record`` is a ring of rows + 1 rows: after rounds [lo, hi) it holds
+    log p_lo..log p_hi, ``done(lo, hi, ring[:, :hi - lo], block)`` reads
+    the rows played and their losses, and the last row moves to the
+    front for the next block.
     """
-    R, T, d = loss.shape
+    R, T, d = source.R, source.T, source.d
     record[:, 0] = state.log_p
     constant = state.rule.variant != "time_varying"
     if constant:  # one (eta, alpha) for every round
         etas[:], alphas[:] = eta_t, alpha_t = state.round_params()
-    # A constant eta times the loss is formed ahead in round-major blocks
+    # A constant eta times the loss is formed ahead in round-major chunks
     # of at most 2^14 entries; varying rates and adversaries take a round.
     step = max(1, 16384 // (R * d)) if constant and not adversaries else 1
-    scaled = np.empty((min(step, T), R, d))
+    scaled = np.empty((min(step, rows, T), R, d))
     k = 0
-    for lo in range(0, T, block):
+    for lo, hi, loss in source.blocks(rows):
+        if adversaries is None:
+            _check_loss_entries(loss)
         off = lo - 1 if done is not None else -1  # record row of p_{t+1}
-        for t in range(lo, min(lo + block, T)):
+        for t in range(lo, hi):
+            i = t - lo  # the round's row of the block
             if adversaries is not None:
                 p_t = state.p
-                for i, adversary in enumerate(adversaries):
-                    row = np.asarray(adversary(t + 1, p_t[i]), dtype=float)
+                for r, adversary in enumerate(adversaries):
+                    row = np.asarray(adversary(t + 1, p_t[r]), dtype=float)
                     if row.shape != (d,):
                         raise ValueError(f"loss has shape {row.shape}, "
                                          f"expected ({d},)")
-                    loss[i, t] = row
-                _check_loss_entries(loss[:, t])
+                    loss[r, i] = row
+                _check_loss_entries(loss[:, i])
             if not constant:
                 etas[t], alphas[t] = eta_t, alpha_t = state.round_params()
-                np.multiply(eta_t, loss[:, t], scaled[0])
-            elif (k := t % step) == 0:
-                np.multiply(eta_t, loss[:, t:t + step].swapaxes(0, 1),
-                            scaled[:T - t])
+                np.multiply(eta_t, loss[:, i], scaled[0])
+            elif (k := i % step) == 0:
+                np.multiply(eta_t, loss[:, i:i + step].swapaxes(0, 1),
+                            scaled[:hi - t])
             state._advance(scaled[k], eta_t, alpha_t, record[:, t - off])
         if done is not None:
-            hi = min(lo + block, T)
-            done(lo, hi, record[:, :hi - lo])
+            done(lo, hi, record[:, :hi - lo], loss)
             record[:, 0] = record[:, hi - lo]
             state.log_p = record[:, 0]
 
 
 def _start(rule: MixingRule, eta, losses, d, horizon):
-    """The state, the (R, T, d) loss array (empty for adversaries, which
-    fill it), the adversaries or None, and whether the input was one run."""
+    """The state, the losses as ``LossRows`` (empty for adversaries, which
+    fill them), the adversaries or None, and whether the input was one
+    run."""
     adversaries = None
     if callable(losses):
         adversaries = [losses]
@@ -566,12 +609,11 @@ def _start(rule: MixingRule, eta, losses, d, horizon):
             d = loss.shape[-1]
         elif d != loss.shape[-1]:
             raise ValueError("losses do not match the requested dimension")
-        _check_loss_entries(loss)
         single = loss.ndim == 2
         if single:
             loss = loss[None]
     state = ForecasterState(d, rule, eta, reps=loss.shape[0])
-    return state, loss, adversaries, single
+    return state, LossRows(loss), adversaries, single
 
 
 def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
@@ -588,12 +630,13 @@ def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
     each callable's output is validated every round.  ``eta`` is
     ignored by the time_varying rule, whose schedules carry the rates.
     """
-    state, loss, adversaries, single = _start(rule, eta, losses, d, horizon)
-    R, T, d = loss.shape
+    state, source, adversaries, single = _start(rule, eta, losses, d,
+                                                horizon)
+    R, T, d = source.R, source.T, source.d
     log_p = np.empty((R, T + 1, d))
     etas, alphas = np.empty(T), np.empty(T)
-    _rounds(state, loss, adversaries, etas, alphas, log_p, max(T, 1))
-    traj = Trajectory(rule=rule, d=d, T=T, log_p=log_p, losses=loss,
+    _rounds(state, source, adversaries, etas, alphas, log_p, max(T, 1))
+    traj = Trajectory(rule=rule, d=d, T=T, log_p=log_p, losses=source.losses,
                       etas=etas, alphas=alphas)
     return traj.rep(0) if single else traj
 
@@ -601,36 +644,40 @@ def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
 @dataclass
 class RealizedRun:
     """What certifying a batch of R lockstep runs needs from them: the
-    (R, T, d) losses, the (R, T) realized losses p_t . l_t (bit for bit
-    what the regret evaluators form from a ``Trajectory``) and the
-    per-round parameters."""
+    losses ``source`` to replay, the (R, T) realized losses p_t . l_t
+    (bit for bit what the regret evaluators form from a ``Trajectory``)
+    and the per-round parameters."""
 
-    T: int
-    losses: np.ndarray
+    source: LossRows
     realized: np.ndarray
     etas: np.ndarray
     alphas: np.ndarray
 
 
-def _run_realized(rule: MixingRule, eta: float | None, losses, *,
-                  d: int | None = None, horizon: int | None = None
-                  ) -> RealizedRun:
-    """``run_forecaster`` without the record: the rounds go through a ring
-    of at most 2^15 entries per run, and each full block of it becomes
-    realized losses, so a run holds O(2^15 R + R T) besides its losses.
-    One run's input still gives R = 1."""
-    state, loss, adversaries, _ = _start(rule, eta, losses, d, horizon)
-    R, T, d = loss.shape
+def _run_realized(rule: MixingRule, eta: float | None, source: LossRows,
+                  adversaries=None, each_block=None) -> RealizedRun:
+    """``run_forecaster`` over one pass of ``source``, without the record:
+    the rounds read a block of at most 2^15 losses per run before they
+    play it and go through a ring of as many log p entries, and each block
+    becomes realized losses.  So a run holds O(2^15 R + R T) besides what
+    ``source`` keeps: nothing for a drawn kind, the one matrix of a loss
+    file, and the (R, T, d) rows that ``adversaries`` (one per run) write
+    in place.  ``each_block(lo, hi, rows)``, if given, also reads every
+    block once it is played."""
+    R, T, d = source.R, source.T, source.d
     block = _block_rows(d)
+    state = ForecasterState(d, rule, eta, reps=R)
     realized, etas, alphas = np.empty((R, T)), np.empty(T), np.empty(T)
 
-    def done(lo, hi, rows):
+    def done(lo, hi, rows, loss):
         for i in range(R):
-            realized[i, lo:hi] = _played_losses(rows[i], loss[i, lo:hi])
+            realized[i, lo:hi] = _played_losses(rows[i], loss[i])
+        if each_block is not None:
+            each_block(lo, hi, loss)
 
-    _rounds(state, loss, adversaries, etas, alphas,
+    _rounds(state, source, adversaries, etas, alphas,
             np.empty((R, min(block, T) + 1, d)), block, done)
-    return RealizedRun(T=T, losses=loss, realized=realized, etas=etas,
+    return RealizedRun(source=source, realized=realized, etas=etas,
                        alphas=alphas)
 
 
@@ -672,3 +719,4 @@ def small_loss_certificate_slacks(traj: Trajectory, comparators) -> np.ndarray:
     lhs = factor * traj.realized[..., None] - traj.losses @ q.T
     rhs = (log_ratio @ q.T) / eta
     return rhs - lhs
+

@@ -11,12 +11,13 @@ by specific comparator constructions; they get direct evaluators here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .forecasters import Trajectory, _block_rows, _played_losses
+from .forecasters import Trajectory, _one_run, _played_losses
 from .simplex_core import as_nonneg_vector
 
 # Prefix sums switch to compensated summation at this length: window
@@ -102,36 +103,46 @@ def _rows(segs, r0: int, r1: int, d: int) -> np.ndarray:
     return block
 
 
-def comparator_stats(u: list[Segment], losses: np.ndarray
+def comparator_stats(u: list[Segment], losses
                      ) -> tuple[np.ndarray, float, float, float, float]:
     """The row masses ||u_t||_1, m, n, U_sum and L_sum of ``Segment`` rows.
 
-    Beyond the row blocks they take O(T + k d) memory.  Each round's
-    mass, increment and loss u_t . l_t is numpy's sum over its d entries,
-    and m, U_sum and L_sum sum the rounds exactly (``math.fsum``), so they
-    equal the dense functions on ``_rows`` bit for bit: a corner round has
-    one nonzero entry, and other rounds' rows are built and summed.
+    ``losses`` is a (T, d) matrix or one run's ``LossRows``, read in one
+    pass.  Beyond the row blocks they take O(T + k d) memory.  Each
+    round's mass, increment and loss u_t . l_t is numpy's sum over its d
+    entries, and m, U_sum and L_sum sum the rounds exactly
+    (``math.fsum``), so they equal the dense functions on ``_rows`` bit
+    for bit: a corner round has one nonzero entry, and other rounds' rows
+    are built and summed.
     """
-    T, d = losses.shape
+    rows = _one_run(losses)
+    T, d = rows.T, rows.d
     masses, incs, row_losses = np.zeros(T), np.zeros(T), np.zeros(T)
     peaks = np.zeros(d)
-    block = _block_rows(d)
     for a, b, vec, scale in u:
         if isinstance(vec, np.ndarray):
             masses[a:b] = vec.sum(axis=-1)  # as u.sum(axis=1) forms a row's
             np.maximum(peaks, vec.reshape(-1, d).max(axis=0), out=peaks)
             if vec.ndim == 2:
                 incs[a + 1:b] = _increments(vec)
-            for lo in range(a, b, block):
-                hi = min(lo + block, b)
-                row_losses[lo:hi] = np.einsum("td,td->t", _rows(u, lo, hi, d),
-                                              losses[lo:hi])
         else:
             masses[a:b] = 1.0 if scale is None else scale[a:b]
             peaks[vec] = max(peaks[vec], masses[a:b].max())
-            row_losses[a:b] = masses[a:b] * losses[a:b, vec]
             if scale is not None:
                 incs[a + 1:b] = np.maximum(np.diff(scale[a:b]), 0.0)
+    segs, first = sorted(u, key=lambda seg: seg.a), 0
+    for lo, hi, block in rows.blocks():
+        while first < len(segs) and segs[first].b <= lo:
+            first += 1  # segments before the block
+        for a, b, vec, _ in itertools.islice(segs, first, None):
+            if a >= hi:
+                break
+            x, y = max(a, lo), min(b, hi)
+            l = block[0, x - lo:y - lo]
+            if isinstance(vec, np.ndarray):
+                row_losses[x:y] = np.einsum("td,td->t", _rows(u, x, y, d), l)
+            else:
+                row_losses[x:y] = masses[x:y] * l[:, vec]
     for t in {x for a, b, _, _ in u for x in (a, b) if 0 < x < T}:
         before, after = _rows(u, t - 1, t + 1, d)  # rows where segments meet
         incs[t] = np.maximum(after - before, 0.0).sum()

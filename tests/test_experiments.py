@@ -11,8 +11,10 @@ from simplexshare.bounds import (bound_fixed_share, bound_projected,
                                  bound_shared_weights, bound_time_varying,
                                  tune_fixed_share)
 from simplexshare.cli import main as cli_main
+from simplexshare import forecasters
 from simplexshare.environments import (gen_comparator, gen_losses,
-                                       make_adversary, make_rng)
+                                       load_losses_csv, make_adversary,
+                                       make_rng)
 from simplexshare.experiments import (CSV_COLUMNS, ConfigError, VERDICT_SLACK,
                                       _run_batch, any_failed,
                                       parse_experiment, report_rows,
@@ -333,9 +335,17 @@ def test_batched_run_equals_single_runs():
                 single, batched = getattr(traj, name), getattr(batch.rep(rep), name)
                 assert (single is None and batched is None) or np.array_equal(
                     single, batched), (rule.variant, env.kind, rep, name)
-            # the engine keeps only the losses and p_t . l_t of each run,
-            # the p_t . l_t of a trajectory
-            assert np.array_equal(engine.losses[rep], traj.losses)
+            # the engine keeps p_t . l_t of each run, the p_t . l_t of a
+            # trajectory, and losses that replay the run's: a drawn
+            # stream redrawn, an adversary's rows as the run recorded them
+            replayed = engine.source.run(rep)
+            assert np.array_equal(replayed.matrix(), traj.losses)
+            if env.kind != "adversarial_flip":
+                assert np.array_equal(replayed.matrix(),
+                                      gen_losses(env, stream=rep))
+            assert np.array_equal(
+                np.concatenate([b[0] for _, _, b in replayed.blocks()]),
+                traj.losses)
             assert np.array_equal(engine.realized[rep], traj.realized)
         assert np.array_equal(engine.etas, batch.etas)
         assert np.array_equal(engine.alphas, batch.alphas)
@@ -712,6 +722,41 @@ def test_cli_guarantees_at_boundary_inputs(capsys, argv):
         assert not math.isnan(float(line.rpartition("=")[2])), line
 
 
+_HUGE = "1" + "0" * 400  # an integer beyond the float range
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (f"bound projected --d {_HUGE} --eta 1 --alpha 0.1 --m 1 --U-sum 10", "d"),
+    (f"bound fixed-share --d {_HUGE} --eta 1 --alpha 0.1 --m 1 --U-sum 10",
+     "d"),
+    (f"bound adaptive --d 3 --tau0 {_HUGE}", "tau0"),
+    (f"bound adaptive --d {_HUGE} --tau0 3", "d"),
+    (f"bound adaptive --d 3 --tau0 -{_HUGE}", "tau0"),
+    (f"bound small-loss --d {_HUGE} --m0 4 --U0 1000 --L0 10", "d"),
+    (f"bound shared-weights --d {_HUGE} --T 100 --eta 2 --alpha 0.09 --m 9 "
+     "--n 2 --U-sum 100 --C 1 --Z-max 20", "d"),
+    (f"bound shared-weights --d 20 --T {_HUGE} --eta 2 --alpha 0.09 --m 9 "
+     "--n 2 --U-sum 100 --C 1 --Z-max 20", "T"),
+    (f"bound max-share --d {_HUGE} --T 100 --eta 2.56 --alpha 0.09 --m 9 "
+     "--n 2", "d"),
+    (f"bound max-share --d 200 --T {_HUGE} --eta 2.56 --alpha 0.09 --m 9 "
+     "--n 2", "T"),
+    (f"bound decayed-max-share --d {_HUGE} --T 100 --eta 2.56 --alpha 0.09 "
+     "--m0 9 --n0 2", "d"),
+    (f"bound decayed-max-share --d 200 --T {_HUGE} --eta 2.56 --alpha 0.09 "
+     "--m0 9 --n0 2", "T"),
+    (f"bound anytime-adaptive --d {_HUGE} --T 500", "d"),
+    (f"bound anytime-adaptive --d 5 --T {_HUGE}", "T"),
+    (f"tune --d {_HUGE} --m0 4 --U0 1000", "d"),
+], ids=lambda x: x.split(" --")[0])
+def test_cli_integer_flags_beyond_the_float_range_are_errors(capsys, argv,
+                                                            flag):
+    # the guarantees compute in floats: such a flag raised OverflowError
+    assert cli_main(argv.split()) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --{flag}: beyond the float range\n")
+
+
 def _boundary_alpha_config(rule, alpha):
     return {"environment": {"kind": "iid_bernoulli", "d": 3, "T": 50,
                             "seed": 5, "means": [0.2, 0.5, 0.8]},
@@ -772,6 +817,30 @@ def test_cli_config_error_paths(tmp_path, capsys):
     assert "environment.kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [("environment", "T"),
+                                          ("environment", "d"),
+                                          (None, "repetitions")])
+def test_integers_beyond_the_index_range_fail_at_parse_time(tmp_path, capsys,
+                                                            section, key):
+    # numpy raised "Maximum allowed dimension exceeded" (or OverflowError)
+    # midway through the run
+    cfg = {"environment": {"kind": "iid_bernoulli", "d": 2, "T": 5,
+                           "means": [0.2, 0.5]},
+           "forecaster": {"rule": "fixed_share", "eta": 1.0, "alpha": 0.1},
+           "regret": {"kind": "adaptive", "tau0": 2}}
+    (cfg[section] if section else cfg)[key] = 2 ** 63
+    path = f"{section}.{key}" if section else key
+    with pytest.raises(ConfigError, match=rf"^{path}: must be <= "
+                       f"{np.iinfo(np.intp).max}$"):
+        parse_experiment(cfg)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    assert cli_main(["certify", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("csv", [True, "no_such_dir/report.csv"])
 def test_bad_output_csv_fails_at_parse_time(tmp_path, capsys, csv):
     cfg = rotating_best_arm_config()
@@ -808,35 +877,70 @@ _ADAPTIVE = {"environment": _piecewise_env(10, 20_000, 8),
              "forecaster": {"rule": "fixed_share", "eta": 0.3, "alpha": 0.01}}
 
 
-@pytest.mark.parametrize("config, allowance", [
-    ({"environment": _piecewise_env(1000, 2000, 4),
-      "comparator": {"kind": "piecewise_corner", "segment_lengths": [500] * 4},
-      "forecaster": {"rule": "projected", "eta": 0.1, "alpha": 0.01},
-      "regret": {"kind": "shifting"}}, 0.1),
-    ({"environment": _piecewise_env(1000, 2000, 4),
-      "comparator": {"kind": "adaptive_window", "r": 301, "s": 1900,
-                     "q": [(j % 7) / 3500 for j in range(1000)]},
-      "forecaster": {"rule": "projected", "eta": 0.1, "alpha": 0.01},
-      "regret": {"kind": "shifting"}}, 0.1),
-    ({**_ADAPTIVE, "regret": {"kind": "adaptive", "tau0": 5000}}, 1.5),
-    ({**_ADAPTIVE, "regret": {"kind": "adaptive", "tau0": 20_000}}, 1.5),
-    ({**_ADAPTIVE, "regret": {"kind": "discounted", "schedule": "linear_up"}},
-     1.5),
-], ids=["shifting", "window_vector", "adaptive", "adaptive_whole_horizon",
-        "discounted"])
-def test_run_experiment_holds_the_losses_and_small_arrays(config, allowance):
-    # no T x d record or comparator: besides the losses, a run holds a
-    # ring of 2^15 entries, and a d = 10 row its O(T) window-scan arrays
-    spec = parse_experiment(config)
+def _traced_peak(spec):
+    """Peak traced bytes of ``run_experiment(spec)``."""
     make_rng(0)  # numpy imports its generators on first use
     tracemalloc.start()
     try:
         run_experiment(spec)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    losses_nbytes = 8 * spec.environment.T * spec.environment.d
-    assert peak <= (1.0 + allowance) * losses_nbytes
+
+
+def _shifting_budget(R, T):
+    """What a shifting row may hold whatever T * d is: 1 MiB, a loss
+    block and a log p ring of 2^15 entries per run, and 64 bytes per
+    round and run."""
+    return (1 << 20) + R * (2 * 8 * (1 << 15) + 64 * T)
+
+
+@pytest.mark.parametrize("config", [
+    {"environment": _piecewise_env(1000, 2000, 4),
+     "comparator": {"kind": "piecewise_corner", "segment_lengths": [500] * 4},
+     "forecaster": {"rule": "projected", "eta": 0.1, "alpha": 0.01},
+     "regret": {"kind": "shifting"}},
+    {"environment": _piecewise_env(1000, 2000, 4),
+     "comparator": {"kind": "adaptive_window", "r": 301, "s": 1900,
+                    "q": [(j % 7) / 3500 for j in range(1000)]},
+     "forecaster": {"rule": "projected", "eta": 0.1, "alpha": 0.01},
+     "regret": {"kind": "shifting"}},
+    {**_ADAPTIVE, "regret": {"kind": "adaptive", "tau0": 5000}},
+    {**_ADAPTIVE, "regret": {"kind": "adaptive", "tau0": 20_000}},
+    {**_ADAPTIVE, "regret": {"kind": "discounted", "schedule": "linear_up"}},
+], ids=["shifting", "window_vector", "adaptive", "adaptive_whole_horizon",
+        "discounted"])
+def test_run_experiment_holds_the_losses_and_small_arrays(config):
+    # no T x d record, comparator or loss batch: a shifting row replays
+    # its losses in blocks (16 MB of them per run here), and an adaptive
+    # or discounted row holds one repetition's losses and its O(T)
+    # window-scan arrays: twelve T-vectors and two per run
+    spec = parse_experiment({**config, "repetitions": 2})
+    R, T, d = 2, spec.environment.T, spec.environment.d
+    peak = _traced_peak(spec)
+    if spec.regret_kind == "shifting":
+        assert peak <= _shifting_budget(R, T)
+    else:
+        assert peak <= 8 * T * d + (96 + 16 * R) * T
+
+
+def test_a_loss_file_is_held_once_for_every_repetition(tmp_path):
+    # what the run holds beyond loading the file is a shifting row's
+    # budget: one matrix serves all three repetitions
+    env = _file_env(tmp_path, 1000, 300, 5)
+    spec = parse_experiment({
+        "environment": env,
+        "comparator": {"kind": "piecewise_corner",
+                       "segment_lengths": [100] * 3},
+        "forecaster": {"rule": "fixed_share", "eta": 0.3, "alpha": 0.01},
+        "regret": {"kind": "shifting"}, "repetitions": 3})
+    tracemalloc.start()
+    try:
+        load_losses_csv(env["path"], 1000, 300)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _traced_peak(spec) <= load_peak + _shifting_budget(3, 300)
 
 
 def _file_env(tmp_path, d, T, seed):
@@ -952,6 +1056,21 @@ def test_engine_rows_equal_the_dense_path_bit_for_bit(tmp_path, case):
         row = reports[rep]
         assert (row.regret, row.m, row.n, row.U_sum, row.L_sum) == \
             _dense_row(spec, rep), (case, rep)
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_rows_do_not_depend_on_the_block_size(tmp_path, monkeypatch, case):
+    # blocks of 1 and 7 rounds put segment boundaries, the 2^14-entry
+    # chunks of eta * loss and the carried hindsight sums inside and
+    # across blocks; the default is one block of all T rounds here
+    floats = _file_env(tmp_path, 7, 1500, 62)
+    spec = parse_experiment({**_oracle_configs(floats)[case],
+                             "repetitions": 2})
+    default = report_rows(run_experiment(spec), include_timing=False)
+    for rows in (1, 7):
+        monkeypatch.setattr(forecasters, "_block_rows", lambda d: rows)
+        assert report_rows(run_experiment(spec), include_timing=False) == \
+            default, rows
 
 
 _GOLDEN = pathlib.Path(__file__).parent / "data" / "benchmark_set0"
