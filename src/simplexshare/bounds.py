@@ -12,8 +12,7 @@ a realized regret against the returned number.  Conventions:
 Terms coefficient * ln(num / den) are 0 at a zero coefficient or
 num = den and +inf at den = 0, so boundary parameters evaluate to their
 limits instead of raising or giving nan: alpha = 0 with m > 0, say,
-gives +inf.  Fixed share is the shared-weights guarantee with w = 1
-(C = 1, Z = d).
+gives +inf.  Parameters pass ``simplex_core``'s checkers.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .simplex_core import binary_entropy
+from .simplex_core import (_check_alpha, _check_eta, _check_gamma,
+                           _check_schedule_step, binary_entropy)
 
 
 class TuneResult(NamedTuple):
@@ -46,10 +46,8 @@ def _check_common(d: int, eta: float, alpha: float, m: float, U_sum: float,
                   u1_norm: float) -> None:
     if not d >= 1:
         raise ValueError("need d >= 1")
-    if not 0.0 < eta < math.inf:
-        raise ValueError("eta must be positive and finite")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
+    _check_eta(eta)
+    _check_alpha(alpha)
     if not (m >= 0.0 and U_sum >= 0.0 and u1_norm >= 0.0):
         raise ValueError("m, U_sum, and u1_norm must be nonnegative")
     if u1_norm > U_sum + 1e-12:
@@ -79,19 +77,16 @@ def fixed_share_envelope(d: int, m0: float, U0: float, eta: float,
     regularity mass at most m0 and total mass at most U0."""
     if not 0.0 < m0 <= U0:
         raise ValueError("need 0 < m0 <= U0")
-    if not eta > 0.0 or not 0.0 < alpha <= 1.0:
-        raise ValueError("need eta > 0 and alpha in (0, 1]")
+    _check_eta(eta)
+    _check_alpha(alpha)
     mix_cost = _coef_log(m0, 1.0, alpha) + _coef_log(U0 - m0, 1.0, 1.0 - alpha)
     return (m0 * math.log(d) + mix_cost) / eta + eta * U0 / 8.0
 
 
 def tune_fixed_share(d: int, m0: float, U0: float) -> TuneResult:
-    """Optimal (eta, alpha) for fixed share given caps m0 and U0.
-
-    alpha* = m0/U0 and eta* = sqrt(8 B / U0) with
-    B = m0 ln d + U0 h(m0/U0); the resulting guarantee is
-    sqrt(U0 B / 2).
-    """
+    """Optimal (eta, alpha) for fixed share given caps m0 and U0:
+    alpha* = m0/U0 and eta* = sqrt(8 B / U0) with B = m0 ln d
+    + U0 h(m0/U0), for the guarantee sqrt(U0 B / 2)."""
     if not 0.0 < m0 <= U0 < math.inf:
         raise ValueError("need 0 < m0 <= U0 < inf")
     if d < 2:
@@ -108,13 +103,10 @@ class AdaptiveBound(NamedTuple):
 
 
 def bound_adaptive(d: int, tau0: int) -> AdaptiveBound:
-    """Guarantee on the best-window regret of the tuned fixed share.
-
-    Returns the exact form sqrt(tau0/2 (tau0 h(1/tau0) + ln d)), the
-    fixed-share tuning's guarantee at caps m0 = 1, U0 = tau0, and the
-    relaxed form sqrt(tau0/2 ln(e d tau0)); the exact form never exceeds
-    the relaxed one.
-    """
+    """Guarantee on the best-window regret of the tuned fixed share: the
+    exact form sqrt(tau0/2 (tau0 h(1/tau0) + ln d)), the fixed-share
+    tuning's guarantee at caps m0 = 1, U0 = tau0, and the relaxed form
+    sqrt(tau0/2 ln(e d tau0)), which the exact form never exceeds."""
     if tau0 < 1:
         raise ValueError("tau0 must be >= 1")
     return AdaptiveBound(tune_fixed_share(d, 1.0, float(tau0)).bound,
@@ -122,14 +114,11 @@ def bound_adaptive(d: int, tau0: int) -> AdaptiveBound:
 
 
 def tune_small_loss(d: int, m0: float, U0: float, L0: float) -> TuneResult:
-    """Tuning and guarantee scaling with the comparator's loss cap L0.
-
-    The guarantee is sqrt(L0 m0 B') + B' with
-    B' = ln d + ln(e U0 / m0).  The tuning follows the standard
-    small-loss recipe eta* = ln(1 + sqrt(2 m0 B' / L0)), alpha* = m0/U0;
-    at L0 = 0 the rate degenerates to +inf (follow the leader) and only
-    the returned bound value remains meaningful.
-    """
+    """Tuning and guarantee scaling with the comparator's loss cap L0: the
+    guarantee is sqrt(L0 m0 B') + B' with B' = ln d + ln(e U0 / m0), and
+    the small-loss recipe eta* = ln(1 + sqrt(2 m0 B' / L0)), alpha* = m0/U0
+    tunes it.  At L0 = 0 the rate degenerates to +inf (follow the leader)
+    and only the returned bound value remains meaningful."""
     if not 0.0 < m0 <= U0 < math.inf:
         raise ValueError("need 0 < m0 <= U0 < inf")
     if not L0 >= 0.0:
@@ -176,28 +165,26 @@ def bound_shared_weights(d: int, T: int, eta: float, alpha: float, m: float,
 
 def bound_max_share(d: int, T: int, eta: float, alpha: float, m: float,
                     n: float) -> float:
-    """Running-max share guarantee for probability-vector comparators:
-    the normalizers obey Z <= min(d, t) <= min(d, T) and the weights
-    never decay (C = 1)."""
+    """Running-max share guarantee for probability-vector comparators,
+    at ``_weight_constants``' C and Z_max."""
     if not (d >= 1 and T >= 1):
         raise ValueError("need d >= 1 and T >= 1")
-    return bound_shared_weights(d, T, eta, alpha, m, n, U_sum=float(T),
-                                C=1.0, Z_max=float(min(d, T)), u1_norm=1.0)
+    return bound_shared_weights(d, T, eta, alpha, m, n, float(T),
+                                *_weight_constants("max_share", d, T))
 
 
 def bound_decayed_max_share(d: int, T: int, eta: float, alpha: float,
                             m0: float, n0: float) -> float:
-    """Decayed-max share guarantee at the tuned decay gamma = m0/(n0 T).
-
-    The decay factor gives C = e^gamma and Z <= min(d, 1/gamma), which
-    trades the running-max variant's T inside the logarithm for
-    min(d, n0 T / m0) and improves on it for sparse comparators.
-    """
+    """Decayed-max share guarantee at the tuned decay gamma = m0/(n0 T):
+    C = e^gamma and Z <= min(d, 1/gamma) (``_weight_constants``) trade the
+    running-max variant's T inside the logarithm for min(d, n0 T / m0),
+    which is smaller for sparse comparators."""
     if not (d >= 1 and T >= 1):
         raise ValueError("need d >= 1 and T >= 1")
-    C, Z_max = _decay_constants(d, decayed_max_share_gamma(m0, n0, T))
-    return bound_shared_weights(d, T, eta, alpha, m0, n0, U_sum=float(T),
-                                C=C, Z_max=Z_max, u1_norm=1.0)
+    gamma = decayed_max_share_gamma(m0, n0, T)
+    return bound_shared_weights(d, T, eta, alpha, m0, n0, float(T),
+                                *_weight_constants("decayed_max_share", d, T,
+                                                   gamma))
 
 
 def decayed_max_share_gamma(m0: float, n0: float, T: int) -> float:
@@ -205,13 +192,16 @@ def decayed_max_share_gamma(m0: float, n0: float, T: int) -> float:
     if not (m0 > 0.0 and n0 > 0.0 and T >= 1):
         raise ValueError("need m0 > 0, n0 > 0, T >= 1")
     gamma = m0 / (n0 * T)
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"m0/(n0 T) = {gamma:g}; need 0 < gamma < inf")
-    return gamma
+    return _check_gamma(gamma, f"gamma = m0/(n0 T) = {gamma:g}")
 
 
-def _decay_constants(d: int, gamma: float) -> tuple[float, float]:
-    """C = e^gamma (+inf past the float range) and Z_max = min(d, 1/gamma)."""
+def _weight_constants(variant: str, d: int, T: int,
+                      gamma: float | None = None) -> tuple[float, float]:
+    """(C, Z_max) of a max-share rule, given here only: the running max
+    has C = 1 and Z <= min(d, t) <= min(d, T), the decayed one C = e^gamma
+    (+inf past the float range) and Z <= min(d, 1/gamma)."""
+    if variant == "max_share":
+        return 1.0, float(min(d, T))
     try:
         C = math.exp(gamma)
     except OverflowError:
@@ -222,7 +212,8 @@ def _decay_constants(d: int, gamma: float) -> tuple[float, float]:
 def bound_time_varying(d: int, T: int, etas: Sequence[float],
                        alphas: Sequence[float], m: float,
                        u_norms: Sequence[float]) -> float:
-    """Shifting-regret guarantee under non-increasing (eta_t, alpha_t).
+    """Shifting-regret guarantee under non-increasing (eta_t, alpha_t), as
+    the forecaster checks it (``_check_schedule_step``).
 
     ``etas`` and ``alphas`` hold the per-round parameters for rounds
     1..T with the convention eta_0 = eta_1.  With constant schedules
@@ -236,10 +227,9 @@ def bound_time_varying(d: int, T: int, etas: Sequence[float],
     u = np.asarray(u_norms, dtype=float)
     if not (eta.shape == al.shape == u.shape == (T,)):
         raise ValueError("schedules and u_norms must have length T")
-    if not np.all(eta > 0.0) or np.any(np.diff(eta) > 1e-12):
-        raise ValueError("eta schedule must be positive and non-increasing")
-    if np.any(np.diff(al) > 1e-12) or not np.all((al >= 0) & (al <= 1)):
-        raise ValueError("alpha schedule must be non-increasing within [0, 1]")
+    _check_eta(eta, "eta schedule")
+    _check_alpha(al, "alpha schedule")
+    _check_schedule_step(eta[:-1], eta[1:], al[:-1], al[1:])
     if not (np.all(u >= 0.0) and m >= 0.0):
         raise ValueError("comparator masses must be nonnegative")
     if m > 0.0 and al[-1] == 1.0:

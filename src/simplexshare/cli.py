@@ -138,8 +138,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:  # OSError: the report
-        print(f"error: {exc}", file=sys.stderr)
+    # OSError: the report; MemoryError: a run too large for this machine
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

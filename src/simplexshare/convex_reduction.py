@@ -16,28 +16,24 @@ from typing import Callable
 import numpy as np
 
 from .forecasters import ForecasterState, as_loss_vector
+from .simplex_core import _check_losses
 
 
 def step_convex(state: ForecasterState,
                 value_fn: Callable[[np.ndarray], float],
                 subgradient_fn: Callable[[np.ndarray], np.ndarray],
                 ) -> tuple[float, ForecasterState]:
-    """Advance the wrapped forecaster one round on a convex loss.
-
-    Evaluates the loss at the currently played distribution, queries the
-    subgradient oracle there, and updates the forecaster with the
-    subgradient as the round's loss vector.  Returns the realized loss
-    and the advanced state.
-    """
+    """Advance the wrapped forecaster one round on a convex loss: evaluate
+    it at the played distribution, query the subgradient oracle there, and
+    update with the subgradient as the round's loss vector.  Returns the
+    realized loss and the advanced state."""
     p = state.p
     realized = float(value_fn(p))
-    if not 0.0 <= realized <= 1.0:
-        raise ValueError("convex loss values must lie in [0, 1]")
-    g = np.asarray(subgradient_fn(p), dtype=float)
     try:
-        g = as_loss_vector(g, state.d)
+        _check_losses(np.array(realized))
+        g = as_loss_vector(subgradient_fn(p), state.d)
     except ValueError as exc:
-        raise ValueError(f"subgradient rejected: {exc} (rescale the loss "
-                         "before wrapping; it is not done here)") from exc
+        raise ValueError(f"convex loss value or subgradient rejected: {exc} "
+                         "(rescale the loss before wrapping)") from exc
     state.update(g)
     return realized, state

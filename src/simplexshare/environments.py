@@ -22,6 +22,7 @@ import numpy as np
 
 from .forecasters import LossRows, _one_run
 from .regret_eval import Segment, _rows, as_discounts
+from .simplex_core import _check_losses
 
 
 INDEX_MAX = int(np.iinfo(np.intp).max)
@@ -126,12 +127,9 @@ class EnvironmentSpec:
 
 
 def gen_losses(spec: EnvironmentSpec, stream: int = 0) -> np.ndarray:
-    """Generate the (T, d) loss matrix for an offline environment kind:
-    stream ``stream`` of ``loss_rows``, read in one block.
-
-    The adaptive adversary cannot be pre-generated; use
-    ``make_adversary`` for it.
-    """
+    """The (T, d) loss matrix of an offline environment kind: stream
+    ``stream`` of ``loss_rows``, read in one block.  The adaptive
+    adversary has ``make_adversary`` instead."""
     if spec.kind == "adversarial_flip":
         raise ValueError("adversarial_flip is adaptive; use make_adversary")
     if spec.kind == "from_file":
@@ -236,10 +234,9 @@ def make_adversary(spec: EnvironmentSpec, stream: int = 0) -> AdversarialFlip:
 def load_losses_csv(path, d: int | None = None, T: int | None = None
                     ) -> np.ndarray:
     """Load losses from CSV: one row per round, d comma-separated reals
-    in [0, 1], no header."""
+    in [0, 1] (checked once, here), no header; errors name the path."""
     data = np.loadtxt(Path(path), delimiter=",", ndmin=2)
-    if np.any(data < 0.0) or np.any(data > 1.0) or not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: loss entries must lie in [0, 1]")
+    _check_losses(data, f"{path}: ")
     if d is not None and data.shape[1] != d:
         raise ValueError(f"{path}: expected {d} columns, found {data.shape[1]}")
     if T is not None and data.shape[0] != T:
@@ -362,11 +359,8 @@ def hindsight_segment_corners(losses, segment_lengths) -> list[int]:
 def gen_comparator(spec: ComparatorSpec, d: int, T: int,
                    losses: np.ndarray | None = None) -> np.ndarray:
     """Materialize a (T, d) comparator matrix: the rows of
-    ``comparator_segments``.
-
-    Kinds with hindsight defaults (piecewise_corner without explicit
-    corners, discounted without an explicit corner) need the losses.
-    """
+    ``comparator_segments``, which need the losses for hindsight corners
+    (piecewise_corner without corners, discounted without a corner)."""
     check_comparator(spec, d, T)
     return _rows(comparator_segments(spec, d, T, losses), 0, T, d)
 
@@ -410,6 +404,4 @@ def linear_up_discounts(T: int) -> np.ndarray:
 
 def linear_down_discounts(T: int) -> np.ndarray:
     """Nonincreasing ramp beta_t = (T + 1 - t) / T."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    return np.arange(T, 0, -1, dtype=float) / T
+    return linear_up_discounts(T)[::-1].copy()

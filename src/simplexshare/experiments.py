@@ -4,27 +4,19 @@ An experiment config is a JSON document with top-level keys
 ``environment``, ``comparator`` (shifting regret only), ``forecaster``,
 ``regret``, ``repetitions``, and ``output``.  ``parse_experiment``
 turns it into the library's own objects (``EnvironmentSpec``,
-``ComparatorSpec``, ``MixingRule``), whose constructors and checks are
-the only validation; their errors come back as ``ConfigError`` with the
-config path, before anything runs.
+``ComparatorSpec``, ``MixingRule``), whose constructors and the
+``simplex_core`` checkers are the only validation.  Their errors come
+back as ``ConfigError`` with the config path before anything runs, and
+so does a config with an array numpy cannot index.
 
 Each repetition runs the forecaster on a freshly seeded loss stream,
 evaluates the requested regret notion, and gets its rule's shifting
 guarantee at the row's comparator (``_bound``), or ``nan`` when no
 guarantee covers it; a summary row (worst regret vs. smallest bound) is
 appended.  Every verdict is recomputable from the emitted columns
-alone.
-
-All repetitions of a config run as one lockstep batch, and each row is
-bit for bit the row its repetition would give alone.  The batch keeps
-realized losses, not the forecaster's T x d record, and a comparator is
-a few ``regret_eval.Segment`` rows.  The losses are replayed from
-``environments.loss_rows`` a block at a time, so what a run holds
-besides them is O(R 2^15 + R T + k d).  Of the losses themselves, a
-drawn kind holds nothing (it is redrawn on each pass), a loss file its
-one matrix and the adversary the R x T x d rows it recorded; an
-adaptive or discounted row reads one repetition's T x d matrix at a
-time.
+alone.  All repetitions of a config run as one lockstep batch
+(``forecasters._run_realized`` says what it holds), and each row is bit
+for bit the row its repetition would give alone.
 """
 
 from __future__ import annotations
@@ -46,6 +38,7 @@ from .environments import (INDEX_MAX, ComparatorSpec, EnvironmentSpec,
 from .forecasters import MixingRule, RealizedRun, _run_realized
 from .regret_eval import (Segment, _adaptive_details, _discounted_details,
                           as_discounts, comparator_stats)
+from .simplex_core import _check_eta
 
 VERDICT_SLACK = 1e-6
 
@@ -91,11 +84,12 @@ def _only(cfg: dict, path: str, keys) -> None:
 
 @contextmanager
 def _reported_as(prefix: str):
-    """Re-raise a library ``ValueError`` as a ``ConfigError`` whose
-    message starts with ``prefix``."""
+    """Re-raise a library ``ValueError`` (a checker's, say), a file's
+    ``OSError`` or a failed allocation as a ``ConfigError`` whose message
+    starts with ``prefix``."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
@@ -169,10 +163,8 @@ def _parse_environment(cfg) -> EnvironmentSpec:
     if env.kind == "from_file":
         if min(env.d, env.T) < 1:
             raise ConfigError("environment: from_file needs d >= 1 and T >= 1")
-        try:
+        with _reported_as("environment.path: "):
             load_losses_csv(env.path, env.d, env.T)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"environment.path: {exc}") from exc
     return env
 
 
@@ -249,22 +241,22 @@ def _parse_forecaster(cfg, d: int, regret_kind: str,
         with _reported_as("forecaster.tune: "):
             tuned = (bnd.tune_small_loss(d, **caps) if "L0" in caps
                      else bnd.tune_fixed_share(d, **caps))
-        if not (0.0 < tuned.eta < math.inf and tuned.bound < math.inf):
-            raise ConfigError(
-                f"forecaster.tune: the caps give eta = {tuned.eta:g}, bound = "
-                f"{tuned.bound:g}; need 0 < eta < inf and a finite bound")
         eta, alpha = tuned.eta, tuned.alpha
+        where = (f"forecaster.tune: the caps give eta = {eta:g}, bound = "
+                 f"{tuned.bound:g}; ")
+        if not tuned.bound < math.inf:
+            raise ConfigError(where + "need a finite bound")
     else:
+        where = "forecaster: "
         eta = _number(_get(cfg, "eta", "forecaster"), "forecaster.eta")
-        if eta <= 0.0:
-            raise ConfigError("forecaster.eta: must be positive")
         alpha = _number(_get(cfg, "alpha", "forecaster"), "forecaster.alpha")
         if variant == "decayed_max_share":
             gamma = _number(_get(cfg, "gamma", "forecaster"),
                             "forecaster.gamma")
         _only(cfg, "forecaster", ("rule", "tune", "eta", "alpha")
               + (() if gamma is None else ("gamma",)))
-    with _reported_as("forecaster: "):
+    with _reported_as(where):
+        _check_eta(eta)
         rule = MixingRule(variant, alpha=alpha, gamma=gamma)
     return ForecasterConfig(rule=rule, eta=eta, tune=caps, tuned=tuned)
 
@@ -284,6 +276,20 @@ def parse_experiment(config: dict) -> ExperimentSpec:
                                    env.d, regret_kind, betas)
     repetitions = _integer(config.get("repetitions", 1), "repetitions",
                            minimum=1)
+    # floats in the run's largest arrays (0 where it has none): the (R, T)
+    # realized losses, the adversary's (R, T, d) rows, and the (T, d)
+    # losses of an adaptive or discounted row or of a hindsight corner
+    R, T, d = repetitions, env.T, env.d
+    hindsight = (comparator is not None and comparator.kind == "discounted"
+                 and comparator.corner is None)
+    for path, floats in (
+            ("repetitions", R * T),
+            ("environment", R * T * d * (env.kind == "adversarial_flip")),
+            ("regret.kind", T * d * (regret_kind != "shifting")),
+            ("comparator.corner", T * d * hindsight)):
+        if floats * 8 > INDEX_MAX:
+            raise ConfigError(f"{path}: the run needs {floats} floats in one "
+                              "array, more than numpy can index")
     output = config.get("output", {})
     output_csv = _get(output, "csv", "output", required=False)
     _only(output, "output", ("csv", "include_timing"))
@@ -334,23 +340,15 @@ def _bound(fc: ForecasterConfig, run: RealizedRun, masses: np.ndarray,
         return bnd.bound_projected(d, fc.eta, rule.alpha, m, U_sum, u1_norm)
     if rule.variant == "time_varying":
         return bnd.bound_time_varying(d, T, run.etas, run.alphas, m, masses)
-    if rule.variant == "max_share":
-        C, Z_max = 1.0, float(min(d, T))
-    else:
-        C, Z_max = bnd._decay_constants(d, rule.gamma)
-    return bnd.bound_shared_weights(d, T, fc.eta, rule.alpha, m, n, U_sum,
-                                    C=C, Z_max=Z_max, u1_norm=u1_norm)
+    return bnd.bound_shared_weights(
+        d, T, fc.eta, rule.alpha, m, n, U_sum,
+        *bnd._weight_constants(rule.variant, d, T, rule.gamma), u1_norm)
 
 
 def _run_batch(spec: ExperimentSpec, each_block=None) -> RealizedRun:
-    """All repetitions of the run, stepped in lockstep over one pass of
-    their losses (``environments.loss_rows``), which ``each_block`` (as
-    in ``_run_realized``) also reads.
-
-    Repetition i uses stream i: its own loss stream, or its own adversary
-    (one generator per stream) for adaptive environments.  A loss file is
-    read once and replayed in every repetition.
-    """
+    """All repetitions in lockstep over one pass of their losses
+    (``environments.loss_rows``; repetition i reads stream i, or its own
+    adversary), which ``each_block`` (as in ``_run_realized``) also reads."""
     env, fc, reps = spec.environment, spec.forecaster, spec.repetitions
     adversaries = None
     if env.kind == "adversarial_flip":
@@ -364,13 +362,10 @@ def _evaluate(spec: ExperimentSpec, run: RealizedRun, rep: int,
               ) -> RegretReport:
     """The report row of one repetition; ``shared_ms`` is its share of
     the batched generation, forecaster and realized-loss time, and
-    ``comparator`` its shifting comparator.
-
-    A shifting row replays the repetition's losses a block at a time for
-    the comparator's statistics.  The adaptive window scan and the
-    discounted arm totals need all T rows at once, so those rows read the
-    repetition's (T, d) matrix.
-    """
+    ``comparator`` its shifting comparator.  A shifting row replays the
+    repetition's losses block by block; an adaptive or discounted row
+    reads its (T, d) matrix, as the window scan and the arm totals need
+    all T rows at once."""
     start = time.perf_counter()
     losses, realized = run.source.run(rep), run.realized[rep]
     T, d = run.source.T, run.source.d
@@ -395,16 +390,14 @@ def _evaluate(spec: ExperimentSpec, run: RealizedRun, rep: int,
 
 
 def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
-    """Execute every repetition and append the aggregate summary row.
-
-    The summary holds the worst (largest) regret against the smallest
-    bound (nan when any row's is), with its verdict recomputed by the
-    standard rule, so a passing summary is conservative.  Its
-    ``wall_ms`` is the elapsed time of this call; a repetition's is its
-    own evaluation time plus 1/R of the batched generation, forecaster
-    and realized-loss time.  Hindsight segment corners are summed as the
-    run's blocks pass, so evaluation need not replay the losses for them.
-    """
+    """Execute every repetition and append the aggregate summary row: the
+    worst (largest) regret against the smallest bound (nan when any row's
+    is), its verdict recomputed by the standard rule, so a passing summary
+    is conservative.  Its ``wall_ms`` is the elapsed time of this call; a
+    repetition's is its own evaluation time plus 1/R of the batched
+    generation, forecaster and realized-loss time.  Hindsight segment
+    corners are summed as the run's blocks pass, so evaluation need not
+    replay the losses for them."""
     start = time.perf_counter()
     comparator, reps, hindsight = spec.comparator, spec.repetitions, None
     if (comparator is not None and comparator.kind == "piecewise_corner"

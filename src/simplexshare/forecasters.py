@@ -13,7 +13,10 @@ p_{t+1}.  The mixing rules implemented here:
 
 Weights are stored in the log domain internally and renormalized by
 subtracting the max log-weight before exponentiation: eta * T can reach
-the hundreds, where naive exponentials underflow.
+the hundreds, where naive exponentials underflow.  ``simplex_core``'s
+checkers test each parameter and loss once, where it enters: in the
+rule, the state, the public ops, ``round_params`` (schedule values),
+``_start`` (a loss array) and ``_rounds`` (each adversary row).
 """
 
 from __future__ import annotations
@@ -23,32 +26,21 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .simplex_core import (as_distribution, clipped_numerators,
+from .simplex_core import (_check_alpha, _check_eta, _check_gamma,
+                           _check_losses, _check_schedule_step,
+                           as_distribution, clipped_numerators,
                            kl_project_clipped, kl_project_rows)
 
 Schedule = Union[Callable[[int], float], Sequence[float]]
 
 
-def _check_loss_entries(v: np.ndarray) -> None:
-    # a NaN propagates into the extremes; isfinite only picks the message
-    if not (np.minimum.reduce(v, None, initial=0.0) >= 0.0
-            and np.maximum.reduce(v, None, initial=1.0) <= 1.0):
-        if not np.all(np.isfinite(v)):
-            raise ValueError("loss entries must be finite")
-        raise ValueError("loss entries must lie in [0, 1]")
-
-
 def as_loss_vector(loss, d: int | None = None) -> np.ndarray:
-    """Validate a loss vector with entries in [0, 1].
-
-    Out-of-range entries are rejected, not clipped: the per-round
-    certificates are only valid on [0, 1] and silent clipping would mask
-    caller bugs.
-    """
+    """Validate a loss vector with entries in [0, 1], where the guarantees
+    hold; the rest is rejected, not clipped, which would mask caller bugs."""
     v = np.asarray(loss, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("loss must be a 1-d vector")
-    _check_loss_entries(v)
+    _check_losses(v)
     if d is not None and v.size != d:
         raise ValueError(f"loss has dimension {v.size}, expected {d}")
     return v
@@ -143,8 +135,7 @@ def _log_max_share(log_w: np.ndarray, log_v_next: np.ndarray, alpha: float,
 
 def loss_update(p, loss, eta: float) -> np.ndarray:
     """Exponential reweighting: v_j = p_j exp(-eta l_j) / normalizer."""
-    if not eta > 0.0:
-        raise ValueError("eta must be positive")
+    _check_eta(eta)
     pv = as_distribution(p)
     lv = as_loss_vector(loss, pv.size)
     with np.errstate(divide="ignore"):
@@ -154,8 +145,7 @@ def loss_update(p, loss, eta: float) -> np.ndarray:
 
 def mix_fixed_share(v, alpha: float) -> np.ndarray:
     """Fixed-share mixing p_j = alpha/d + (1-alpha) v_j."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
+    _check_alpha(alpha)
     vv = as_distribution(v)
     with np.errstate(divide="ignore"):
         log_v = np.log(vv)
@@ -180,15 +170,13 @@ def mix_max_share(w, v_next, alpha: float, gamma: float = 0.0
     ever keeps d numbers, yet equals the definitional decayed max over
     the whole pre-weight history.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
+    _check_alpha(alpha)
+    _check_gamma(gamma, zero=True)
     wv = np.asarray(w, dtype=float)
     vv = as_distribution(v_next)
     if wv.shape != vv.shape:
         raise ValueError("dimension mismatch")
-    if np.any(wv <= 0.0) or np.any(wv > 1.0 + 1e-12):
+    if not np.all((wv > 0.0) & (wv <= 1.0 + 1e-12)):  # NaN fails too
         raise ValueError("auxiliary weights must lie in (0, 1]")
     log_p, log_w = _log_max_share(np.log(wv), np.log(vv), alpha, gamma)
     return _to_linear(log_p), np.exp(log_w)
@@ -203,12 +191,10 @@ def step_time_varying(p, loss, eta_t: float, eta_prev: float, alpha_t: float
     power is a contraction only for non-increasing rates).  With
     eta_t == eta_prev this is exactly loss_update + mix_fixed_share.
     """
-    if not 0.0 < eta_t:
-        raise ValueError("eta_t must be positive")
-    if eta_t > eta_prev * (1.0 + 1e-12):
-        raise ValueError("schedule violation: eta_t > eta_prev")
-    if not 0.0 <= alpha_t <= 1.0:
-        raise ValueError("alpha_t must be in [0, 1]")
+    _check_eta(eta_t, "eta_t")
+    _check_eta(eta_prev, "eta_prev")
+    _check_alpha(alpha_t, "alpha_t")
+    _check_schedule_step(eta_prev, eta_t, alpha_t, alpha_t)  # no alpha_prev
     pv = as_distribution(p)
     if np.any(pv <= 0.0):
         raise ValueError("time-varying step requires strictly positive p")
@@ -244,11 +230,9 @@ class MixingRule:
             if self.eta_schedule is None or self.alpha_schedule is None:
                 raise ValueError("time_varying requires both schedules")
         else:
-            if self.alpha is None or not 0.0 <= self.alpha <= 1.0:
-                raise ValueError("alpha must be in [0, 1]")
+            _check_alpha(self.alpha)
             if self.variant == "decayed_max_share":
-                if self.gamma is None or self.gamma <= 0.0:
-                    raise ValueError("decayed_max_share requires gamma > 0")
+                _check_gamma(self.gamma)
 
     @classmethod
     def fixed_share(cls, alpha: float) -> "MixingRule":
@@ -276,21 +260,14 @@ class MixingRule:
 def _schedule_value(sched: Schedule, t: int) -> float:
     if not callable(sched) and t > len(sched):
         raise ValueError(f"schedule has {len(sched)} values, none for t={t}")
-    value = float(sched(t)) if callable(sched) else float(sched[t - 1])
-    if not np.isfinite(value):
-        raise ValueError(f"schedule value at t={t} is not finite")
-    return value
+    return float(sched(t)) if callable(sched) else float(sched[t - 1])
 
 
 class ForecasterState:
     """Single-owner mutable state of one forecaster run, or of ``reps``
     runs stepped in lockstep (every weight array then gains a leading
-    reps axis).
-
-    Must not be advanced from two threads simultaneously; distinct
-    states are independent.  Internal storage is O(reps * d) regardless
-    of the horizon.  Arrays read from a state keep their values.
-    """
+    reps axis); one thread at a time.  Storage is O(reps * d) whatever
+    the horizon, and arrays read from a state keep their values."""
 
     def __init__(self, d: int, rule: MixingRule, eta: float | None = None,
                  reps: int | None = None):
@@ -301,9 +278,7 @@ class ForecasterState:
         if rule.variant == "time_varying":
             self.eta = None
         else:
-            if eta is None or not eta > 0.0:
-                raise ValueError("eta must be positive")
-            self.eta = float(eta)
+            self.eta = float(_check_eta(eta))
         self.t = 1
         shape = (d,) if reps is None else (reps, d)
         log_u = np.full(shape, -np.log(d))
@@ -329,16 +304,19 @@ class ForecasterState:
         return None if self.log_w is None else np.exp(self.log_w)
 
     def round_params(self) -> tuple[float, float]:
-        """(eta_t, alpha_t) governing the update at the current round."""
-        rule = self.rule
+        """(eta_t, alpha_t) governing the update at the current round.
+        Schedule values are read, and so checked, only here; a constant
+        rule's were checked with the rule and the state."""
+        rule, t = self.rule, self.t
         if rule.variant != "time_varying":
             return self.eta, rule.alpha
-        eta_t = _schedule_value(rule.eta_schedule, self.t)
-        alpha_t = _schedule_value(rule.alpha_schedule, self.t)
-        if not eta_t > 0.0:
-            raise ValueError("eta schedule must be positive")
-        if not 0.0 <= alpha_t <= 1.0:
-            raise ValueError("alpha schedule must stay in [0, 1]")
+        eta_t = _check_eta(_schedule_value(rule.eta_schedule, t),
+                           f"eta schedule at t={t}")
+        alpha_t = _check_alpha(_schedule_value(rule.alpha_schedule, t),
+                               f"alpha schedule at t={t}")
+        if self._eta_prev is not None:
+            _check_schedule_step(self._eta_prev, eta_t, self._alpha_prev,
+                                 alpha_t)
         return eta_t, alpha_t
 
     def update(self, loss) -> None:
@@ -349,14 +327,11 @@ class ForecasterState:
 
     def _advance(self, eta_loss: np.ndarray, eta_t: float, alpha_t: float,
                  out: np.ndarray | None = None) -> None:
-        """One step, overwriting ``eta_loss`` (eta_t times a validated loss
-        of the state's shape); the new log p goes into ``out`` if given.
-        A constant rate's power eta_t / eta_prev is exactly 1."""
+        """One step with ``round_params()``, overwriting ``eta_loss`` (eta_t
+        times a validated loss of the state's shape); the new log p goes
+        into ``out`` if given.  A constant rate's power eta_t / eta_prev is
+        exactly 1."""
         eta_prev = self._eta_prev if self._eta_prev is not None else eta_t
-        if eta_t > eta_prev * (1.0 + 1e-12):
-            raise ValueError("schedule violation: eta_t > eta_prev")
-        if self._alpha_prev is not None and alpha_t > self._alpha_prev + 1e-12:
-            raise ValueError("schedule violation: alpha_t > alpha_prev")
         sc, variant = self._sc, self.rule.variant
         self.log_v = log_v = _log_loss_step(self.log_p, eta_loss,
                                             eta_t / eta_prev, None, sc)
@@ -536,8 +511,8 @@ def _rounds(state: ForecasterState, source: LossRows, adversaries,
     blocks of ``rows`` rounds, storing each round's (eta_t, alpha_t) and
     writing log p_1..log p_{T+1} into ``record``.
 
-    Each block is validated before its rounds; with ``adversaries``, row
-    t of a block is written and validated in round t instead.  Without
+    Only adversary rows are checked here, row t of a block in round t as
+    it is written; other losses were checked where they entered.  Without
     ``done``, ``record`` is the whole (R, T+1, d) record.  With it,
     ``record`` is a ring of rows + 1 rows: after rounds [lo, hi) it holds
     log p_lo..log p_hi, ``done(lo, hi, ring[:, :hi - lo], block)`` reads
@@ -555,8 +530,6 @@ def _rounds(state: ForecasterState, source: LossRows, adversaries,
     scaled = np.empty((min(step, rows, T), R, d))
     k = 0
     for lo, hi, loss in source.blocks(rows):
-        if adversaries is None:
-            _check_loss_entries(loss)
         off = lo - 1 if done is not None else -1  # record row of p_{t+1}
         for t in range(lo, hi):
             i = t - lo  # the round's row of the block
@@ -568,7 +541,7 @@ def _rounds(state: ForecasterState, source: LossRows, adversaries,
                         raise ValueError(f"loss has shape {row.shape}, "
                                          f"expected ({d},)")
                     loss[r, i] = row
-                _check_loss_entries(loss[:, i])
+                _check_losses(loss[:, i])
             if not constant:
                 etas[t], alphas[t] = eta_t, alpha_t = state.round_params()
                 np.multiply(eta_t, loss[:, i], scaled[0])
@@ -612,6 +585,7 @@ def _start(rule: MixingRule, eta, losses, d, horizon):
         single = loss.ndim == 2
         if single:
             loss = loss[None]
+        _check_losses(loss)
     state = ForecasterState(d, rule, eta, reps=loss.shape[0])
     return state, LossRows(loss), adversaries, single
 
@@ -656,14 +630,13 @@ class RealizedRun:
 
 def _run_realized(rule: MixingRule, eta: float | None, source: LossRows,
                   adversaries=None, each_block=None) -> RealizedRun:
-    """``run_forecaster`` over one pass of ``source``, without the record:
-    the rounds read a block of at most 2^15 losses per run before they
-    play it and go through a ring of as many log p entries, and each block
-    becomes realized losses.  So a run holds O(2^15 R + R T) besides what
-    ``source`` keeps: nothing for a drawn kind, the one matrix of a loss
-    file, and the (R, T, d) rows that ``adversaries`` (one per run) write
-    in place.  ``each_block(lo, hi, rows)``, if given, also reads every
-    block once it is played."""
+    """``run_forecaster`` over one pass of ``source`` (checked losses),
+    without the record: each block of at most 2^15 losses per run is
+    played through a ring of as many log p entries and becomes realized
+    losses, so a run holds O(2^15 R + R T) besides ``source``: nothing for
+    a drawn kind, a loss file's one matrix, or the (R, T, d) rows that
+    ``adversaries`` (one per run) write.  ``each_block(lo, hi, rows)``, if
+    given, also reads every block once it is played."""
     R, T, d = source.R, source.T, source.d
     block = _block_rows(d)
     state = ForecasterState(d, rule, eta, reps=R)

@@ -221,15 +221,16 @@ def adaptive_regret_details(p_traj, losses, tau0: int
     then the lowest action; when no window has positive regret (always
     for d = 1) the answer is (0, 1, 1, 0).
     """
-    return _adaptive_details(*_realized(p_traj, losses), tau0)
+    realized, l = _realized(p_traj, losses)
+    if not 1 <= tau0 <= l.shape[0]:
+        raise ValueError("tau0 must satisfy 1 <= tau0 <= T")
+    return _adaptive_details(realized, l, tau0)
 
 
 def _adaptive_details(realized: np.ndarray, l: np.ndarray, tau0: int
                       ) -> tuple[float, int, int, int]:
-    """``adaptive_regret_details`` from the realized losses."""
-    T = l.shape[0]
-    if not 1 <= tau0 <= T:
-        raise ValueError("tau0 must satisfy 1 <= tau0 <= T")
+    """``adaptive_regret_details`` from the realized losses, at a checked
+    1 <= tau0 <= T."""
     fore = _prefix(realized[:, None])
     best = (0.0, 0, 0, 0)  # (-regret, s - r, r - 1, action): least wins
     for j in range(l.shape[1]):  # one action at a time, in O(T) memory
@@ -305,25 +306,23 @@ def discounted_regret(p_traj, losses, betas) -> float:
 
 def discounted_regret_details(p_traj, losses, betas) -> tuple[float, int]:
     """Discounted regret and the maximizing corner (linear objective)."""
-    return _discounted_details(*_realized(p_traj, losses), betas)
+    realized, l = _realized(p_traj, losses)
+    return _discounted_details(realized, l, as_discounts(betas, l.shape[0]))
 
 
-def _discounted_details(realized: np.ndarray, l: np.ndarray, betas
-                        ) -> tuple[float, int]:
-    """``discounted_regret_details`` from the realized losses."""
-    b = as_discounts(betas, l.shape[0])
-    arm_totals = b @ l
+def _discounted_details(realized: np.ndarray, l: np.ndarray,
+                        betas: np.ndarray) -> tuple[float, int]:
+    """``discounted_regret_details`` from the realized losses, at checked
+    discounts (``as_discounts``)."""
+    arm_totals = betas @ l
     j = int(np.argmin(arm_totals))
-    return float(b @ realized - arm_totals[j]), j
+    return float(betas @ realized - arm_totals[j]), j
 
 
 def discount_regularity(betas, q) -> float:
     """Regularity mass ||beta_1 q||_1 + m((beta_t q)_t) of a discounted
-    comparator.
-
-    For monotone discounts this equals max(beta_1, beta_T) for any
-    probability vector q.
-    """
+    comparator: max(beta_1, beta_T) for monotone discounts and any
+    probability vector q."""
     b = as_discounts(betas)
     qv = np.asarray(q, dtype=float)
     u = b[:, None] * qv[None, :]

@@ -4,11 +4,58 @@ Distances, divergences, entropies, and exact KL projection onto the
 clipped simplex (the set of probability vectors with every coordinate
 bounded below by ``alpha / d``).  All functions are pure and safe to
 call concurrently.
+
+The ``_check_*`` functions are the one checker of each hypothesis the
+guarantees rest on (eta, alpha, gamma, the loss entries, the schedule
+step), called where the value enters the library.  Each takes a number
+or an array, every entry of which must pass; NaN and None fail them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _holds(ok) -> bool:
+    return ok if isinstance(ok, bool) else bool(ok.all())
+
+
+def _check_eta(eta, name: str = "eta"):
+    if eta is None or not _holds((eta > 0.0) & (eta < np.inf)):
+        raise ValueError(f"{name} must be positive and finite")
+    return eta
+
+
+def _check_alpha(alpha, name: str = "alpha"):
+    if alpha is None or not _holds((alpha >= 0.0) & (alpha <= 1.0)):
+        raise ValueError(f"{name} must be in [0, 1]")
+    return alpha
+
+
+def _check_gamma(gamma, name: str = "gamma", zero: bool = False):
+    """0 < gamma < inf; ``zero`` admits gamma = 0 (no decay) too."""
+    if gamma is None or not 0.0 <= gamma < np.inf or gamma == 0.0 and not zero:
+        low = "nonnegative" if zero else "positive"
+        raise ValueError(f"{name} must be {low} and finite")
+    return gamma
+
+
+def _check_losses(v: np.ndarray, where: str = "") -> None:
+    # a NaN propagates into the extremes; isfinite only picks the message
+    if not (np.minimum.reduce(v, None, initial=0.0) >= 0.0
+            and np.maximum.reduce(v, None, initial=1.0) <= 1.0):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{where}loss entries must be finite")
+        raise ValueError(f"{where}loss entries must lie in [0, 1]")
+
+
+def _check_schedule_step(eta_prev, eta_t, alpha_prev, alpha_t) -> None:
+    """eta_t <= eta_prev up to a relative 1e-12, alpha_t <= alpha_prev up
+    to an absolute 1e-12: slack for a computed schedule's rounding."""
+    if not _holds(eta_t <= eta_prev * (1.0 + 1e-12)):
+        raise ValueError("schedule violation: eta_t > eta_prev")
+    if not _holds(alpha_t <= alpha_prev + 1e-12):
+        raise ValueError("schedule violation: alpha_t > alpha_prev")
 
 
 def as_nonneg_vector(x) -> np.ndarray:
@@ -92,8 +139,7 @@ def kl_project_clipped(v, alpha: float) -> np.ndarray:
     count for which every unfloored rescaled entry stays at or above the
     floor.  This is the exact KKT solution, computed in O(d log d).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
+    _check_alpha(alpha)
     p = as_distribution(v)
     if alpha == 0.0:
         return p

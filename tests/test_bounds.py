@@ -348,7 +348,8 @@ def test_non_finite_inputs_give_the_limit_or_a_named_error():
         with pytest.raises(ValueError, match="^need m0 > 0, n0 > 0, T >= 1$"):
             decayed_max_share_gamma(m0, n0, 10)
     for m0, n0 in ((1.0, inf), (1e-320, 1e10), (inf, 1.0)):
-        with pytest.raises(ValueError, match="need 0 < gamma < inf$"):
+        with pytest.raises(ValueError, match=r"^gamma = m0/\(n0 T\) = .* "
+                           "must be positive and finite$"):
             decayed_max_share_gamma(m0, n0, 10)
     with pytest.raises(ValueError, match="^eta must be positive and finite$"):
         bound_projected(3, inf, 0.1, 0.0, 0.0, 0.0)

@@ -77,7 +77,11 @@ def test_losses_csv_roundtrip(tmp_path):
     assert np.allclose(gen_losses(spec), data, atol=1e-12)
     bad = tmp_path / "bad.csv"
     bad.write_text("0.5,1.5\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"bad.csv: loss entries must lie in \[0, 1\]$"):
+        load_losses_csv(bad)
+    bad.write_text("0.5,nan\n")
+    with pytest.raises(ValueError, match="bad.csv: loss entries must be finite$"):
         load_losses_csv(bad)
 
 

@@ -11,8 +11,9 @@ from simplexshare.bounds import (bound_fixed_share, bound_projected,
                                  bound_shared_weights, bound_time_varying,
                                  tune_fixed_share)
 from simplexshare.cli import main as cli_main
-from simplexshare import forecasters
-from simplexshare.environments import (gen_comparator, gen_losses,
+from simplexshare import cli, experiments, forecasters
+from simplexshare.environments import (EnvironmentSpec, gen_comparator,
+                                       gen_losses,
                                        load_losses_csv, make_adversary,
                                        make_rng)
 from simplexshare.experiments import (CSV_COLUMNS, ConfigError, VERDICT_SLACK,
@@ -1086,3 +1087,76 @@ def test_benchmark_shaped_configs_give_their_recorded_csvs(tmp_path, name):
     write_report_csv(run_experiment(spec), tmp_path / "report.csv", False)
     assert (tmp_path / "report.csv").read_bytes() == \
         (_GOLDEN / f"{name}.csv").read_bytes()
+
+
+def _oversized(kind):
+    """A config one of whose arrays would need more than 2^63 - 1 bytes:
+    (path, config)."""
+    flip = {"kind": "adversarial_flip", "d": 2 ** 40, "T": 2 ** 40}
+    drawn = {"kind": "iid_bernoulli", "d": 2 ** 10, "T": 2 ** 54,
+             "means": [0.5] * 2 ** 10}
+    share = {"rule": "fixed_share", "eta": 0.5, "alpha": 0.1}
+    adaptive = {"kind": "adaptive", "tau0": 1}
+    corner = {"kind": "discounted", "betas": [0.5] * 2 ** 4}
+    if kind == "adversary rows":  # R T d entries
+        return "environment", {"environment": flip, "forecaster": share,
+                               "regret": adaptive}
+    if kind == "adaptive matrix":  # T d entries
+        return "regret.kind", {"environment": drawn, "forecaster": share,
+                               "regret": adaptive}
+    if kind == "hindsight corner":  # T d entries
+        env = {**drawn, "d": 2 ** 60, "T": 2 ** 4, "means": [0.5, 0.5]}
+        return "comparator.corner", {"environment": env, "forecaster": share,
+                                     "regret": {"kind": "shifting"},
+                                     "comparator": corner}
+    # realized losses: R T entries
+    return "repetitions", {"environment": {**drawn, "d": 2, "T": 2 ** 4,
+                                           "means": [0.5, 0.5]},
+                           "forecaster": share, "regret": adaptive,
+                           "repetitions": 2 ** 60}
+
+
+@pytest.mark.parametrize("kind", ["adversary rows", "adaptive matrix",
+                                  "hindsight corner", "realized losses"])
+def test_arrays_numpy_cannot_index_fail_at_parse_time(tmp_path, capsys,
+                                                      monkeypatch, kind):
+    # the run ended in "array is too big" with no path, or a traceback
+    path, cfg = _oversized(kind)
+    if kind == "hindsight corner":  # no config can list 2^60 means
+        monkeypatch.setattr(EnvironmentSpec, "__post_init__",
+                            lambda self: None)
+    with pytest.raises(ConfigError, match=rf"^{path}: .* more than numpy "
+                                          "can index"):
+        parse_experiment(cfg)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    assert cli_main(["certify", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_a_failed_allocation_is_one_error_line(tmp_path, capsys,
+                                               monkeypatch):
+    # T = 2^40 asks 8 TiB for the linear_up discounts at parse time; the
+    # allocation is replaced by its failure here
+    def no_memory(*args):
+        raise MemoryError()
+
+    cfg = rotating_best_arm_config()
+    cfg["regret"] = {"kind": "discounted", "schedule": "linear_up"}
+    del cfg["comparator"]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    monkeypatch.setattr(experiments, "linear_up_discounts", no_memory)
+    with pytest.raises(ConfigError, match="^regret.schedule: "):
+        parse_experiment(cfg)
+    assert cli_main(["certify", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: regret.schedule: ")
+    monkeypatch.undo()
+    # a run that does not fit, past parse time
+    monkeypatch.setattr(cli, "run_experiment", no_memory)
+    assert cli_main(["certify", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory\n"

@@ -71,6 +71,8 @@ def test_mix_max_share_examples():
         mix_max_share([0.5, 0.5], [0.8, 0.2], 1.5)
     with pytest.raises(ValueError, match="gamma must be nonnegative"):
         mix_max_share([0.5, 0.5], [0.8, 0.2], 0.5, gamma=-1.0)
+    with pytest.raises(ValueError, match="auxiliary weights"):  # gave nan
+        mix_max_share([np.nan, 0.5], [0.8, 0.2], 0.5)
     p, w = mix_max_share([0.5, 0.5], [0.8, 0.2], 0.5, gamma=0.0)
     assert np.allclose(w, [0.8, 0.5])  # gamma = 0: the plain running max
 
@@ -296,7 +298,7 @@ def test_state_arrays_keep_their_values_after_later_updates():
     (MixingRule.time_varying([0.5] * 3, [0.1, 0.2, 0.2]), np.zeros((3, 2)),
      "alpha_t > alpha_prev"),
     (MixingRule.time_varying([0.5, float("nan"), 0.5], [0.1] * 3),
-     np.zeros((3, 2)), "not finite"),
+     np.zeros((3, 2)), "at t=2 must be positive and finite"),
     (MixingRule.fixed_share(0.1), lambda t, p: np.zeros(3), r"shape \(3,\)"),
     (MixingRule.fixed_share(0.1), lambda t, p: np.array([0.5, 1.5]),
      r"\[0, 1\]"),
