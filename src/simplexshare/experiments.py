@@ -65,11 +65,11 @@ def _number(value, path):
     return float(value)
 
 
-def _integer(value, path, minimum=None):
+def _integer(value, path):
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
+    if value < 1:
+        raise ConfigError(f"{path}: must be >= 1")
     if value > INDEX_MAX:
         raise ConfigError(f"{path}: must be <= {INDEX_MAX}")
     return value
@@ -182,7 +182,7 @@ def _parse_regret(cfg, T: int) -> tuple[str, int | None, np.ndarray | None]:
         raise ConfigError(f"regret.kind: unknown kind {kind!r}")
     _only(cfg, "regret", ("kind", *keys[kind]))
     if kind == "adaptive":
-        tau0 = _integer(_get(cfg, "tau0", "regret"), "regret.tau0", minimum=1)
+        tau0 = _integer(_get(cfg, "tau0", "regret"), "regret.tau0")
         if tau0 > T:
             raise ConfigError("regret.tau0: cannot exceed the horizon T")
         return kind, tau0, None
@@ -274,8 +274,7 @@ def parse_experiment(config: dict) -> ExperimentSpec:
                                        env.d, env.T)
     forecaster = _parse_forecaster(_get(config, "forecaster", "config"),
                                    env.d, regret_kind, betas)
-    repetitions = _integer(config.get("repetitions", 1), "repetitions",
-                           minimum=1)
+    repetitions = _integer(config.get("repetitions", 1), "repetitions")
     # floats in the run's largest arrays (0 where it has none): the (R, T)
     # realized losses, the adversary's (R, T, d) rows, and the (T, d)
     # losses of an adaptive or discounted row or of a hindsight corner

@@ -423,16 +423,14 @@ def _linear(log_w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Full record of one run, for regret evaluation and certification.
-
-    Stored, for every rule: ``log_p`` (log p_1..log p_{T+1}), ``losses``
-    and the per-round parameters actually used (``etas``, ``alphas``).
-    Every other record, the max-share auxiliary weights ``log_w`` and
-    ``w`` included, is recomputed from these on each access, bit for bit
-    what the run computed; keep the result when reading one repeatedly.
-    A batch of R lockstep runs gives every per-run array a leading R
-    axis and shares ``etas`` and ``alphas``; ``rep(i)`` views run i.
-    """
+    """Full record of one run, for regret evaluation and certification:
+    ``log_p`` (log p_1..log p_{T+1}), ``losses`` and the per-round
+    parameters used (``etas``, ``alphas``), for every rule.  Every other
+    record, max-share's ``log_w`` and ``w`` included, is recomputed from
+    these in blocks on each access, bit for bit what the run computed;
+    keep the result when reading one repeatedly.  A batch of R lockstep
+    runs gives every per-run array a leading R axis and shares ``etas``
+    and ``alphas``; ``rep(i)`` views run i."""
 
     rule: MixingRule
     d: int
@@ -447,13 +445,28 @@ class Trajectory:
         """The distributions p_1..p_{T+1}."""
         return _linear(self.log_p)
 
+    def _loss_updates(self, log_v=None) -> np.ndarray:
+        """Log normalizers c_t, (T,) or (R, T), of the loss updates of log
+        p_t, formed by the run's kernel in blocks of ``_block_rows(d)``
+        rounds; the normalized updates go into ``log_v`` if given."""
+        ratio = ((self.etas / self.eta_prevs)[:, None]
+                 if self.rule.variant == "time_varying" else None)
+        c = np.empty(self.losses.shape[:-1] + (1,))
+        for lo in range(0, self.T, block := _block_rows(self.d)):
+            t = slice(lo, min(lo + block, self.T))
+            out = None if log_v is None else log_v[..., t, :]
+            _log_loss_step(self.log_p[..., t, :],
+                           self.etas[t, None] * self.losses[..., t, :],
+                           1.0 if ratio is None else ratio[t], out,
+                           (out, None, c[..., t, :]))
+        return c[..., 0]
+
     @property
     def log_v(self) -> np.ndarray:
         """Log pre-weights: each round's loss update of log p_t."""
-        return _log_loss_step(self.log_p[..., : self.T, :],
-                              self.etas[:, None] * self.losses,
-                              (self.etas / self.eta_prevs)[:, None]
-                              if self.rule.variant == "time_varying" else 1.0)
+        log_v = np.empty(self.losses.shape)
+        self._loss_updates(log_v)
+        return log_v
 
     @property
     def v(self) -> np.ndarray:
@@ -468,7 +481,7 @@ class Trajectory:
             return None
         gamma = 0.0 if self.rule.variant == "max_share" else self.rule.gamma
         log_w = np.full(self.log_p.shape, -np.log(self.d))
-        log_w[..., 1:, :] = self.log_v
+        self._loss_updates(log_w[..., 1:, :])
         for t in range(self.T):
             np.maximum(log_w[..., t, :] - gamma, log_w[..., t + 1, :],
                        out=log_w[..., t + 1, :])
@@ -659,37 +672,24 @@ def _run_realized(rule: MixingRule, eta: float | None, source: LossRows,
 # ---------------------------------------------------------------------------
 
 
-def certificate_slacks(traj: Trajectory, comparators) -> np.ndarray:
-    """Slack of the per-round regret certificate.
-
-    For each round t and each comparison distribution q the certificate
-    states (p_t - q) . l_t <= sum_i q_i ((1/eta_{t-1}) ln(1/p_{i,t})
-    - (1/eta_t) ln(1/v_{i,t+1})) + (1/eta_t - 1/eta_{t-1}) ln d
-    + eta_{t-1}/8, with eta_0 = eta_1.  At a constant rate this is
-    (p_t - q) . l_t <= (1/eta) sum_i q_i ln(v_{i,t+1}/p_{i,t}) + eta/8.
-    The returned (T, n_q) array is RHS - LHS, so every entry of a valid
-    run is >= -1e-9 up to float error.  A batch gives (R, T, n_q).
-    """
-    q = np.atleast_2d(np.asarray(comparators, dtype=float))
-    eta_t, eta_prev = traj.etas[:, None], traj.eta_prevs[:, None]
-    log_p = traj.log_p[..., : traj.T, :]
-    rhs = ((traj.log_v / eta_t - log_p / eta_prev) @ q.T
-           + (1.0 / eta_t - 1.0 / eta_prev) * np.log(traj.d) + eta_prev / 8.0)
-    lhs = traj.realized[..., None] - traj.losses @ q.T
-    return rhs - lhs
+def certificate_slacks(traj: Trajectory) -> np.ndarray:
+    """Slack of the per-round regret certificate (p_t - q) . l_t <= sum_i
+    q_i (ln(v_{i,t+1})/eta_t - ln(p_{i,t})/eta_{t-1}) + (1/eta_t
+    - 1/eta_{t-1}) ln d + eta_{t-1}/8 (eta_0 = eta_1), the same for every
+    q: g_t - p_t . l_t, g_t = -c_t/eta_t + (1/eta_t - 1/eta_{t-1}) ln d
+    + eta_{t-1}/8, c_t the loss update's log normalizer.  (T,), or (R, T)
+    for a batch; a valid run's entries are >= -1e-9 up to float error."""
+    eta, eta_prev = traj.etas, traj.eta_prevs
+    return (-traj._loss_updates() / eta + (1.0 / eta - 1.0 / eta_prev)
+            * np.log(traj.d) + eta_prev / 8.0 - traj.realized)
 
 
-def small_loss_certificate_slacks(traj: Trajectory, comparators) -> np.ndarray:
-    """Slack of the small-loss variant of the per-round certificate.
-
-    ((1-e^-eta)/eta) p_t . l_t - q . l_t <=
-    (1/eta) sum_i q_i ln(v_{i,t+1}/p_{i,t}).
-    """
-    q = np.atleast_2d(np.asarray(comparators, dtype=float))
-    log_ratio = traj.log_v - traj.log_p[..., : traj.T, :]
-    eta = traj.etas[:, None]
-    factor = (1.0 - np.exp(-eta)) / eta
-    lhs = factor * traj.realized[..., None] - traj.losses @ q.T
-    rhs = (log_ratio @ q.T) / eta
-    return rhs - lhs
-
+def small_loss_certificate_slacks(traj: Trajectory) -> np.ndarray:
+    """Slack of the small-loss certificate ((1-e^-eta)/eta) p_t . l_t
+    - q . l_t <= (1/eta) sum_i q_i ln(v_{i,t+1}/p_{i,t}), which is
+    -c_t/eta + (expm1(-eta)/eta) p_t . l_t for every q: (T,) or (R, T).
+    It is stated at a constant rate, so a run whose eta varies is refused."""
+    eta = traj.etas
+    if np.any(eta != eta[0]):
+        raise ValueError("the small-loss certificate needs a constant rate")
+    return -traj._loss_updates() / eta + np.expm1(-eta) / eta * traj.realized

@@ -36,13 +36,14 @@ def as_comparator(u) -> np.ndarray:
 
 
 def _realized(p_traj, losses) -> tuple[np.ndarray, np.ndarray]:
-    """The per-round losses p_t . l_t of the played rows (of a trajectory
-    or a (T, d) matrix), and the losses as an array.  A trajectory's are
-    ``_played_losses`` of its ``log_p``, the values of its ``realized``."""
+    """p_t . l_t of one run's played rows (a trajectory's, formed as its
+    ``realized``, or a (T, d) matrix's), and the losses as an array."""
     l = np.asarray(losses, dtype=float)
     traj = isinstance(p_traj, Trajectory)
     p = (p_traj.log_p[..., : p_traj.T, :] if traj
          else np.asarray(p_traj, dtype=float))
+    if traj and p.ndim == 3:
+        raise ValueError("the evaluator takes one run: pass traj.rep(i)")
     if p.shape != l.shape or l.ndim != 2:
         raise ValueError("trajectory and losses shapes differ")
     if not traj:

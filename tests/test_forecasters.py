@@ -7,6 +7,7 @@ from simplexshare import (ForecasterState, MixingRule, as_loss_vector,
                           certificate_slacks, loss_update, mix_fixed_share,
                           mix_max_share, mix_projected, run_forecaster,
                           small_loss_certificate_slacks, step_time_varying)
+from simplexshare import forecasters
 from simplexshare.forecasters import _log_loss_step, _to_linear
 from oracles import (decayed_max_brute, kl_project_argsort,
                      share_rounds_reference)
@@ -139,10 +140,11 @@ def test_projected_run_at_d1000_matches_sort_order_projection_loop():
     assert floored.mean() > 0.5
 
 
-def test_trajectory_views_match_hand_stepped_state():
+def test_trajectory_views_match_hand_stepped_state(monkeypatch):
     """Only log p, losses and the round parameters are stored; every
     other record, max-share's auxiliary weights included, is recomputed
-    from them bit for bit, for single runs and batches alike."""
+    from them bit for bit, for single runs and batches alike, whether
+    read in one block or in several."""
     rng = np.random.default_rng(23)
     d, T = 3, 15
     rules = (MixingRule.fixed_share(0.1), MixingRule.projected(0.2),
@@ -156,35 +158,39 @@ def test_trajectory_views_match_hand_stepped_state():
              MixingRule.decayed_max_share(1.0, 0.01),
              MixingRule.time_varying([0.9] * 5 + [0.5] * 10,
                                      [1.0] * 3 + [0.2] * 7 + [0.0] * 5))
-    for rule in rules:
-        for shape in ((T, d), (3, T, d)):
-            losses = rng.random(shape)
-            traj = run_forecaster(rule, 0.8, losses)
-            assert {name for name, value in vars(traj).items()
-                    if isinstance(value, np.ndarray)} == {
-                        "log_p", "losses", "etas", "alphas"}
-            batch = len(shape) == 3
-            records = (traj.p, traj.v, traj.log_v, traj.w, traj.realized)
-            for i, loss in enumerate(losses.reshape(-1, T, d)):
-                p, v, log_v, w, realized = (
-                    a[i] if batch and a is not None else a for a in records)
-                if batch:
-                    rep_w = traj.rep(i).w
-                    assert (w is None and rep_w is None) or np.array_equal(
-                        rep_w, w)
-                state = ForecasterState(d, rule, 0.8)
-                for t in range(T):
-                    assert np.array_equal(p[t], state.p)
-                    assert realized[t] == np.einsum("d,d->", state.p,
-                                                    loss[t])
+    for rows in (None, 4):  # T = 15 rounds in one block, then in four
+        if rows is not None:
+            monkeypatch.setattr(forecasters, "_block_rows", lambda d: rows)
+        for rule in rules:
+            for shape in ((T, d), (3, T, d)):
+                losses = rng.random(shape)
+                traj = run_forecaster(rule, 0.8, losses)
+                assert {name for name, value in vars(traj).items()
+                        if isinstance(value, np.ndarray)} == {
+                            "log_p", "losses", "etas", "alphas"}
+                batch = len(shape) == 3
+                records = (traj.p, traj.v, traj.log_v, traj.w, traj.realized)
+                for i, loss in enumerate(losses.reshape(-1, T, d)):
+                    p, v, log_v, w, realized = (
+                        a[i] if batch and a is not None else a
+                        for a in records)
+                    if batch:
+                        rep_w = traj.rep(i).w
+                        assert (w is None and rep_w is None) or np.array_equal(
+                            rep_w, w)
+                    state = ForecasterState(d, rule, 0.8)
+                    for t in range(T):
+                        assert np.array_equal(p[t], state.p)
+                        assert realized[t] == np.einsum("d,d->", state.p,
+                                                        loss[t])
+                        if w is not None:
+                            assert np.array_equal(w[t], state.w)
+                        state.update(loss[t])
+                        assert np.array_equal(v[t], state.v)
+                        assert np.array_equal(log_v[t], state.log_v)
+                    assert np.array_equal(p[T], state.p)
                     if w is not None:
-                        assert np.array_equal(w[t], state.w)
-                    state.update(loss[t])
-                    assert np.array_equal(v[t], state.v)
-                    assert np.array_equal(log_v[t], state.log_v)
-                assert np.array_equal(p[T], state.p)
-                if w is not None:
-                    assert np.array_equal(w[T], state.w)
+                        assert np.array_equal(w[T], state.w)
 
 
 def _reference_cases(T):
@@ -259,6 +265,35 @@ def test_round_loop_peak_memory_stays_near_the_record():
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * traj.log_p.nbytes, rule.variant
+
+
+def _traced(read, traj):
+    """What ``read(traj)`` returns, and the traced peak of forming it."""
+    tracemalloc.start()
+    try:
+        out = read(traj)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certificates_and_log_v_hold_no_extra_record():
+    """Over a batch of 32 MB per T x d, both certificates peak below a
+    tenth of one T x d and ``log_v`` within 10% of its own output."""
+    rng = np.random.default_rng(67)
+    losses = (rng.random((2, 2000, 1000)) < 0.5).astype(float)
+    for rule in (MixingRule.fixed_share(0.05),
+                 MixingRule.time_varying(lambda t: 0.5 / np.sqrt(t),
+                                         lambda t: 0.05 / t)):
+        traj = run_forecaster(rule, 0.5, losses)
+        reads = [certificate_slacks]
+        if rule.variant != "time_varying":
+            reads.append(small_loss_certificate_slacks)
+        for read in reads:
+            peak = _traced(read, traj)[1]
+            assert peak < 0.1 * losses.nbytes, (rule.variant, read.__name__)
+        log_v, peak = _traced(lambda traj: traj.log_v, traj)
+        assert peak <= 1.1 * log_v.nbytes, rule.variant
 
 
 def test_rep_needs_a_batched_trajectory():
@@ -361,27 +396,60 @@ def test_weight_floor_for_sharing_rules():
         assert traj.p[1:].min() >= 0.3 / 6 - 1e-12
 
 
+def _q_form_slacks(log_p, losses, etas, q, small_loss=False):
+    """Both certificates' (T, n_q) slacks, written out per comparison
+    distribution q from the record alone: log v_{t+1} is the loss update
+    (eta_t/eta_{t-1}) log p_t - eta_t l_t, normalized."""
+    T, d = losses.shape
+    eta = etas[:, None]
+    eta_prev = np.concatenate([etas[:1], etas[:-1]])[:, None]
+    log_p = log_p[:T]
+    pre = eta / eta_prev * log_p - eta * losses
+    top = pre.max(axis=1, keepdims=True)
+    log_v = pre - top - np.log(np.exp(pre - top).sum(axis=1, keepdims=True))
+    played = (np.exp(log_p) * losses).sum(axis=1)[:, None]
+    if small_loss:
+        return ((log_v - log_p) @ q.T / eta
+                - (-np.expm1(-eta) / eta * played - losses @ q.T))
+    return ((log_v / eta - log_p / eta_prev) @ q.T
+            + (1.0 / eta - 1.0 / eta_prev) * np.log(d) + eta_prev / 8.0
+            - (played - losses @ q.T))
+
+
+def test_certificates_are_one_number_per_round_for_every_q():
+    """Every column of the q-form certificates is the one (T,) slack."""
+    rng = np.random.default_rng(71)
+    T = 40
+    for d in (1, 2, 50):
+        q = np.vstack([random_q(rng, d, 50), np.eye(d)])
+        losses = rng.random((T, d))
+        for rule, eta, _, _, _ in _reference_cases(T):
+            traj = run_forecaster(rule, eta, losses)
+            forms = [(certificate_slacks, False)]
+            if rule.variant != "time_varying":
+                forms.append((small_loss_certificate_slacks, True))
+            for slacks, small_loss in forms:
+                got = slacks(traj)
+                assert got.shape == (T,)
+                np.testing.assert_allclose(
+                    _q_form_slacks(traj.log_p, losses, traj.etas, q,
+                                   small_loss),
+                    np.broadcast_to(got[:, None], (T, len(q))), rtol=0.0,
+                    atol=1e-12, err_msg=f"{d} {rule} {slacks.__name__}")
+
+
 def test_certificates_across_rules():
     rng = np.random.default_rng(17)
     d, T = 4, 60
     losses = rng.random((T, d))
-    q = random_q(rng, d, 50)
     rules = [MixingRule.fixed_share(0.05), MixingRule.projected(0.1),
              MixingRule.max_share(0.2),
              MixingRule.decayed_max_share(0.2, 0.07)]
     for eta in (0.1, 1.0, 3.0):
         for rule in rules:
             traj = run_forecaster(rule, eta, losses)
-            slacks = certificate_slacks(traj, q)
-            assert slacks.min() >= -1e-9
-            assert small_loss_certificate_slacks(traj, q).min() >= -1e-9
-            # at a constant rate eta_{t-1} = eta_t and the ln d term is 0:
-            # the constant-rate form, written out
-            played = np.einsum("td,td->t", traj.played, losses)
-            constant_rate = ((traj.log_v - traj.log_p[:T]) @ q.T / eta
-                             + eta / 8.0 - (played[:, None] - losses @ q.T))
-            np.testing.assert_allclose(slacks, constant_rate, rtol=0.0,
-                                       atol=1e-12)
+            assert certificate_slacks(traj).min() >= -1e-9
+            assert small_loss_certificate_slacks(traj).min() >= -1e-9
 
 
 def test_varying_rate_certificate():
@@ -391,15 +459,32 @@ def test_varying_rate_certificate():
     rule = MixingRule.time_varying(
         lambda t: 1.5 / np.sqrt(t), lambda t: 0.4 / t)
     traj = run_forecaster(rule, None, losses)
-    q = random_q(rng, d, 50)
-    assert certificate_slacks(traj, q).min() >= -1e-9
+    slacks = certificate_slacks(traj)
+    assert slacks.shape == (T,) and slacks.min() >= -1e-9
+
+
+def test_small_loss_certificate_needs_a_constant_rate():
+    """A varying eta is refused; a time-varying rule whose eta is constant
+    and only alpha varies is certified like fixed share."""
+    losses = np.random.default_rng(73).random((30, 3))
+    rule = MixingRule.time_varying([1.0, 0.5, 0.25], [0.1] * 3)
+    traj = run_forecaster(rule, None, losses[:3])
+    with pytest.raises(ValueError, match="needs a constant rate"):
+        small_loss_certificate_slacks(traj)
+    rule = MixingRule.time_varying([0.8] * 30, [0.5 / t for t in range(1, 31)])
+    traj = run_forecaster(rule, None, losses)
+    slacks = small_loss_certificate_slacks(traj)
+    assert slacks.shape == (30,) and slacks.min() >= -1e-9
+    q = np.vstack([random_q(np.random.default_rng(79), 3, 10), np.eye(3)])
+    np.testing.assert_allclose(
+        _q_form_slacks(traj.log_p, losses, traj.etas, q, True),
+        np.broadcast_to(slacks[:, None], (30, len(q))), rtol=0.0, atol=1e-12)
 
 
 def test_certificates_of_a_batch_stack_the_runs():
     rng = np.random.default_rng(41)
     R, T, d = 3, 5, 4
     losses = rng.random((R, T, d))
-    q = random_q(rng, d, 6)
     cases = [(MixingRule.fixed_share(0.1), 0.7, certificate_slacks),
              (MixingRule.max_share(0.2), 0.7, small_loss_certificate_slacks),
              (MixingRule.time_varying(lambda t: 1.0 / np.sqrt(t),
@@ -407,12 +492,12 @@ def test_certificates_of_a_batch_stack_the_runs():
               certificate_slacks)]
     for rule, eta, slacks in cases:
         batch = run_forecaster(rule, eta, losses)
-        got = slacks(batch, q)
-        assert got.shape == (R, T, len(q))
-        singles = [slacks(run_forecaster(rule, eta, losses[i]), q)
+        got = slacks(batch)
+        assert got.shape == (R, T)
+        singles = [slacks(run_forecaster(rule, eta, losses[i]))
                    for i in range(R)]
         assert np.array_equal(got, np.stack(singles)), slacks.__name__
-        assert np.array_equal(got, np.stack([slacks(batch.rep(i), q)
+        assert np.array_equal(got, np.stack([slacks(batch.rep(i))
                                              for i in range(R)]))
 
 

@@ -308,6 +308,19 @@ def test_adaptive_regret_float_losses_on_the_compensated_path():
     assert adaptive_regret_details(p, losses, tau0) == (value, r, s, arm)
 
 
+def test_evaluators_refuse_a_batch():
+    """An evaluator takes one run: a batch, even with its own losses, is
+    refused with a message that points to ``rep(i)``."""
+    batch = run_forecaster(MixingRule.fixed_share(0.1), 1.0,
+                           np.random.default_rng(3).random((2, 6, 3)))
+    for evaluate, arg in ((generalized_shifting_regret, np.ones((6, 3))),
+                          (adaptive_regret, 2),
+                          (discounted_regret, linear_up_discounts(6))):
+        with pytest.raises(ValueError, match=r"one run.*rep\(i\)"):
+            evaluate(batch, batch.losses, arg)
+        evaluate(batch.rep(1), batch.losses[1], arg)
+
+
 def test_evaluators_leave_their_inputs_unchanged():
     rng = np.random.default_rng(53)
     T, d = KAHAN_MIN_LENGTH, 4
