@@ -16,7 +16,10 @@ guarantee covers it; a summary row (worst regret vs. smallest bound) is
 appended.  Every verdict is recomputable from the emitted columns
 alone.  All repetitions of a config run as one lockstep batch
 (``forecasters._run_realized`` says what it holds), and each row is bit
-for bit the row its repetition would give alone.
+for bit the row its repetition would give alone.  Evaluation replays a
+repetition's losses in blocks: a shifting row once, an adaptive row twice
+(the window scan, then the worst window's statistics) with O(tau0 d)
+scan state; only a discounted row reads a (T, d) matrix.
 """
 
 from __future__ import annotations
@@ -276,15 +279,17 @@ def parse_experiment(config: dict) -> ExperimentSpec:
                                    env.d, regret_kind, betas)
     repetitions = _integer(config.get("repetitions", 1), "repetitions")
     # floats in the run's largest arrays (0 where it has none): the (R, T)
-    # realized losses, the adversary's (R, T, d) rows, and the (T, d)
-    # losses of an adaptive or discounted row or of a hindsight corner
+    # realized losses, the adversary's (R, T, d) rows, an adaptive row's
+    # (tau0 + 1, d) window-scan state, and the (T, d) losses of a
+    # discounted row or of a discounted hindsight corner
     R, T, d = repetitions, env.T, env.d
     hindsight = (comparator is not None and comparator.kind == "discounted"
                  and comparator.corner is None)
     for path, floats in (
             ("repetitions", R * T),
             ("environment", R * T * d * (env.kind == "adversarial_flip")),
-            ("regret.kind", T * d * (regret_kind != "shifting")),
+            ("regret.tau0", 0 if tau0 is None else (tau0 + 1) * d),
+            ("regret.kind", T * d * (regret_kind == "discounted")),
             ("comparator.corner", T * d * hindsight)):
         if floats * 8 > INDEX_MAX:
             raise ConfigError(f"{path}: the run needs {floats} floats in one "
@@ -362,16 +367,16 @@ def _evaluate(spec: ExperimentSpec, run: RealizedRun, rep: int,
     """The report row of one repetition; ``shared_ms`` is its share of
     the batched generation, forecaster and realized-loss time, and
     ``comparator`` its shifting comparator.  A shifting row replays the
-    repetition's losses block by block; an adaptive or discounted row
-    reads its (T, d) matrix, as the window scan and the arm totals need
-    all T rows at once."""
+    repetition's losses block by block, and an adaptive row replays them
+    for the window scan (``_adaptive_details``) and again for its window's
+    statistics; a discounted row reads its (T, d) matrix, as the arm
+    totals (``betas @ l``) need all T rows at once."""
     start = time.perf_counter()
     losses, realized = run.source.run(rep), run.realized[rep]
     T, d = run.source.T, run.source.d
     if spec.regret_kind == "shifting":
         u = comparator_segments(comparator, d, T, losses)
     elif spec.regret_kind == "adaptive":
-        losses = losses.matrix()
         regret, r, s, arm = _adaptive_details(realized, losses, spec.tau0)
         u = [Segment(r - 1, s, arm)]
     else:  # discounted: the maximizing discounted corner

@@ -368,7 +368,8 @@ class LossRows:
     ``(lo, hi, rows)``, ``rows`` being rounds [lo, hi) of every run as an
     (R, hi - lo, d) array that stays valid until the next block is read.
     Blocks have ``_block_rows(d)`` rows unless asked otherwise, so a pass
-    holds at most 2^15 entries per run.  ``run(i)`` is run i alone and
+    holds at most 2^15 entries per run; the batched run asks for
+    ``_block_rows(R d)``, 2^15 in all.  ``run(i)`` is run i alone and
     ``matrix()`` a one-run source's (T, d) losses.  This class reads an
     (R, T, d) array, which may broadcast one (T, d) matrix to every run.
     """
@@ -644,14 +645,14 @@ class RealizedRun:
 def _run_realized(rule: MixingRule, eta: float | None, source: LossRows,
                   adversaries=None, each_block=None) -> RealizedRun:
     """``run_forecaster`` over one pass of ``source`` (checked losses),
-    without the record: each block of at most 2^15 losses per run is
-    played through a ring of as many log p entries and becomes realized
-    losses, so a run holds O(2^15 R + R T) besides ``source``: nothing for
-    a drawn kind, a loss file's one matrix, or the (R, T, d) rows that
-    ``adversaries`` (one per run) write.  ``each_block(lo, hi, rows)``, if
-    given, also reads every block once it is played."""
+    without the record: each block of at most 2^15 losses across the R
+    runs is played through a ring of as many log p entries and becomes
+    realized losses, so a batch holds O(2^15 + R T) besides ``source``:
+    nothing for a drawn kind, a loss file's one matrix, or the (R, T, d)
+    rows that ``adversaries`` (one per run) write.  ``each_block(lo, hi,
+    rows)``, if given, also reads every block once it is played."""
     R, T, d = source.R, source.T, source.d
-    block = _block_rows(d)
+    block = _block_rows(R * d)
     state = ForecasterState(d, rule, eta, reps=R)
     realized, etas, alphas = np.empty((R, T)), np.empty(T), np.empty(T)
 

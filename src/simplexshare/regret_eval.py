@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forecasters import Trajectory, _one_run, _played_losses
+from . import forecasters
+from .forecasters import LossRows, Trajectory, _one_run, _played_losses
 from .simplex_core import as_nonneg_vector
 
 # Prefix sums switch to compensated summation at this length: window
@@ -161,42 +162,151 @@ def generalized_shifting_regret(p_traj, losses, u) -> float:
                  - math.fsum(np.einsum("td,td->t", m, l)))
 
 
-def _kahan_cumsum(col: np.ndarray) -> np.ndarray:
-    """Kahan's compensated running sums of one column.  The loop runs on
-    Python floats read from and written to memoryviews: the same IEEE
-    steps as numpy's, without its per-call cost."""
-    out = np.empty(col.shape[0])
-    sums = memoryview(out)
-    total = carry = 0.0
-    for i, x in enumerate(memoryview(np.ascontiguousarray(col))):
-        y = x - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-        sums[i] = t
-    return out
+def _kahan_sums(cols: np.ndarray, sums: np.ndarray, carries: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Kahan's running sums along each row of ``cols`` from its entry of
+    ``sums`` and ``carries``, and the carries after the last.  The loop
+    runs on Python floats: the same IEEE steps as numpy's, without its
+    per-call cost."""
+    out, last = [], []
+    for row, total, carry in zip(cols.tolist(), sums.tolist(),
+                                 carries.tolist()):
+        run = []
+        for x in row:
+            y = x - carry
+            t = total + y
+            carry = (t - total) - y
+            total = t
+            run.append(t)
+        out.append(run)
+        last.append(carry)
+    return np.array(out), np.array(last)
 
 
-def _prefix(a: np.ndarray) -> np.ndarray:
-    """Prefix sums with a leading zero row; compensated for long inputs.
+class _RunningSums:
+    """Prefix sums of a stream of (n, k) row blocks, T rows in all, under
+    a leading zero row, carried from block to block.
 
-    Long inputs get Kahan's sums (``_kahan_cumsum``) bit for bit, but only
-    the columns that need them are compensated.  Kahan's step i forms
-    y = a_i - c, s_i = s_{i-1} + y and c = (s_i - s_{i-1}) - y, from
-    s_0 = c = +0.0.  While c is +0.0, y is a_i (signed zeros too) and s_i
-    the plain running sum of [0; a]; c stays +0.0 iff fl(s_i - s_{i-1})
-    == a_i, as x - x is +0.0 and no s_i is -0.0.  So where every step
-    passes that test, the plain sums are Kahan's.  (An infinite a_i passes
-    with a NaN carry, but then the next step fails; the last is unused.)
+    Below ``KAHAN_MIN_LENGTH`` rows they are numpy's sequential sums bit
+    for bit; from there on Kahan's, but only the columns that need them
+    are compensated.  Kahan's step i forms y = a_i - c, s_i = s_{i-1} + y
+    and c = (s_i - s_{i-1}) - y, from s_0 = c = +0.0.  While c is +0.0, y
+    is a_i (signed zeros too) and s_i the plain running sum of [0; a]; c
+    stays +0.0 iff fl(s_i - s_{i-1}) - a_i is zero, as x - x is +0.0 and
+    no s_i is -0.0.  So a column keeps numpy's sums until a block has a
+    step with a nonzero carry, and from that block on runs Kahan's loop,
+    which gives the same sums up to that step.
     """
-    zero = np.zeros((1,) + a.shape[1:])
-    if a.shape[0] < KAHAN_MIN_LENGTH:
-        return np.concatenate([zero, np.cumsum(a, axis=0)], axis=0)
-    pref = np.cumsum(np.concatenate([zero, a], axis=0), axis=0)
-    inexact = ((pref[1:] - pref[:-1]) != a).any(axis=0)
-    for j in np.flatnonzero(inexact):
-        pref[1:, j] = _kahan_cumsum(a[:, j])
-    return pref
+
+    def __init__(self, T: int, k: int):
+        self.sums, self.carry = np.zeros(k), np.zeros(k)
+        self.compensated = (np.zeros(k, dtype=bool)
+                            if T >= KAHAN_MIN_LENGTH else None)
+        self.skip = int(T < KAHAN_MIN_LENGTH)  # plain sums start at a_0
+
+    def extend(self, a: np.ndarray) -> np.ndarray:
+        """(n + 1, k): the sums so far, then the sums through each row of
+        the block ``a``."""
+        out = np.empty((a.shape[0] + 1, a.shape[1]))
+        out[0], out[1:] = self.sums, a
+        np.cumsum(out[self.skip:], axis=0, out=out[self.skip:])
+        self.skip = 0
+        if self.compensated is not None:
+            carries = np.subtract(out[1:], out[:-1])
+            np.subtract(carries, a, out=carries)
+            self.compensated |= (carries != 0.0).any(axis=0)
+            cols = np.flatnonzero(self.compensated)
+            sums, self.carry[cols] = _kahan_sums(a[:, cols].T, out[0, cols],
+                                                 self.carry[cols])
+            out[1:, cols] = sums.T
+        self.sums = out[-1].copy()
+        return out
+
+
+class _WindowScan:
+    """The best window of a stream of gains G(0), ..., G(T), one column
+    per action: the least (-value, s - r, r - 1, j) over windows
+    1 <= r <= s <= T with s - r < ``width`` and action j, value =
+    G_j(s) - G_j(r - 1), starting from ``best`` = (0.0, 0, 0, 0).
+
+    The best r - 1 for an end s is the latest minimum of G_j over
+    [s - width, s - 1], clipped at 0.  Positions fall into chunks of
+    ``width`` (van Herk 1992; Gil & Werman 1993), so that window is a
+    suffix of one chunk and a prefix of the next: its minimum is the
+    smaller of the last whole chunk's suffix minimum and the current
+    chunk's running minimum, which wins ties as the later.  The scan
+    holds the running minima and their latest positions (``head``,
+    ``head_at``) and ``tail``: the last whole chunk's suffix minima, the
+    current chunk's gains over the rows already passed, and +inf in row
+    ``width``.  Suffix minima never fall, so the latest minimum of a
+    suffix is the last row holding its value; only winners look it up.
+    """
+
+    def __init__(self, T: int, d: int, width: int):
+        self.width, self.best = width, (0.0, 0, 0, 0)
+        self.head, self.head_at = np.full(d, np.inf), np.full(d, -1)
+        # only a horizon of more than one chunk reads a last whole chunk
+        self.tail = np.full((width + 1, d), np.inf) if width < T else None
+
+    def extend(self, lo: int, gains: np.ndarray) -> None:
+        """Pass positions lo..hi - 1 of the gains rows of positions
+        lo..hi and score the window ends lo + 1..hi."""
+        w, hi, a = self.width, lo + gains.shape[0] - 1, lo
+        while a < hi:
+            nc = (hi - a) // w if a % w == 0 else 0  # whole chunks
+            b = a + nc * w if nc else min(hi, a - a % w + w)
+            self._chunks(a, gains[a - lo:b - lo + 1], max(nc, 1))
+            a = b
+
+    def _chunks(self, a: int, g: np.ndarray, nc: int) -> None:
+        """Positions a, ... of the gains rows ``g``: ``nc`` whole chunks,
+        or part of one."""
+        w, off, d = self.width, a % self.width, g.shape[1]
+        m = (g.shape[0] - 1) // nc
+        x = g[:-1].reshape(nc, m, d)
+        head = np.minimum.accumulate(x, axis=1)
+        np.minimum(head[0], self.head, out=head[0])
+        at = np.where(x == head, np.arange(a, a + nc * m).reshape(nc, m, 1),
+                      -1)
+        np.maximum.accumulate(at, axis=1, out=at)
+        np.maximum(at[0], self.head_at, out=at[0])
+        if off + m < w:  # the chunk goes on in the next block
+            self.head, self.head_at = head[0, -1].copy(), at[0, -1].copy()
+        else:
+            self.head.fill(np.inf)
+            self.head_at.fill(-1)
+        older = []  # (running minima, their starts, the suffix minima)
+        if a >= w:
+            older.append((head[0], at[0], self.tail[off + 1:off + m + 1]))
+        if nc > 1:
+            prev = np.minimum.accumulate(x[:-1, ::-1], axis=1)[:, ::-1]
+            older.append((head[1:, :-1], at[1:, :-1], prev[:, 1:]))
+        for low, start, tail in older:
+            use = tail < low
+            np.copyto(low, tail, where=use)
+            np.copyto(start, -1, where=use)
+        regret = np.subtract(g[1:].reshape(nc, m, d), head, out=head)
+        value = regret.max()
+        if value > 0.0 and -value <= self.best[0]:
+            c, i, j = np.nonzero(regret == value)
+            start = at[c, i, j]
+            for k in np.flatnonzero(start < 0):  # a suffix's latest minimum
+                if c[k] == 0:
+                    col, first = self.tail[off + 1:w, j[k]], a - w + 1
+                    low = col[i[k]]
+                else:
+                    col, first = prev[c[k] - 1, :, j[k]], a + (c[k] - 1) * w
+                    low = col[i[k] + 1]
+                start[k] = first + np.searchsorted(col, low, "right") - 1
+            width = a + c * m + i - start
+            k = np.lexsort((j, start, width))[0]
+            self.best = min(self.best, (-value, int(width[k]), int(start[k]),
+                                        int(j[k])))
+        if self.tail is not None:
+            self.tail[off:off + m] = x[-1]
+            if off + m == w:  # a whole chunk: its suffix minima
+                rows = self.tail[w - 1::-1]
+                np.minimum.accumulate(rows, axis=0, out=rows)
 
 
 def adaptive_regret(p_traj, losses, tau0: int) -> float:
@@ -214,8 +324,8 @@ def adaptive_regret_details(p_traj, losses, tau0: int
     - prefix(l_j), the regret of window [r, s] against action j is
     G_j(s) - G_j(r - 1), so the best window ending at s subtracts the
     minimum of G_j over [s - tau0, s - 1]: a sliding-window minimum
-    (van Herk 1992; Gil & Werman 1993), found for every s and j in
-    O(T * d) time whatever tau0 is.
+    (``_WindowScan``), found for every s and j in O(T * d) time whatever
+    tau0 is, in one pass over the losses (``_adaptive_details``).
 
     Returns (value, r, s, j) with 1-based round indices.  Ties go to the
     largest regret, then the smallest width, then the earliest start,
@@ -225,68 +335,27 @@ def adaptive_regret_details(p_traj, losses, tau0: int
     realized, l = _realized(p_traj, losses)
     if not 1 <= tau0 <= l.shape[0]:
         raise ValueError("tau0 must satisfy 1 <= tau0 <= T")
-    return _adaptive_details(realized, l, tau0)
+    return _adaptive_details(realized, _one_run(l), tau0)
 
 
-def _adaptive_details(realized: np.ndarray, l: np.ndarray, tau0: int
+def _adaptive_details(realized: np.ndarray, losses: LossRows, tau0: int
                       ) -> tuple[float, int, int, int]:
-    """``adaptive_regret_details`` from the realized losses, at a checked
-    1 <= tau0 <= T."""
-    fore = _prefix(realized[:, None])
-    best = (0.0, 0, 0, 0)  # (-regret, s - r, r - 1, action): least wins
-    for j in range(l.shape[1]):  # one action at a time, in O(T) memory
-        gains = _prefix(l[:, j:j + 1])
-        np.subtract(fore, gains, out=gains)
-        best = min(best, _best_window(gains[:, 0], tau0) + (j,))
-    neg_regret, width, r, arm = best
+    """``adaptive_regret_details`` from one run's realized losses and its
+    ``LossRows``, at a checked 1 <= tau0 <= T: one pass over the blocks,
+    whose prefix sums (``_RunningSums``) and gains go through the window
+    scan.  It holds the scan's O(tau0 d) and four arrays of a block, whose
+    2^13 entries keep them below a batched run's ring and loss block."""
+    T, d = losses.T, losses.d
+    fore, sums = _RunningSums(T, 1), _RunningSums(T, d)
+    scan = _WindowScan(T, d, tau0)
+    for lo, hi, rows in losses.blocks(forecasters._block_rows(4 * d)):
+        gains = sums.extend(rows[0])
+        np.subtract(fore.extend(realized[lo:hi, None]), gains, out=gains)
+        scan.extend(lo, gains)
+    neg_regret, width, r, arm = scan.best
     if not neg_regret < 0.0:
         return 0.0, 1, 1, 0
     return float(-neg_regret), r + 1, r + width + 1, arm
-
-
-def _best_window(gains: np.ndarray, width: int) -> tuple[float, int, int]:
-    """The largest gains[s] - gains[r - 1] over 0 <= s - r < ``width``, as
-    (-value, s - r, r - 1) with the least s - r, then the least r - 1.
-
-    The best r - 1 for each s is the latest minimum of gains over
-    [s - width, s - 1], clipped at 0.  Blockwise prefix and suffix
-    minima (van Herk / Gil-Werman) find it for every s: a window of
-    ``width`` entries spans the tail of one block and the head of the
-    next, so its minimum is the smaller of a suffix and a prefix minimum;
-    a window clipped at 0 is a prefix of the first block.  Only the last
-    block is padded, so the arrays hold fewer than T + width entries.
-    """
-    n = gains.size - 1
-    blocks = -(-n // width)
-    pad = np.full((blocks, width), np.inf)
-    pad.reshape(-1)[:n] = gains[:-1]
-    pos = np.arange(pad.size).reshape(pad.shape)
-    head = np.minimum.accumulate(pad, axis=1)
-    head_at = np.maximum.accumulate(np.where(pad == head, pos, -1), axis=1)
-    tail = np.empty_like(pad)
-    np.minimum.accumulate(pad[:, ::-1], axis=1, out=tail[:, ::-1])
-    # the latest minimum of a block's tail is its first entry strictly
-    # below everything after it
-    last = np.less(pad, np.inf)
-    np.less(pad[:, :-1], tail[:, 1:], out=last[:, :-1])
-    del pad
-    tail_at = np.where(last, pos, pos.size)
-    np.minimum.accumulate(tail_at[:, ::-1], axis=1, out=tail_at[:, ::-1])
-    # the window ending at s is entries [s - width, s - 1]: the head up to
-    # s - 1 and, once s >= width, the tail from s - width; the head wins
-    # ties, and the regret and starts overwrite it
-    low, start = head.reshape(-1)[:n], head_at.reshape(-1)[:n]
-    whole = slice(width - 1, n)
-    tail = tail.reshape(-1)[:n - width + 1]
-    use_tail = low[whole] > tail
-    np.copyto(low[whole], tail, where=use_tail)
-    np.copyto(start[whole], tail_at.reshape(-1)[:n - width + 1],
-              where=use_tail)
-    regret = np.subtract(gains[1:], low, out=low)
-    value = regret.max()
-    ends = np.flatnonzero(regret == value)
-    k = np.lexsort((start[ends], ends - start[ends]))[0]
-    return -value, int(ends[k] - start[ends[k]]), int(start[ends[k]])
 
 
 def as_discounts(betas, T: int | None = None) -> np.ndarray:

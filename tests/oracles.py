@@ -194,6 +194,24 @@ def prefix_sums_brute(a: np.ndarray, compensated: bool) -> np.ndarray:
     return out
 
 
+def best_window_brute(gains: np.ndarray, tau0: int
+                      ) -> tuple[float, int, int, int]:
+    """(value, r, s, j) of the largest gains[s, j] - gains[r - 1, j] over
+    1 <= r <= s <= T with s - r < tau0, from (T + 1, d) gains: every width
+    in turn, so ties go to the smallest width, then the earliest start,
+    then the lowest action; (0, 1, 1, 0) when no window is positive."""
+    T = gains.shape[0] - 1
+    best, key = (0.0, 1, 1, 0), (0.0,)
+    for width in range(min(tau0, T)):
+        regret = gains[width + 1:] - gains[:T - width]  # row r - 1
+        value = regret.max()
+        r0, j = np.argwhere(regret == value)[0]
+        if (-value, width, r0, j) < key:
+            best = (float(value), int(r0) + 1, int(r0) + width + 1, int(j))
+            key = (-value, width, r0, j)
+    return best
+
+
 def exact_sum(values) -> float:
     """The sum of floats in rationals, rounded once to the nearest float."""
     return float(sum((Fraction(float(x)) for x in values), Fraction(0)))

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import best_window_brute, prefix_sums_brute
 
 from simplexshare.bounds import (bound_fixed_share, bound_projected,
                                  bound_shared_weights, bound_time_varying,
@@ -13,15 +14,15 @@ from simplexshare.bounds import (bound_fixed_share, bound_projected,
 from simplexshare.cli import main as cli_main
 from simplexshare import cli, experiments, forecasters
 from simplexshare.environments import (EnvironmentSpec, gen_comparator,
-                                       gen_losses,
-                                       load_losses_csv, make_adversary,
-                                       make_rng)
+                                       gen_losses, load_losses_csv,
+                                       loss_rows, make_adversary, make_rng)
 from simplexshare.experiments import (CSV_COLUMNS, ConfigError, VERDICT_SLACK,
                                       _run_batch, any_failed,
                                       parse_experiment, report_rows,
                                       run_experiment, write_report_csv)
 from simplexshare.forecasters import run_forecaster
-from simplexshare.regret_eval import (adaptive_regret_details,
+from simplexshare.regret_eval import (KAHAN_MIN_LENGTH, _adaptive_details,
+                                      adaptive_regret_details,
                                       discounted_regret_details,
                                       generalized_shifting_regret,
                                       regularity_m, sparsity_n)
@@ -912,17 +913,65 @@ def _shifting_budget(R, T):
 ], ids=["shifting", "window_vector", "adaptive", "adaptive_whole_horizon",
         "discounted"])
 def test_run_experiment_holds_the_losses_and_small_arrays(config):
-    # no T x d record, comparator or loss batch: a shifting row replays
-    # its losses in blocks (16 MB of them per run here), and an adaptive
-    # or discounted row holds one repetition's losses and its O(T)
-    # window-scan arrays: twelve T-vectors and two per run
+    # no T x d record, comparator or loss batch: a shifting or adaptive
+    # row replays its losses in blocks (16 MB of them per run here), and
+    # a discounted row holds one repetition's losses; each holds at most
+    # twelve T-vectors and two per run besides
     spec = parse_experiment({**config, "repetitions": 2})
     R, T, d = 2, spec.environment.T, spec.environment.d
     peak = _traced_peak(spec)
     if spec.regret_kind == "shifting":
         assert peak <= _shifting_budget(R, T)
     else:
-        assert peak <= 8 * T * d + (96 + 16 * R) * T
+        matrix = 8 * T * d * (spec.regret_kind == "discounted")
+        assert peak <= matrix + (96 + 16 * R) * T
+
+
+def test_a_long_adaptive_row_holds_its_window_not_its_losses():
+    # T = 1e5 rounds and windows of tau0 << T: besides a shifting row's
+    # budget, the row holds the window scan's (tau0 + 1, d) state, not the
+    # 8 MB of (T, d) losses
+    T, d, tau0 = 100_000, 10, 1000
+    spec = parse_experiment({
+        "environment": _piecewise_env(d, T, 4),
+        "forecaster": {"rule": "fixed_share", "eta": 0.3, "alpha": 0.01},
+        "regret": {"kind": "adaptive", "tau0": tau0}})
+    assert _traced_peak(spec) <= _shifting_budget(1, T) + 8 * (tau0 + 1) * d
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_adaptive_rows_stream_compensated_sums_bit_for_bit(
+        tmp_path, monkeypatch, rows):
+    # a loss file of T >= KAHAN_MIN_LENGTH rounds: arm 0 is 0/1 for the
+    # first half and float after, so its Kahan loop starts mid-stream, arm
+    # 1 stays exact and arm 2 is float.  The scan over blocks of 1, 7 or
+    # the default rows equals a brute window scan over plain-Python sums.
+    T, tau0 = KAHAN_MIN_LENGTH, 40
+    rng = np.random.default_rng(67)
+    losses = (rng.random((T, 3)) < 0.4).astype(float)
+    losses[T // 2:, 0] = rng.random(T - T // 2)
+    losses[:, 2] = rng.random(T)
+    path = tmp_path / "losses.csv"
+    path.write_text("\n".join(",".join(format(x, ".17g") for x in row)
+                              for row in losses) + "\n")
+    spec = parse_experiment({
+        "environment": {"kind": "from_file", "d": 3, "T": T,
+                        "path": str(path)},
+        "forecaster": {"rule": "fixed_share", "eta": 0.3, "alpha": 0.01},
+        "regret": {"kind": "adaptive", "tau0": tau0}})
+    realized = run_forecaster(spec.forecaster.rule, spec.forecaster.eta,
+                              losses).realized
+    sums = prefix_sums_brute(np.column_stack([realized, losses]), True)
+    want = best_window_brute(sums[:, :1] - sums[:, 1:], tau0)
+    value, r, s, arm = want
+    assert value > 0.0 and s - r + 1 < tau0
+    if rows is not None:
+        monkeypatch.setattr(forecasters, "_block_rows", lambda d: rows)
+    assert _adaptive_details(realized, loss_rows(spec.environment),
+                             tau0) == want
+    row = run_experiment(spec)[0]
+    assert (row.regret, row.U_sum, row.L_sum) == (
+        value, s - r + 1, math.fsum(losses[r - 1:s, arm]))
 
 
 def test_a_loss_file_is_held_once_for_every_repetition(tmp_path):
@@ -1098,15 +1147,19 @@ def _oversized(kind):
     share = {"rule": "fixed_share", "eta": 0.5, "alpha": 0.1}
     adaptive = {"kind": "adaptive", "tau0": 1}
     corner = {"kind": "discounted", "betas": [0.5] * 2 ** 4}
+    wide = {**drawn, "d": 2 ** 60, "T": 2 ** 4, "means": [0.5, 0.5]}
     if kind == "adversary rows":  # R T d entries
         return "environment", {"environment": flip, "forecaster": share,
                                "regret": adaptive}
-    if kind == "adaptive matrix":  # T d entries
-        return "regret.kind", {"environment": drawn, "forecaster": share,
-                               "regret": adaptive}
+    if kind == "window scan":  # (tau0 + 1) d entries
+        return "regret.tau0", {"environment": wide, "forecaster": share,
+                               "regret": {**adaptive, "tau0": 2 ** 4}}
+    if kind == "discounted matrix":  # T d entries
+        return "regret.kind", {"environment": wide, "forecaster": share,
+                               "regret": {"kind": "discounted",
+                                          "schedule": "linear_up"}}
     if kind == "hindsight corner":  # T d entries
-        env = {**drawn, "d": 2 ** 60, "T": 2 ** 4, "means": [0.5, 0.5]}
-        return "comparator.corner", {"environment": env, "forecaster": share,
+        return "comparator.corner", {"environment": wide, "forecaster": share,
                                      "regret": {"kind": "shifting"},
                                      "comparator": corner}
     # realized losses: R T entries
@@ -1116,13 +1169,15 @@ def _oversized(kind):
                            "repetitions": 2 ** 60}
 
 
-@pytest.mark.parametrize("kind", ["adversary rows", "adaptive matrix",
-                                  "hindsight corner", "realized losses"])
+@pytest.mark.parametrize("kind", ["adversary rows", "window scan",
+                                  "discounted matrix", "hindsight corner",
+                                  "realized losses"])
 def test_arrays_numpy_cannot_index_fail_at_parse_time(tmp_path, capsys,
                                                       monkeypatch, kind):
-    # the run ended in "array is too big" with no path, or a traceback
+    # the run ended in "array is too big" with no path, or a traceback;
+    # an adaptive row holds its window scan's state, not the T x d losses
     path, cfg = _oversized(kind)
-    if kind == "hindsight corner":  # no config can list 2^60 means
+    if cfg["environment"]["d"] == 2 ** 60:  # no config lists 2^60 means
         monkeypatch.setattr(EnvironmentSpec, "__post_init__",
                             lambda self: None)
     with pytest.raises(ConfigError, match=rf"^{path}: .* more than numpy "

@@ -9,7 +9,7 @@ from simplexshare import (MixingRule, adaptive_regret, adaptive_regret_details,
                           generalized_shifting_regret, linear_down_discounts,
                           linear_up_discounts, regularity_m, run_forecaster,
                           sparsity_n, total_variation)
-from simplexshare.regret_eval import (KAHAN_MIN_LENGTH, Segment, _prefix,
+from simplexshare.regret_eval import (KAHAN_MIN_LENGTH, Segment, _RunningSums,
                                       as_comparator, comparator_stats)
 from oracles import (adaptive_regret_brute, adaptive_regret_details_brute,
                      comparator_sums_exact, prefix_sums_brute)
@@ -385,6 +385,15 @@ def test_discount_regularity_identity():
     assert discount_regularity(betas, q) == pytest.approx(0.2 + 0.7, abs=1e-12)
 
 
+def _prefix(values, rows=None):
+    """Prefix sums of ``values`` under a zero row, streamed through
+    ``_RunningSums`` in blocks of ``rows`` rows (one block by default)."""
+    T, k = values.shape
+    sums, rows = _RunningSums(T, k), rows or T
+    parts = [sums.extend(values[lo:lo + rows]) for lo in range(0, T, rows)]
+    return np.concatenate([parts[0][:1]] + [part[1:] for part in parts])
+
+
 def test_compensated_prefix_sums():
     rng = np.random.default_rng(29)
     values = rng.random((12_000, 2))
@@ -415,11 +424,15 @@ def _prefix_cases(T: int) -> dict[str, np.ndarray]:
 
 @pytest.mark.parametrize("T", [KAHAN_MIN_LENGTH - 1, KAHAN_MIN_LENGTH])
 def test_prefix_matches_plain_python_sums_bit_for_bit(T):
+    # blocks of 1 and 7 rows carry the sums, and a column's switch to
+    # Kahan's loop, across blocks
     for name, values in _prefix_cases(T).items():
-        got = _prefix(values)
         want = prefix_sums_brute(values, compensated=T >= KAHAN_MIN_LENGTH)
-        assert np.array_equal(got, want), name
-        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+        for rows in (1, 7, None):
+            got = _prefix(values, rows)
+            assert np.array_equal(got, want), (name, rows)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (name,
+                                                                       rows)
 
 
 def test_adaptive_regret_long_horizon_smoke():
