@@ -134,7 +134,9 @@ def gen_losses(spec: EnvironmentSpec, stream: int = 0) -> np.ndarray:
         raise ValueError("adversarial_flip is adaptive; use make_adversary")
     if spec.kind == "from_file":
         return load_losses_csv(spec.path, d=spec.d or None, T=spec.T or None)
-    return DrawnLosses(spec, (stream,)).matrix()
+    out = np.empty((spec.T, spec.d))
+    DrawnLosses(spec, (stream,))._draw(make_rng(spec.seed, stream), out, 0)
+    return out
 
 
 def loss_rows(spec: EnvironmentSpec, reps: int = 1) -> LossRows:
@@ -196,11 +198,6 @@ class DrawnLosses(LossRows):
 
     def run(self, i: int) -> "DrawnLosses":
         return DrawnLosses(self.spec, self.streams[i:i + 1])
-
-    def matrix(self) -> np.ndarray:
-        out = np.empty((self.T, self.d))
-        self._draw(make_rng(self.spec.seed, self.streams[0]), out, 0)
-        return out
 
 
 class AdversarialFlip:
@@ -312,84 +309,95 @@ def check_comparator(spec: ComparatorSpec, d: int, T: int) -> None:
 
 
 class SegmentCorners:
-    """Best arm per segment in hindsight (summed losses argmin) of R runs,
-    summed as their blocks pass: ``add(lo, hi, rows)`` takes rounds
-    [lo, hi) as an (R, hi - lo, d) array, in round order, and
-    ``corners[i]`` holds run i's corners once every round is added.
+    """The hindsight corners of ``Segment`` rows ``u`` (those whose
+    ``vec`` is None, in round order: the summed losses' argmin, each round
+    scaled by ``scale`` when given) in R runs, found as blocks pass:
+    ``add(lo, hi, rows)`` takes rounds [lo, hi) as an (R, hi - lo, d)
+    array, in round order, and ``runs[i]`` is run i's ``u`` with its
+    corners once every round is added.  With no hindsight corner,
+    ``add`` returns at once.
 
     A segment's column sums are carried across blocks in the order of
-    ``losses[a:b].sum(axis=0)``, which adds the rows in turn for d >= 2:
-    the carried sum joins the block's first row.  (At d = 1 that sum is
-    pairwise, but one arm is the corner whatever its sum.)  An empty
-    segment's corner is 0.
+    ``(scale[a:b, None] * losses[a:b]).sum(axis=0)``, which adds the rows
+    in turn for d >= 2: the carried sum joins the block's first row.  (At
+    d = 1 that sum is pairwise, but one arm is the corner whatever its
+    sum.)
     """
 
-    def __init__(self, segment_lengths, R: int):
-        self._ends = np.cumsum([int(x) for x in segment_lengths]).tolist()
-        self.corners = np.zeros((R, len(self._ends)), dtype=int)
-        self._k, self._total = 0, None  # the open segment and its sums
+    def __init__(self, u: list[Segment], R: int):
+        self.runs = [list(u) for _ in range(R)]
+        self._open = [k for k, seg in enumerate(u) if seg.vec is None]
+        self._total = None  # the sums of the first open segment
 
     def add(self, lo: int, hi: int, rows: np.ndarray) -> None:
-        x = lo
-        while x < hi:
-            y = min(hi, self._ends[self._k])
+        while self._open and self.runs[0][self._open[0]].a < hi:
+            k = self._open[0]
+            a, b, _, scale = self.runs[0][k]
+            x, y = max(a, lo), min(b, hi)
             part = rows[:, x - lo:y - lo]
-            if self._total is not None:
+            if scale is not None:
+                part = part * scale[x:y, None]
+            elif self._total is not None:
                 part = part.copy()
+            if self._total is not None:
                 part[:, 0] += self._total
             self._total = part.sum(axis=1)
-            if y == self._ends[self._k]:
-                self.corners[:, self._k] = np.argmin(self._total, axis=1)
-                self._k, self._total = self._k + 1, None
-            x = y
+            if y < b:
+                return
+            for run, j in zip(self.runs, np.argmin(self._total, axis=1)):
+                run[k] = run[k]._replace(vec=int(j))
+            self._open, self._total = self._open[1:], None
+
+
+def _with_corners(u: list[Segment], losses) -> list[Segment]:
+    """``u`` with its hindsight corners in the losses of one run, a (T, d)
+    matrix or ``LossRows``, read in one pass."""
+    corners = SegmentCorners(u, 1)
+    for block in _one_run(losses).blocks():
+        corners.add(*block)
+    return corners.runs[0]
 
 
 def hindsight_segment_corners(losses, segment_lengths) -> list[int]:
     """Best arm per segment in hindsight (summed losses argmin) of a
     (T, d) matrix or one run's ``LossRows``, read in one pass."""
-    rows = _one_run(losses)
-    if sum(int(x) for x in segment_lengths) != rows.T:
-        raise ValueError("segment_lengths must sum to T")
-    corners = SegmentCorners(segment_lengths, 1)
-    for block in rows.blocks():
-        corners.add(*block)
-    return corners.corners[0].tolist()
+    _check_segment_lengths(segment_lengths, _one_run(losses).T)
+    ends = np.cumsum(segment_lengths).tolist()
+    u = [Segment(b - n, b, None) for n, b in zip(segment_lengths, ends)]
+    return [seg.vec for seg in _with_corners(u, losses)]
 
 
 def gen_comparator(spec: ComparatorSpec, d: int, T: int,
                    losses: np.ndarray | None = None) -> np.ndarray:
     """Materialize a (T, d) comparator matrix: the rows of
-    ``comparator_segments``, which need the losses for hindsight corners
-    (piecewise_corner without corners, discounted without a corner)."""
+    ``comparator_segments``, whose hindsight corners (piecewise_corner
+    without corners, discounted without a corner) are found in
+    ``losses``."""
     check_comparator(spec, d, T)
-    return _rows(comparator_segments(spec, d, T, losses), 0, T, d)
+    u = comparator_segments(spec, d, T)
+    if any(seg.vec is None for seg in u):
+        if losses is None:
+            raise ValueError("hindsight corners need the losses")
+        u = _with_corners(u, losses)
+    return _rows(u, 0, T, d)
 
 
-def comparator_segments(spec: ComparatorSpec, d: int, T: int, losses
+def comparator_segments(spec: ComparatorSpec, d: int, T: int
                         ) -> list[Segment]:
     """The comparator of a checked spec as ``regret_eval.Segment`` rows;
-    ``scaled_arbitrary`` is one block of T rows.  Hindsight corners come
-    from ``losses``, a (T, d) matrix or one run's ``LossRows``: segment
-    corners from one pass, a discounted corner from the whole matrix,
-    as ``betas @ losses`` needs all T rows."""
+    ``scaled_arbitrary`` is one block of T rows.  A hindsight corner
+    (piecewise_corner without corners, discounted without a corner) is
+    ``Segment(a, b, None, scale)``, for ``SegmentCorners`` to find."""
     if spec.kind == "scaled_arbitrary":
         return [Segment(0, T, np.ascontiguousarray(spec.vectors, dtype=float))]
     if spec.kind == "adaptive_window":
         q = spec.q if np.ndim(spec.q) == 0 else np.asarray(spec.q, dtype=float)
         return [Segment(spec.r - 1, spec.s, q)]
     if spec.kind == "discounted":
-        betas = as_discounts(spec.betas, T)
-        corner = spec.corner
-        if corner is None:
-            if losses is None:
-                raise ValueError("hindsight corner needs the loss matrix")
-            corner = int(np.argmin(betas @ _one_run(losses).matrix()))
-        return [Segment(0, T, corner, betas)]
+        return [Segment(0, T, spec.corner, as_discounts(spec.betas, T))]
     corners = spec.corners
     if corners is None:
-        if losses is None:
-            raise ValueError("hindsight corners need the loss matrix")
-        corners = hindsight_segment_corners(losses, spec.segment_lengths)
+        corners = [None] * len(spec.segment_lengths)
     ends = np.cumsum(spec.segment_lengths).tolist()
     return [Segment(b - n, b, j)
             for n, b, j in zip(spec.segment_lengths, ends, corners)]

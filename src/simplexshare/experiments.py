@@ -16,10 +16,12 @@ guarantee covers it; a summary row (worst regret vs. smallest bound) is
 appended.  Every verdict is recomputable from the emitted columns
 alone.  All repetitions of a config run as one lockstep batch
 (``forecasters._run_realized`` says what it holds), and each row is bit
-for bit the row its repetition would give alone.  Evaluation replays a
-repetition's losses in blocks: a shifting row once, an adaptive row twice
-(the window scan, then the worst window's statistics) with O(tau0 d)
-scan state; only a discounted row reads a (T, d) matrix.
+for bit the row its repetition would give alone.  A discounted row is
+a shifting row against its arm, a hindsight corner; hindsight corners
+are found as the batch's blocks pass.  Evaluation then replays a
+repetition's losses in blocks, never as a (T, d) matrix: a shifting or
+discounted row once, an adaptive row twice (the window scan, then the
+worst window's statistics) with O(tau0 d) scan state.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from .environments import (INDEX_MAX, ComparatorSpec, EnvironmentSpec,
                            linear_up_discounts, load_losses_csv, loss_rows,
                            make_adversary)
 from .forecasters import MixingRule, RealizedRun, _run_realized
-from .regret_eval import (Segment, _adaptive_details, _discounted_details,
-                          as_discounts, comparator_stats)
+from .regret_eval import (Segment, _adaptive_details, as_discounts,
+                          comparator_stats)
 from .simplex_core import _check_eta
 
 VERDICT_SLACK = 1e-6
@@ -279,18 +281,13 @@ def parse_experiment(config: dict) -> ExperimentSpec:
                                    env.d, regret_kind, betas)
     repetitions = _integer(config.get("repetitions", 1), "repetitions")
     # floats in the run's largest arrays (0 where it has none): the (R, T)
-    # realized losses, the adversary's (R, T, d) rows, an adaptive row's
-    # (tau0 + 1, d) window-scan state, and the (T, d) losses of a
-    # discounted row or of a discounted hindsight corner
+    # realized losses, the adversary's (R, T, d) rows and an adaptive row's
+    # (tau0 + 1, d) window-scan state
     R, T, d = repetitions, env.T, env.d
-    hindsight = (comparator is not None and comparator.kind == "discounted"
-                 and comparator.corner is None)
     for path, floats in (
             ("repetitions", R * T),
             ("environment", R * T * d * (env.kind == "adversarial_flip")),
-            ("regret.tau0", 0 if tau0 is None else (tau0 + 1) * d),
-            ("regret.kind", T * d * (regret_kind == "discounted")),
-            ("comparator.corner", T * d * hindsight)):
+            ("regret.tau0", 0 if tau0 is None else (tau0 + 1) * d)):
         if floats * 8 > INDEX_MAX:
             raise ConfigError(f"{path}: the run needs {floats} floats in one "
                               "array, more than numpy can index")
@@ -349,7 +346,7 @@ def _bound(fc: ForecasterConfig, run: RealizedRun, masses: np.ndarray,
         *bnd._weight_constants(rule.variant, d, T, rule.gamma), u1_norm)
 
 
-def _run_batch(spec: ExperimentSpec, each_block=None) -> RealizedRun:
+def _run_batch(spec: ExperimentSpec, each_block) -> RealizedRun:
     """All repetitions in lockstep over one pass of their losses
     (``environments.loss_rows``; repetition i reads stream i, or its own
     adversary), which ``each_block`` (as in ``_run_realized``) also reads."""
@@ -362,29 +359,23 @@ def _run_batch(spec: ExperimentSpec, each_block=None) -> RealizedRun:
 
 
 def _evaluate(spec: ExperimentSpec, run: RealizedRun, rep: int,
-              shared_ms: float, comparator: ComparatorSpec | None
-              ) -> RegretReport:
+              shared_ms: float, u: list[Segment]) -> RegretReport:
     """The report row of one repetition; ``shared_ms`` is its share of
-    the batched generation, forecaster and realized-loss time, and
-    ``comparator`` its shifting comparator.  A shifting row replays the
-    repetition's losses block by block, and an adaptive row replays them
-    for the window scan (``_adaptive_details``) and again for its window's
-    statistics; a discounted row reads its (T, d) matrix, as the arm
-    totals (``betas @ l``) need all T rows at once."""
+    the batched generation, forecaster and realized-loss time, and ``u``
+    its comparator with its corners: a shifting row's, or a discounted
+    row's arm scaled by the discounts.  Either replays the repetition's
+    losses once, block by block, for the statistics and is scored as
+    ``masses @ realized - L_sum``.  An adaptive row replays them for the
+    window scan (``_adaptive_details``) and again for its window's
+    statistics."""
     start = time.perf_counter()
     losses, realized = run.source.run(rep), run.realized[rep]
     T, d = run.source.T, run.source.d
-    if spec.regret_kind == "shifting":
-        u = comparator_segments(comparator, d, T, losses)
-    elif spec.regret_kind == "adaptive":
+    if spec.regret_kind == "adaptive":
         regret, r, s, arm = _adaptive_details(realized, losses, spec.tau0)
         u = [Segment(r - 1, s, arm)]
-    else:  # discounted: the maximizing discounted corner
-        losses = losses.matrix()
-        regret, arm = _discounted_details(realized, losses, spec.betas)
-        u = [Segment(0, T, arm, spec.betas)]
     masses, m, n, U_sum, L_sum = comparator_stats(u, losses)
-    if spec.regret_kind == "shifting":
+    if spec.regret_kind != "adaptive":
         regret = float(masses @ realized - L_sum)
     bound = _bound(spec.forecaster, run, masses, m, n, U_sum, L_sum)
     return RegretReport(run_id=f"{rep:04d}", seed=spec.environment.seed, T=T,
@@ -399,20 +390,22 @@ def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
     is), its verdict recomputed by the standard rule, so a passing summary
     is conservative.  Its ``wall_ms`` is the elapsed time of this call; a
     repetition's is its own evaluation time plus 1/R of the batched
-    generation, forecaster and realized-loss time.  Hindsight segment
-    corners are summed as the run's blocks pass, so evaluation need not
-    replay the losses for them."""
+    generation, forecaster and realized-loss time.  Hindsight corners, a
+    discounted row's arm among them, are summed as the run's blocks pass
+    (``SegmentCorners``), so evaluation need not replay the losses for
+    them."""
     start = time.perf_counter()
-    comparator, reps, hindsight = spec.comparator, spec.repetitions, None
-    if (comparator is not None and comparator.kind == "piecewise_corner"
-            and comparator.corners is None):
-        hindsight = SegmentCorners(comparator.segment_lengths, reps)
-    batch = _run_batch(spec, None if hindsight is None else hindsight.add)
-    comparators = ([comparator] * reps if hindsight is None else
-                   [replace(comparator, corners=corners.tolist())
-                    for corners in hindsight.corners])
+    reps, T, d = spec.repetitions, spec.environment.T, spec.environment.d
+    if spec.regret_kind == "shifting":
+        u = comparator_segments(spec.comparator, d, T)
+    elif spec.regret_kind == "discounted":
+        u = [Segment(0, T, None, spec.betas)]
+    else:  # adaptive: the worst window, found in evaluation
+        u = []
+    corners = SegmentCorners(u, reps)
+    batch = _run_batch(spec, corners.add)
     shared_ms = (time.perf_counter() - start) * 1e3 / reps
-    reports = [_evaluate(spec, batch, rep, shared_ms, comparators[rep])
+    reports = [_evaluate(spec, batch, rep, shared_ms, corners.runs[rep])
                for rep in range(reps)]
     worst = {key: max(getattr(r, key) for r in reports)
              for key in ("regret", "m", "n", "U_sum", "L_sum")}

@@ -369,9 +369,9 @@ class LossRows:
     (R, hi - lo, d) array that stays valid until the next block is read.
     Blocks have ``_block_rows(d)`` rows unless asked otherwise, so a pass
     holds at most 2^15 entries per run; the batched run asks for
-    ``_block_rows(R d)``, 2^15 in all.  ``run(i)`` is run i alone and
-    ``matrix()`` a one-run source's (T, d) losses.  This class reads an
-    (R, T, d) array, which may broadcast one (T, d) matrix to every run.
+    ``_block_rows(R d)``, 2^15 in all.  ``run(i)`` is run i alone.  This
+    class reads an (R, T, d) array, which may broadcast one (T, d) matrix
+    to every run.
     """
 
     def __init__(self, losses: np.ndarray):
@@ -387,9 +387,6 @@ class LossRows:
 
     def run(self, i: int) -> "LossRows":
         return LossRows(self.losses[i:i + 1])
-
-    def matrix(self) -> np.ndarray:
-        return self.losses[0]
 
 
 def _one_run(losses) -> LossRows:
@@ -643,14 +640,15 @@ class RealizedRun:
 
 
 def _run_realized(rule: MixingRule, eta: float | None, source: LossRows,
-                  adversaries=None, each_block=None) -> RealizedRun:
+                  adversaries, each_block) -> RealizedRun:
     """``run_forecaster`` over one pass of ``source`` (checked losses),
     without the record: each block of at most 2^15 losses across the R
     runs is played through a ring of as many log p entries and becomes
     realized losses, so a batch holds O(2^15 + R T) besides ``source``:
     nothing for a drawn kind, a loss file's one matrix, or the (R, T, d)
-    rows that ``adversaries`` (one per run) write.  ``each_block(lo, hi,
-    rows)``, if given, also reads every block once it is played."""
+    rows that ``adversaries`` (one per run, or None) write.
+    ``each_block(lo, hi, rows)`` also reads every block once it is
+    played."""
     R, T, d = source.R, source.T, source.d
     block = _block_rows(R * d)
     state = ForecasterState(d, rule, eta, reps=R)
@@ -659,8 +657,7 @@ def _run_realized(rule: MixingRule, eta: float | None, source: LossRows,
     def done(lo, hi, rows, loss):
         for i in range(R):
             realized[i, lo:hi] = _played_losses(rows[i], loss[i])
-        if each_block is not None:
-            each_block(lo, hi, loss)
+        each_block(lo, hi, loss)
 
     _rounds(state, source, adversaries, etas, alphas,
             np.empty((R, min(block, T) + 1, d)), block, done)

@@ -6,7 +6,8 @@ arbitrary sequence of nonnegative comparator vectors u_1..u_T:
     sum_t ||u_t||_1 (p_t . l_t) - sum_t u_t . l_t
 
 Adaptive (best window) and discounted regret are special cases obtained
-by specific comparator constructions; they get direct evaluators here.
+by specific comparator constructions (the worst window, and u_t = beta_t
+e_j at the best arm j); they get direct evaluators here.
 """
 
 from __future__ import annotations
@@ -82,11 +83,13 @@ class Segment(NamedTuple):
     """Rounds [a, b) (0-based) of a comparator: the corner ``vec`` (an
     action), the d-vector ``vec`` in every round, or the (b - a, d) rows
     ``vec``.  A corner is scaled by ``scale[t]`` in round t, or by 1 when
-    ``scale`` is None."""
+    ``scale`` is None.  A ``vec`` of None is a hindsight corner still to
+    be found (``environments.SegmentCorners``); the statistics take found
+    corners."""
 
     a: int
     b: int
-    vec: int | np.ndarray
+    vec: int | np.ndarray | None
     scale: np.ndarray | None = None
 
 
@@ -375,18 +378,15 @@ def discounted_regret(p_traj, losses, betas) -> float:
 
 
 def discounted_regret_details(p_traj, losses, betas) -> tuple[float, int]:
-    """Discounted regret and the maximizing corner (linear objective)."""
+    """Discounted regret and the maximizing corner (linear objective): the
+    arm j of least discounted loss, summed over the rounds in turn, and
+    betas . realized - sum_t beta_t l_{t,j}, the latter summed exactly
+    (``math.fsum``).  This is the shifting regret against u_t = beta_t e_j,
+    as the engine scores a discounted row."""
     realized, l = _realized(p_traj, losses)
-    return _discounted_details(realized, l, as_discounts(betas, l.shape[0]))
-
-
-def _discounted_details(realized: np.ndarray, l: np.ndarray,
-                        betas: np.ndarray) -> tuple[float, int]:
-    """``discounted_regret_details`` from the realized losses, at checked
-    discounts (``as_discounts``)."""
-    arm_totals = betas @ l
-    j = int(np.argmin(arm_totals))
-    return float(betas @ realized - arm_totals[j]), j
+    betas = as_discounts(betas, l.shape[0])
+    j = int(np.argmin((betas[:, None] * l).sum(axis=0)))
+    return float(betas @ realized - math.fsum(betas * l[:, j])), j
 
 
 def discount_regularity(betas, q) -> float:

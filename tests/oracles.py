@@ -212,6 +212,27 @@ def best_window_brute(gains: np.ndarray, tau0: int
     return best
 
 
+def discounted_regret_details_brute(p: np.ndarray, losses: np.ndarray,
+                                    betas) -> tuple[float, int]:
+    """Every arm's discounted loss sum_t beta_t l_{t,j} in rationals, one
+    round at a time: the arm of least total, the lowest on exact ties,
+    and sum_t beta_t p_t . l_t minus its total, rounded once."""
+    T, d = p.shape
+    totals = [Fraction(0)] * d
+    fore = Fraction(0)
+    for t in range(T):
+        beta = Fraction(float(betas[t]))
+        for j in range(d):
+            loss = Fraction(float(losses[t, j]))
+            totals[j] += beta * loss
+            fore += beta * Fraction(float(p[t, j])) * loss
+    best = 0
+    for j in range(1, d):
+        if totals[j] < totals[best]:
+            best = j
+    return float(fore - totals[best]), best
+
+
 def exact_sum(values) -> float:
     """The sum of floats in rationals, rounded once to the nearest float."""
     return float(sum((Fraction(float(x)) for x in values), Fraction(0)))

@@ -102,6 +102,19 @@ def test_piecewise_corner_comparator_declared_statistics():
     assert np.array_equal(auto[3:, 0], np.ones(3))
 
 
+def test_hindsight_segment_corners_checks_its_lengths():
+    # [3, -1, 4] sums to 6 but overlaps rounds, and True is no length
+    losses = np.array([[0.9, 0.1]] * 3 + [[0.0, 0.6]] * 3)
+    for lengths, message in (
+            ([3, -1, 4], r"segment_lengths\[1\]: expected a positive integer"),
+            ([True, 5], r"segment_lengths\[0\]: expected a positive integer"),
+            ([3, 4], "segment_lengths: must sum to T"),
+            ([], "segment_lengths: expected a nonempty list")):
+        with pytest.raises(ValueError, match=message):
+            hindsight_segment_corners(losses, lengths)
+    assert hindsight_segment_corners(losses, np.array([1, 5])) == [1, 0]
+
+
 def test_adaptive_window_comparator_statistics():
     full = gen_comparator(ComparatorSpec(kind="adaptive_window", r=1, s=8,
                                          q=0), d=2, T=8)
@@ -178,12 +191,10 @@ def test_gen_comparator_lays_out_the_rows_written_here():
         u = gen_comparator(spec, d=3, T=5, losses=losses)
         assert u.shape == (5, 3) and u.dtype == float
         assert np.array_equal(u, np.array(rows, dtype=float)), spec
-    for spec, message in (
-            (ComparatorSpec(kind="piecewise_corner", segment_lengths=[2, 3]),
-             "hindsight corners need the loss matrix"),
-            (ComparatorSpec(kind="discounted", betas=betas),
-             "hindsight corner needs the loss matrix")):
-        with pytest.raises(ValueError, match=message):
+    for spec in (ComparatorSpec(kind="piecewise_corner", segment_lengths=[2, 3]),
+                 ComparatorSpec(kind="discounted", betas=betas)):
+        with pytest.raises(ValueError,
+                           match="^hindsight corners need the losses$"):
             gen_comparator(spec, d=3, T=5)
 
 

@@ -6,7 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import best_window_brute, prefix_sums_brute
+from oracles import (best_window_brute, discounted_regret_details_brute,
+                     prefix_sums_brute)
 
 from simplexshare.bounds import (bound_fixed_share, bound_projected,
                                  bound_shared_weights, bound_time_varying,
@@ -323,7 +324,7 @@ def test_batched_run_equals_single_runs():
         else:
             batch = run_forecaster(rule, fc.eta, [gen_losses(env, stream=i)
                                                   for i in range(reps)])
-        engine = _run_batch(spec)
+        engine = _run_batch(spec, lambda lo, hi, rows: None)
         for rep in range(reps):
             if env.kind == "adversarial_flip":
                 traj = run_forecaster(rule, fc.eta,
@@ -340,14 +341,11 @@ def test_batched_run_equals_single_runs():
             # the engine keeps p_t . l_t of each run, the p_t . l_t of a
             # trajectory, and losses that replay the run's: a drawn
             # stream redrawn, an adversary's rows as the run recorded them
-            replayed = engine.source.run(rep)
-            assert np.array_equal(replayed.matrix(), traj.losses)
+            replayed = np.concatenate(
+                [b[0] for _, _, b in engine.source.run(rep).blocks()])
+            assert np.array_equal(replayed, traj.losses)
             if env.kind != "adversarial_flip":
-                assert np.array_equal(replayed.matrix(),
-                                      gen_losses(env, stream=rep))
-            assert np.array_equal(
-                np.concatenate([b[0] for _, _, b in replayed.blocks()]),
-                traj.losses)
+                assert np.array_equal(replayed, gen_losses(env, stream=rep))
             assert np.array_equal(engine.realized[rep], traj.realized)
         assert np.array_equal(engine.etas, batch.etas)
         assert np.array_equal(engine.alphas, batch.alphas)
@@ -913,18 +911,17 @@ def _shifting_budget(R, T):
 ], ids=["shifting", "window_vector", "adaptive", "adaptive_whole_horizon",
         "discounted"])
 def test_run_experiment_holds_the_losses_and_small_arrays(config):
-    # no T x d record, comparator or loss batch: a shifting or adaptive
-    # row replays its losses in blocks (16 MB of them per run here), and
-    # a discounted row holds one repetition's losses; each holds at most
-    # twelve T-vectors and two per run besides
+    # no T x d record, comparator or loss batch: every row replays its
+    # losses in blocks (16 MB of them per run here), a discounted row's
+    # arm found during the run; each holds at most twelve T-vectors and
+    # two per run besides
     spec = parse_experiment({**config, "repetitions": 2})
-    R, T, d = 2, spec.environment.T, spec.environment.d
+    R, T = 2, spec.environment.T
     peak = _traced_peak(spec)
     if spec.regret_kind == "shifting":
         assert peak <= _shifting_budget(R, T)
     else:
-        matrix = 8 * T * d * (spec.regret_kind == "discounted")
-        assert peak <= matrix + (96 + 16 * R) * T
+        assert peak <= (96 + 16 * R) * T
 
 
 def test_a_long_adaptive_row_holds_its_window_not_its_losses():
@@ -1123,6 +1120,40 @@ def test_rows_do_not_depend_on_the_block_size(tmp_path, monkeypatch, case):
             default, rows
 
 
+@pytest.mark.parametrize("d", [1, 4])
+def test_engine_discounted_rows_equal_the_exact_oracle(tmp_path, monkeypatch,
+                                                       d):
+    # the last column copies the best one, so two arm totals tie exactly
+    # and the lower arm must win; at d = 1 the regret is 0 up to rounding
+    T = 777
+    rng = np.random.default_rng(68)
+    losses, betas = rng.random((T, d)), rng.random(T)
+    losses[:, 0] *= 0.5
+    losses[:, -1] = losses[:, 0]
+    path = tmp_path / "losses.csv"
+    path.write_text("\n".join(",".join(format(x, ".17g") for x in row)
+                              for row in losses) + "\n")
+    spec = parse_experiment({
+        "environment": {"kind": "from_file", "d": d, "T": T,
+                        "path": str(path)},
+        "forecaster": {"rule": "fixed_share", "eta": 0.3, "alpha": 0.01},
+        "regret": {"kind": "discounted", "schedule": betas.tolist()},
+        "repetitions": 2})
+    arms, evaluate = [], experiments._evaluate
+
+    def spy(spec, run, rep, shared_ms, u):
+        arms.append(u[0].vec)
+        return evaluate(spec, run, rep, shared_ms, u)
+
+    monkeypatch.setattr(experiments, "_evaluate", spy)
+    reports = run_experiment(spec)
+    traj = run_forecaster(spec.forecaster.rule, spec.forecaster.eta, losses)
+    want, arm = discounted_regret_details_brute(traj.p[:T], losses, betas)
+    assert arm == 0 and arms == [arm, arm]
+    for row in reports[:2]:
+        assert row.regret == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 _GOLDEN = pathlib.Path(__file__).parent / "data" / "benchmark_set0"
 
 
@@ -1146,7 +1177,6 @@ def _oversized(kind):
              "means": [0.5] * 2 ** 10}
     share = {"rule": "fixed_share", "eta": 0.5, "alpha": 0.1}
     adaptive = {"kind": "adaptive", "tau0": 1}
-    corner = {"kind": "discounted", "betas": [0.5] * 2 ** 4}
     wide = {**drawn, "d": 2 ** 60, "T": 2 ** 4, "means": [0.5, 0.5]}
     if kind == "adversary rows":  # R T d entries
         return "environment", {"environment": flip, "forecaster": share,
@@ -1154,14 +1184,6 @@ def _oversized(kind):
     if kind == "window scan":  # (tau0 + 1) d entries
         return "regret.tau0", {"environment": wide, "forecaster": share,
                                "regret": {**adaptive, "tau0": 2 ** 4}}
-    if kind == "discounted matrix":  # T d entries
-        return "regret.kind", {"environment": wide, "forecaster": share,
-                               "regret": {"kind": "discounted",
-                                          "schedule": "linear_up"}}
-    if kind == "hindsight corner":  # T d entries
-        return "comparator.corner", {"environment": wide, "forecaster": share,
-                                     "regret": {"kind": "shifting"},
-                                     "comparator": corner}
     # realized losses: R T entries
     return "repetitions", {"environment": {**drawn, "d": 2, "T": 2 ** 4,
                                            "means": [0.5, 0.5]},
@@ -1170,7 +1192,6 @@ def _oversized(kind):
 
 
 @pytest.mark.parametrize("kind", ["adversary rows", "window scan",
-                                  "discounted matrix", "hindsight corner",
                                   "realized losses"])
 def test_arrays_numpy_cannot_index_fail_at_parse_time(tmp_path, capsys,
                                                       monkeypatch, kind):

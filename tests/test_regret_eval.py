@@ -6,13 +6,15 @@ import pytest
 
 from simplexshare import (MixingRule, adaptive_regret, adaptive_regret_details,
                           discount_regularity, discounted_regret,
+                          discounted_regret_details,
                           generalized_shifting_regret, linear_down_discounts,
                           linear_up_discounts, regularity_m, run_forecaster,
                           sparsity_n, total_variation)
 from simplexshare.regret_eval import (KAHAN_MIN_LENGTH, Segment, _RunningSums,
                                       as_comparator, comparator_stats)
 from oracles import (adaptive_regret_brute, adaptive_regret_details_brute,
-                     comparator_sums_exact, prefix_sums_brute)
+                     comparator_sums_exact, discounted_regret_details_brute,
+                     prefix_sums_brute)
 
 
 def corners(indices, d):
@@ -368,6 +370,24 @@ def test_discounted_equals_best_corner_shifting_regret():
                                     betas[:, None] * np.eye(d)[j][None, :])
         for j in range(d))
     assert direct == pytest.approx(via_corners, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_discounted_regret_details_equal_the_exact_oracle(d):
+    # float losses, 0/1 losses, and a copy of the first column, where the
+    # arm totals tie exactly and the lowest arm must win
+    rng = np.random.default_rng(24 + d)
+    T = 300
+    p = rng.dirichlet(np.ones(d), size=T)
+    for losses in (rng.random((T, d)), (rng.random((T, d)) < 0.3) * 1.0):
+        if d > 1:
+            losses[:, -1] = losses[:, 0]
+        for betas in (linear_up_discounts(T), linear_down_discounts(T),
+                      rng.random(T)):
+            value, arm = discounted_regret_details(p, losses, betas)
+            want, want_arm = discounted_regret_details_brute(p, losses, betas)
+            assert arm == want_arm
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_discount_regularity_identity():
