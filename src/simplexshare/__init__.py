@@ -30,7 +30,7 @@ from .bounds import (TuneResult, anytime_adaptive_bound, anytime_schedules,
                      bound_fixed_share, bound_max_share, bound_projected,
                      bound_shared_weights, bound_time_varying,
                      decayed_max_share_gamma, fixed_share_envelope,
-                     tune_fixed_share, tune_small_loss)
+                     small_loss_form, tune_fixed_share, tune_small_loss)
 from .environments import (AdversarialFlip, ComparatorSpec, EnvironmentSpec,
                            gen_comparator, gen_losses,
                            hindsight_segment_corners, linear_down_discounts,

@@ -71,6 +71,22 @@ def bound_fixed_share(d: int, eta: float, alpha: float, m: float,
                                 Z_max=d, u1_norm=u1_norm)
 
 
+def small_loss_form(H: float, eta: float, U_sum: float, L_sum: float) -> float:
+    """(k - 1) L_sum + k (H - eta U_sum / 8), k = eta / (1 - e^-eta): the
+    small-loss form of a constant-rate Hoeffding form H at a comparator
+    of loss L_sum.  Both are theorems for every nonnegative comparator u:
+    the loss update gives ((1 - e^-eta)/eta) p_t . l_t - q . l_t <= (1/eta)
+    q . ln(v_{t+1}/p_t) for every q (``small_loss_certificate_slacks``),
+    and summed along u its right side meets the q-independent mixing
+    analysis that H pays as H - eta U_sum / 8.  Projected pays its alpha
+    U_sum through the smoothed comparator's loss, so k multiplies it too."""
+    _check_eta(eta)
+    if H == math.inf:  # not inf - inf = nan when U_sum is infinite too
+        return H
+    k = eta / -math.expm1(-eta)
+    return (k - 1.0) * L_sum + k * (H - eta * U_sum / 8.0)
+
+
 def fixed_share_envelope(d: int, m0: float, U0: float, eta: float,
                          alpha: float) -> float:
     """Worst case of the fixed-share guarantee over all comparators with
@@ -114,11 +130,11 @@ def bound_adaptive(d: int, tau0: int) -> AdaptiveBound:
 
 
 def tune_small_loss(d: int, m0: float, U0: float, L0: float) -> TuneResult:
-    """Tuning and guarantee scaling with the comparator's loss cap L0: the
-    guarantee is sqrt(L0 m0 B') + B' with B' = ln d + ln(e U0 / m0), and
-    the small-loss recipe eta* = ln(1 + sqrt(2 m0 B' / L0)), alpha* = m0/U0
-    tunes it.  At L0 = 0 the rate degenerates to +inf (follow the leader)
-    and only the returned bound value remains meaningful."""
+    """Tuning and guarantee scaling with the comparator's loss cap L0: at
+    mixing cost M0 = m0 B', B' = ln d + ln(e U0 / m0), the small-loss recipe
+    eta* = ln(1 + sqrt(2 M0 / L0)), alpha* = m0/U0 guarantees (eta L0 + M0)
+    / (1 - e^-eta) - L0 <= sqrt(2 L0 M0) + M0, the returned bound.  At
+    L0 = 0 the rate degenerates to +inf (follow the leader), bound M0."""
     if not 0.0 < m0 <= U0 < math.inf:
         raise ValueError("need 0 < m0 <= U0 < inf")
     if not L0 >= 0.0:
@@ -128,12 +144,10 @@ def tune_small_loss(d: int, m0: float, U0: float, L0: float) -> TuneResult:
     budget = math.log(d) + math.log(math.e * U0 / m0)
     if budget == math.inf:
         raise ValueError("need e U0 / m0 within the float range")
-    if L0 == 0.0:
-        eta = math.inf
-    else:
-        eta = math.log1p(math.sqrt(2.0 * m0 * budget / L0))
+    mix = m0 * budget
+    eta = math.inf if L0 == 0.0 else math.log1p(math.sqrt(2.0 * mix / L0))
     return TuneResult(eta=eta, alpha=m0 / U0,
-                      bound=math.sqrt(L0 * m0 * budget) + budget)
+                      bound=math.sqrt(2.0 * L0 * mix) + mix)
 
 
 def bound_shared_weights(d: int, T: int, eta: float, alpha: float, m: float,

@@ -11,17 +11,16 @@ so does a config with an array numpy cannot index.
 
 Each repetition runs the forecaster on a freshly seeded loss stream,
 evaluates the requested regret notion, and gets its rule's shifting
-guarantee at the row's comparator (``_bound``), or ``nan`` when no
-guarantee covers it; a summary row (worst regret vs. smallest bound) is
-appended.  Every verdict is recomputable from the emitted columns
-alone.  All repetitions of a config run as one lockstep batch
-(``forecasters._run_realized`` says what it holds), and each row is bit
-for bit the row its repetition would give alone.  A discounted row is
-a shifting row against its arm, a hindsight corner; hindsight corners
-are found as the batch's blocks pass.  Evaluation then replays a
-repetition's losses in blocks, never as a (T, d) matrix: a shifting or
-discounted row once, an adaptive row twice (the window scan, then the
-worst window's statistics) with O(tau0 d) scan state.
+guarantee at the row's comparator (``_bound``); a summary row (worst
+regret vs. smallest bound) is appended.  Every verdict is recomputable
+from the emitted columns alone.  All repetitions of a config run as one
+lockstep batch (``forecasters._run_realized`` says what it holds), and
+each row is bit for bit the row its repetition would give alone.  A
+discounted row is a shifting row against its arm, a hindsight corner;
+hindsight corners are found as the batch's blocks pass.  Evaluation
+then replays a repetition's losses in blocks, never as a (T, d) matrix:
+a shifting or discounted row once, an adaptive row twice (the window
+scan, then the worst window's statistics) with O(tau0 d) scan state.
 """
 
 from __future__ import annotations
@@ -110,13 +109,10 @@ def _spec(cls, cfg, path: str, required: tuple[str, ...]):
 
 @dataclass
 class ForecasterConfig:
-    """A parsed forecaster; ``tune`` holds the caps (``m0``, ``U0`` and
-    optionally ``L0``) under which ``tuned`` was computed."""
+    """A parsed forecaster: its rule and, at a constant rate, eta."""
 
     rule: MixingRule
     eta: float | None = None
-    tune: dict | None = None
-    tuned: bnd.TuneResult | None = None
 
 
 @dataclass
@@ -220,7 +216,7 @@ def _parse_forecaster(cfg, d: int, regret_kind: str,
         return ForecasterConfig(rule=MixingRule.time_varying(
             lambda t: bnd.anytime_schedules(d, t)[0],
             lambda t: bnd.anytime_schedules(d, t)[1]))
-    caps = gamma = tuned = None
+    caps = gamma = None
     tune = cfg.get("tune")
     if tune is not None:
         if variant not in ("fixed_share", "projected"):
@@ -247,8 +243,8 @@ def _parse_forecaster(cfg, d: int, regret_kind: str,
             tuned = (bnd.tune_small_loss(d, **caps) if "L0" in caps
                      else bnd.tune_fixed_share(d, **caps))
         eta, alpha = tuned.eta, tuned.alpha
-        where = (f"forecaster.tune: the caps give eta = {eta:g}, bound = "
-                 f"{tuned.bound:g}; ")
+        where = (f"forecaster.tune: the caps give eta = {eta:g}, tuned "
+                 f"bound = {tuned.bound:g}; ")
         if not tuned.bound < math.inf:
             raise ConfigError(where + "need a finite bound")
     else:
@@ -263,7 +259,7 @@ def _parse_forecaster(cfg, d: int, regret_kind: str,
     with _reported_as(where):
         _check_eta(eta)
         rule = MixingRule(variant, alpha=alpha, gamma=gamma)
-    return ForecasterConfig(rule=rule, eta=eta, tune=caps, tuned=tuned)
+    return ForecasterConfig(rule=rule, eta=eta)
 
 
 def parse_experiment(config: dict) -> ExperimentSpec:
@@ -318,32 +314,28 @@ def parse_experiment(config: dict) -> ExperimentSpec:
 
 def _bound(fc: ForecasterConfig, run: RealizedRun, masses: np.ndarray,
            m: float, n: float, U_sum: float, L_sum: float) -> float:
-    """The rule's shifting guarantee at a row's comparator u, or nan.
-
-    u is the given or hindsight comparator, an adaptive row's worst
-    window or a discounted row's corner (``masses`` holds its ||u_t||_1),
-    and the guarantee holds for every nonnegative u.  A tuned fixed-share
-    value is a worst case over its caps, so it holds only for comparators
-    inside them: m + ||u_1||_1 <= m0, U_sum <= U0 and L_sum <= L0, each
-    up to the verdict slack.
-    """
+    """The rule's shifting guarantee at a row's comparator u (given or
+    hindsight, an adaptive row's worst window or a discounted row's corner;
+    ``masses`` holds its ||u_t||_1) at the run's rate: at a constant rate
+    the smaller of the Hoeffding form H and ``bounds.small_loss_form``.
+    Tuned rows need no caps: inside them H is at most the tuned value
+    ``fixed_share_envelope(d, m0, U0, eta, alpha)``, as eta H = M ln(d/alpha)
+    - ||u_1||_1 ln(1/alpha) + (U_sum - M) ln(1/(1-alpha)) + eta^2 U_sum/8,
+    M = m + ||u_1||_1, grows in M and U_sum for alpha <= d/(d+1)."""
     rule = fc.rule
     d, T = run.source.d, run.source.T
     u1_norm = float(masses[0])
-    if rule.variant == "fixed_share" and fc.tuned is not None:
-        realized = {"m0": m + u1_norm, "U0": U_sum, "L0": L_sum}
-        inside = all(realized[key] <= cap + VERDICT_SLACK * max(1.0, cap)
-                     for key, cap in fc.tune.items())
-        return fc.tuned.bound if inside else math.nan
-    if rule.variant == "fixed_share":
-        return bnd.bound_fixed_share(d, fc.eta, rule.alpha, m, U_sum, u1_norm)
-    if rule.variant == "projected":
-        return bnd.bound_projected(d, fc.eta, rule.alpha, m, U_sum, u1_norm)
     if rule.variant == "time_varying":
         return bnd.bound_time_varying(d, T, run.etas, run.alphas, m, masses)
-    return bnd.bound_shared_weights(
-        d, T, fc.eta, rule.alpha, m, n, U_sum,
-        *bnd._weight_constants(rule.variant, d, T, rule.gamma), u1_norm)
+    if rule.variant == "fixed_share":
+        H = bnd.bound_fixed_share(d, fc.eta, rule.alpha, m, U_sum, u1_norm)
+    elif rule.variant == "projected":
+        H = bnd.bound_projected(d, fc.eta, rule.alpha, m, U_sum, u1_norm)
+    else:
+        H = bnd.bound_shared_weights(
+            d, T, fc.eta, rule.alpha, m, n, U_sum,
+            *bnd._weight_constants(rule.variant, d, T, rule.gamma), u1_norm)
+    return min(H, bnd.small_loss_form(H, fc.eta, U_sum, L_sum))
 
 
 def _run_batch(spec: ExperimentSpec, each_block) -> RealizedRun:
@@ -386,14 +378,13 @@ def _evaluate(spec: ExperimentSpec, run: RealizedRun, rep: int,
 
 def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
     """Execute every repetition and append the aggregate summary row: the
-    worst (largest) regret against the smallest bound (nan when any row's
-    is), its verdict recomputed by the standard rule, so a passing summary
-    is conservative.  Its ``wall_ms`` is the elapsed time of this call; a
-    repetition's is its own evaluation time plus 1/R of the batched
-    generation, forecaster and realized-loss time.  Hindsight corners, a
-    discounted row's arm among them, are summed as the run's blocks pass
-    (``SegmentCorners``), so evaluation need not replay the losses for
-    them."""
+    worst (largest) regret against the smallest bound, its verdict
+    recomputed by the standard rule, so a passing summary is conservative.
+    Its ``wall_ms`` is the elapsed time of this call; a repetition's is its
+    own evaluation time plus 1/R of the batched generation, forecaster and
+    realized-loss time.  Hindsight corners, a discounted row's arm among
+    them, are summed as the run's blocks pass (``SegmentCorners``), so
+    evaluation need not replay the losses for them."""
     start = time.perf_counter()
     reps, T, d = spec.repetitions, spec.environment.T, spec.environment.d
     if spec.regret_kind == "shifting":
@@ -410,7 +401,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
     worst = {key: max(getattr(r, key) for r in reports)
              for key in ("regret", "m", "n", "U_sum", "L_sum")}
     reports.append(replace(reports[0], run_id="summary", **worst,
-                           bound=float(np.min([r.bound for r in reports])),
+                           bound=min(r.bound for r in reports),
                            wall_ms=(time.perf_counter() - start) * 1e3))
     return reports
 

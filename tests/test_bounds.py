@@ -9,7 +9,7 @@ from simplexshare import (anytime_adaptive_bound, anytime_schedules,
                           bound_fixed_share, bound_max_share, bound_projected,
                           bound_shared_weights, bound_time_varying,
                           decayed_max_share_gamma, fixed_share_envelope,
-                          tune_fixed_share, tune_small_loss)
+                          small_loss_form, tune_fixed_share, tune_small_loss)
 
 
 def test_bound_projected_examples():
@@ -145,15 +145,32 @@ def test_tune_small_loss_examples():
     eta, alpha, bound = tune_small_loss(10, 2.0, 100.0, 10.0)
     budget = math.log(10) + math.log(math.e * 100.0 / 2.0)
     assert budget == pytest.approx(7.214608098422192, abs=1e-12)
-    assert bound == pytest.approx(19.2267753453616, abs=1e-12)
+    assert bound == pytest.approx(31.416986030959976, abs=1e-12)
     assert alpha == pytest.approx(0.02)
     assert eta == pytest.approx(math.log1p(math.sqrt(2 * 2.0 * budget / 10.0)),
                                 abs=1e-12)
-    # zero loss cap: the bound collapses to the additive budget and the
-    # rate degenerates
+    # the closed form bounds the guarantee (eta L0 + M0)/(1 - e^-eta) - L0
+    # at the tuned rate, with mixing cost M0 = m0 B'
+    M0 = 2.0 * budget
+    assert (eta * 10.0 + M0) / -math.expm1(-eta) - 10.0 <= bound
+    # zero loss cap: the bound collapses to the mixing cost M0 = m0 B'
+    # and the rate degenerates
     eta0, _, bound0 = tune_small_loss(10, 2.0, 100.0, 0.0)
-    assert bound0 == pytest.approx(budget, abs=1e-12)
+    assert bound0 == pytest.approx(M0, abs=1e-12)
     assert math.isinf(eta0)
+
+
+def test_small_loss_form_examples():
+    # at eta = ln 2, 1 - e^-eta = 1/2 and k = 2 ln 2
+    ln2 = math.log(2.0)
+    assert small_loss_form(5.0, ln2, 8.0, 3.0) == pytest.approx(
+        (2.0 * ln2 - 1.0) * 3.0 + 2.0 * ln2 * (5.0 - ln2), abs=1e-12)
+    # k -> 1 as eta -> 0, and k ~ eta for a large eta
+    assert small_loss_form(5.0, 1e-12, 8.0, 3.0) == pytest.approx(5.0)
+    assert small_loss_form(5.0, 40.0, 8.0, 0.0) == pytest.approx(
+        40.0 * (5.0 - 40.0), abs=1e-9)
+    assert small_loss_form(math.inf, 1.0, 8.0, 3.0) == math.inf
+    assert small_loss_form(math.inf, 1.0, math.inf, 3.0) == math.inf
 
 
 def test_small_loss_crossover_with_horizon_tuning():

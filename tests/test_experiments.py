@@ -11,7 +11,8 @@ from oracles import (best_window_brute, discounted_regret_details_brute,
 
 from simplexshare.bounds import (bound_fixed_share, bound_projected,
                                  bound_shared_weights, bound_time_varying,
-                                 tune_fixed_share)
+                                 small_loss_form, tune_fixed_share,
+                                 tune_small_loss)
 from simplexshare.cli import main as cli_main
 from simplexshare import cli, experiments, forecasters
 from simplexshare.environments import (EnvironmentSpec, gen_comparator,
@@ -48,8 +49,9 @@ def rotating_best_arm_config(reps=5, seed=42):
 
 
 def overconfident_config():
-    """Caps far below the comparator's true regularity: the tuned
-    guarantee does not apply and certification must fail."""
+    """Caps far below the comparator's true regularity (m = 19 against
+    m0 = 1): the tuning's value does not cover it, the rule's own bound
+    does."""
     lengths = [2] * 20
     means = [[0.0, 1.0] if i % 2 == 0 else [1.0, 0.0] for i in range(20)]
     return {
@@ -379,8 +381,8 @@ def test_verdicts_recomputable_from_rows(tmp_path):
 
 def test_report_rows_are_pinned():
     # seed 5: the summary takes its regret, m and n, L_sum and bound from
-    # different repetitions; the second config's bound is nan (m = 3 is
-    # beyond m0 = 1), so its rows fail
+    # different repetitions; the second config's comparator (m = 3) is
+    # beyond its caps (m0 = 1), and its bound is its rule's own
     cfg = {"environment": {"kind": "piecewise_stationary", "d": 3, "T": 12,
                            "seed": 5, "segment_lengths": [6, 6],
                            "means": [[0.3, 0.6, 0.5], [0.6, 0.3, 0.5]]},
@@ -404,8 +406,8 @@ def test_report_rows_are_pinned():
         "0001,5,12,3,shifting,4.1929554591521194,1,2,12,1,11.856829653817057,pass,0",
         "0002,5,12,3,shifting,2.1343007477560647,1,2,12,4,11.856829653817057,pass,0",
         "summary,5,12,3,shifting,4.1929554591521194,1,2,12,4,5.2651559218083994,pass,0",
-        "0000,1,8,2,shifting,4.689851790392475,3,2,8,0,nan,fail,0",
-        "summary,1,8,2,shifting,4.689851790392475,3,2,8,0,nan,fail,0")]
+        "0000,1,8,2,shifting,4.689851790392475,3,2,8,0,6.882773056478162,pass,0",
+        "summary,1,8,2,shifting,4.689851790392475,3,2,8,0,6.882773056478162,pass,0")]
     assert report_rows(reports, include_timing=False) == expected
     timed = report_rows(reports)
     assert [row[:-1] for row in timed] == [row[:-1] for row in expected]
@@ -413,16 +415,22 @@ def test_report_rows_are_pinned():
         format(r.wall_ms, ".17g") for r in reports]
 
 
-def test_overconfident_caps_fail_certification():
-    reports = run_experiment(parse_experiment(overconfident_config()))
-    assert any_failed(reports)
+def test_overconfident_caps_certify_with_the_rules_own_bound():
+    spec = parse_experiment(overconfident_config())
+    reports = run_experiment(spec)
+    assert not any_failed(reports)
+    for row in reports[:-1]:
+        assert row.m == 19.0
+        assert row.bound == _rule_bound(spec, row, np.ones(row.T))
+        assert row.regret > tune_fixed_share(2, 1.0, 40.0).bound
 
 
-def test_tuned_bound_applies_only_inside_caps():
+def test_tuned_rows_outside_the_caps_take_their_rules_own_bound():
     # 20 segments whose best arm alternates: m reaches 12 to 19, far
-    # above m0 = 1, so the tuned value certifies nothing
+    # above m0 = 1, so the tuned value certifies nothing, but the rule's
+    # own guarantee at the run's (eta, alpha) does
     lengths = [10] * 20
-    reports = run_experiment(parse_experiment({
+    spec = parse_experiment({
         "environment": {"kind": "piecewise_stationary", "d": 2, "T": 200,
                         "seed": 3, "segment_lengths": lengths,
                         "means": [[0.2, 0.5] if i % 2 == 0 else [0.5, 0.2]
@@ -432,34 +440,22 @@ def test_tuned_bound_applies_only_inside_caps():
         "forecaster": {"rule": "fixed_share", "tune": {"m0": 1, "U0": 200}},
         "regret": {"kind": "shifting"},
         "repetitions": 5,
-    }))
+    })
+    reports = run_experiment(spec)
     assert reports[1].m == 12.0
-    assert reports[1].regret < tune_fixed_share(2, 1.0, 200.0).bound
-    assert all(np.isnan(r.bound) and r.verdict == "fail" for r in reports)
+    assert not any_failed(reports)
+    assert all(r.bound == _rule_bound(spec, r, np.ones(r.T))
+               for r in reports[:-1])
 
     # m0 caps the regularity mass m + ||u_1||_1: four segments give m = 3
     # but mass 4, beyond m0 = 3
     cfg = rotating_best_arm_config(reps=2)
     cfg["forecaster"]["tune"]["m0"] = 3
-    reports = run_experiment(parse_experiment(cfg))
-    assert reports[0].m == 3.0
-    assert all(np.isnan(r.bound) for r in reports)
-
-
-def test_auto_tuned_discounted_caps_allow_float_rounding():
-    # U_sum, the exact sum of the betas, exceeds U0 = sum(betas) summed
-    # pairwise in floats, by 5.7e-14
-    spec = parse_experiment({
-        "environment": {"kind": "iid_bernoulli", "d": 2, "T": 997,
-                        "seed": 7, "means": [0.3, 0.6]},
-        "forecaster": {"rule": "fixed_share"},
-        "regret": {"kind": "discounted", "schedule": "linear_up"},
-        "repetitions": 2,
-    })
+    spec = parse_experiment(cfg)
     reports = run_experiment(spec)
-    assert reports[0].U_sum > spec.forecaster.tune["U0"]
-    assert all(r.bound == spec.forecaster.tuned.bound and r.verdict == "pass"
-               for r in reports)
+    assert reports[0].m == 3.0 and not any_failed(reports)
+    assert all(r.bound == _rule_bound(spec, r, np.ones(r.T))
+               for r in reports[:-1])
 
 
 def test_adaptive_and_discounted_engine_paths():
@@ -517,21 +513,25 @@ _ADAPTIVE_RULES = {
 }
 
 
-def _rule_bound(spec, traj, row, window):
-    """The rule's shifting guarantee at the worst window's statistics,
-    by the public bound functions."""
-    fc, rule, (T, d) = spec.forecaster, spec.forecaster.rule, traj.losses.shape
+def _rule_bound(spec, row, window, traj=None):
+    """The rule's shifting guarantee at a row's statistics and comparator
+    masses ``window`` (``traj`` gives a time-varying run's schedules), by
+    the public bound functions: at a constant rate, the smaller of the
+    Hoeffding and small-loss forms."""
+    fc, rule, T, d = spec.forecaster, spec.forecaster.rule, row.T, row.d
     u1 = float(window[0])
-    if rule.variant == "fixed_share":
-        return bound_fixed_share(d, fc.eta, rule.alpha, row.m, row.U_sum, u1)
-    if rule.variant == "projected":
-        return bound_projected(d, fc.eta, rule.alpha, row.m, row.U_sum, u1)
     if rule.variant == "time_varying":
         return bound_time_varying(d, T, traj.etas, traj.alphas, row.m, window)
-    C, Z = ((1.0, float(min(d, T))) if rule.variant == "max_share" else
-            (math.exp(rule.gamma), min(float(d), 1.0 / rule.gamma)))
-    return bound_shared_weights(d, T, fc.eta, rule.alpha, row.m, row.n,
-                                row.U_sum, C=C, Z_max=Z, u1_norm=u1)
+    if rule.variant == "fixed_share":
+        H = bound_fixed_share(d, fc.eta, rule.alpha, row.m, row.U_sum, u1)
+    elif rule.variant == "projected":
+        H = bound_projected(d, fc.eta, rule.alpha, row.m, row.U_sum, u1)
+    else:
+        C, Z = ((1.0, float(min(d, T))) if rule.variant == "max_share" else
+                (math.exp(rule.gamma), min(float(d), 1.0 / rule.gamma)))
+        H = bound_shared_weights(d, T, fc.eta, rule.alpha, row.m, row.n,
+                                 row.U_sum, C=C, Z_max=Z, u1_norm=u1)
+    return min(H, small_loss_form(H, fc.eta, row.U_sum, row.L_sum))
 
 
 @pytest.mark.parametrize("rule", sorted(_ADAPTIVE_RULES))
@@ -562,10 +562,7 @@ def test_adaptive_rows_take_their_rules_bound_at_the_window(rule):
             starts.add(r == 1)
             assert row.regret == regret
             assert (row.m + window[0], row.U_sum) == (1.0, s - r + 1)
-            if rule == "tuned":
-                assert row.bound == spec.forecaster.tuned.bound
-            else:
-                assert row.bound == _rule_bound(spec, traj, row, window)
+            assert row.bound == _rule_bound(spec, row, window, traj)
     assert starts == {True, False}
 
 
@@ -611,9 +608,9 @@ def test_cli_run_tune_project_bound(tmp_path, capsys):
      "bound=132.83104560940154\n"),
     ("tune --d 10 --m0 4 --U0 1000 --L0 10",
      "eta=1.2966219280633242\nalpha=0.0040000000000000001\n"
-     "bound=27.611324697091074\n"),
+     "bound=61.865408361581387\n"),
     ("tune --d 10 --m0 4 --U0 1000 --L0 0",
-     "eta=inf\nalpha=0.0040000000000000001\nbound=8.8240460108562928\n"),
+     "eta=inf\nalpha=0.0040000000000000001\nbound=35.296184043425171\n"),
     ("bound projected --d 2 --eta 1 --alpha 0.1 --m 1 --U-sum 10",
      "5.9388794541139358\n"),
     ("bound projected --d 2 --eta 1 --alpha 0 --m 1 --U-sum 10", "inf\n"),
@@ -622,7 +619,7 @@ def test_cli_run_tune_project_bound(tmp_path, capsys):
     ("bound adaptive --d 2 --tau0 8",
      "exact=3.8508744308852449\nrelaxed=3.8846305987775884\n"),
     ("bound small-loss --d 10 --m0 4 --U0 1000 --L0 10",
-     "27.611324697091074\n"),
+     "61.865408361581387\n"),
     ("bound shared-weights --d 20 --T 100 --eta 2 --alpha 0.09 --m 9 --n 2 "
      "--U-sum 100 --C 1 --Z-max 20", "56.556263319686231\n"),
     ("bound max-share --d 200 --T 100 --eta 2.56 --alpha 0.09 --m 9 --n 2",
@@ -790,22 +787,52 @@ def test_a_decay_beyond_the_float_range_certifies_with_an_infinite_bound():
     assert all(r.bound == math.inf and r.verdict == "pass" for r in reports)
 
 
-def test_cli_certify_exit_codes(tmp_path, capsys):
+def test_cli_certify_exit_codes(tmp_path, capsys, monkeypatch):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(rotating_best_arm_config(reps=2)))
     assert cli_main(["certify", str(good)]) == 0
     capsys.readouterr()
 
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(overconfident_config()))
-    assert cli_main(["certify", str(bad)]) == 1
-    capsys.readouterr()
+    # every guarantee holds, so a failed row needs a bound made too small
+    monkeypatch.setattr(experiments, "_bound", lambda *args: 0.0)
+    assert cli_main(["certify", str(good)]) == 1
+    assert "certification FAILED" in capsys.readouterr().err
 
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert cli_main(["certify", str(broken)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_small_loss_tuned_row_certifies_with_its_own_small_loss_form(
+        tmp_path, capsys):
+    # 20 segments of 100 rounds whose favoured arm has loss 0 and every
+    # other arm loss 1, inside the caps (m + ||u_1||_1 = 20, U_sum = 2000,
+    # L_sum = 0): regret 88.39 read a false fail against the tuning's old
+    # value 24.50, which dropped the 2 under the root and m0 on M0
+    lengths = [100] * 20
+    cfg = {"environment": {"kind": "piecewise_stationary", "d": 100,
+                           "T": 2000, "segment_lengths": lengths,
+                           "means": [[0.0 if j == i else 1.0
+                                      for j in range(100)]
+                                     for i in range(20)]},
+           "comparator": {"kind": "piecewise_corner",
+                          "segment_lengths": lengths},
+           "forecaster": {"rule": "fixed_share",
+                          "tune": {"m0": 20, "U0": 2000, "L0": 1}},
+           "regret": {"kind": "shifting"}}
+    path = tmp_path / "small_loss.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["certify", str(path)]) == 0
+    assert "max_regret=88.389245489341462 min_bound=209.37308590347919 " \
+        "verdict=pass" in capsys.readouterr().out
+    row = run_experiment(parse_experiment(cfg))[0]
+    assert (row.m, row.U_sum, row.L_sum) == (19.0, 2000.0, 0.0)
+    tuned = tune_small_loss(100, 20.0, 2000.0, 1.0)
+    assert tuned.bound == pytest.approx(224.41605321661908, abs=1e-9)
+    H = bound_fixed_share(100, tuned.eta, tuned.alpha, 19.0, 2000.0, 1.0)
+    assert row.bound == small_loss_form(H, tuned.eta, 2000.0, 0.0) < H
 
 
 def test_cli_config_error_paths(tmp_path, capsys):
@@ -1162,7 +1189,8 @@ _GOLDEN = pathlib.Path(__file__).parent / "data" / "benchmark_set0"
 def test_benchmark_shaped_configs_give_their_recorded_csvs(tmp_path, name):
     # configs and include_timing-false reports of input set 0 of each
     # benchmark workload, recorded before the engine dropped its T x d
-    # record and comparator
+    # record and comparator; the tuned fixed-share configs' bounds since
+    # re-recorded as their rule's own guarantee
     spec = parse_experiment(json.loads((_GOLDEN / f"{name}.json").read_text()))
     write_report_csv(run_experiment(spec), tmp_path / "report.csv", False)
     assert (tmp_path / "report.csv").read_bytes() == \

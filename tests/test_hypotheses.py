@@ -13,7 +13,8 @@ from simplexshare import (ForecasterState, MixingRule, bound_decayed_max_share,
                           bound_shared_weights, bound_time_varying,
                           fixed_share_envelope, kl_project_clipped,
                           loss_update, mix_fixed_share, mix_max_share,
-                          mix_projected, run_forecaster, step_time_varying)
+                          mix_projected, run_forecaster, small_loss_form,
+                          step_time_varying)
 from simplexshare import simplex_core
 from simplexshare.cli import main as cli_main
 
@@ -44,6 +45,7 @@ ETA_ENTRIES = {
                                                              eta, 0.1),
     "bound_time_varying": lambda eta: bound_time_varying(
         2, 2, [1.0, eta], [0.1, 0.1], 1.0, [1.0, 1.0]),
+    "small_loss_form": lambda eta: small_loss_form(5.0, eta, 10.0, 1.0),
 }
 
 ALPHA_ENTRIES = {
