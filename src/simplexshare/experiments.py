@@ -243,10 +243,7 @@ def _parse_forecaster(cfg, d: int, regret_kind: str,
             tuned = (bnd.tune_small_loss(d, **caps) if "L0" in caps
                      else bnd.tune_fixed_share(d, **caps))
         eta, alpha = tuned.eta, tuned.alpha
-        where = (f"forecaster.tune: the caps give eta = {eta:g}, tuned "
-                 f"bound = {tuned.bound:g}; ")
-        if not tuned.bound < math.inf:
-            raise ConfigError(where + "need a finite bound")
+        where = f"forecaster.tune: the caps give eta = {eta:g}; "
     else:
         where = "forecaster: "
         eta = _number(_get(cfg, "eta", "forecaster"), "forecaster.eta")

@@ -15,8 +15,10 @@ Weights are stored in the log domain internally and renormalized by
 subtracting the max log-weight before exponentiation: eta * T can reach
 the hundreds, where naive exponentials underflow.  ``simplex_core``'s
 checkers test each parameter and loss once, where it enters: in the
-rule, the state, the public ops, ``round_params`` (schedule values),
-``_start`` (a loss array) and ``_rounds`` (each adversary row).
+rule, the state, the public ops, ``_round_params`` (schedule values),
+``_start`` (a loss array) and ``_rounds`` (each adversary row).  Every
+rule is the time-varying update at its (eta_t, alpha_t), so every run
+takes one round loop, ``_rounds``, which reads them before round 1.
 """
 
 from __future__ import annotations
@@ -263,6 +265,27 @@ def _schedule_value(sched: Schedule, t: int) -> float:
     return float(sched(t)) if callable(sched) else float(sched[t - 1])
 
 
+def _round_params(rule: MixingRule, eta: float | None, lo: int, hi: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(eta_t, alpha_t) of rounds t = lo..hi - 1, as two arrays.  Schedule
+    values are read, and so checked, only here, each step from round
+    max(lo - 1, 1) on too; a constant rule's were checked before."""
+    if rule.variant != "time_varying":
+        return (np.full(hi - lo, eta, dtype=float),
+                np.full(hi - lo, rule.alpha, dtype=float))
+    first = max(lo - 1, 1)
+    etas, alphas = np.empty(hi - first), np.empty(hi - first)
+    for i, t in enumerate(range(first, hi)):
+        etas[i] = _check_eta(_schedule_value(rule.eta_schedule, t),
+                             f"eta schedule at t={t}")
+        alphas[i] = _check_alpha(_schedule_value(rule.alpha_schedule, t),
+                                 f"alpha schedule at t={t}")
+        if i:
+            _check_schedule_step(etas[i - 1], etas[i], alphas[i - 1],
+                                 alphas[i])
+    return etas[lo - first:], alphas[lo - first:]
+
+
 class ForecasterState:
     """Single-owner mutable state of one forecaster run, or of ``reps``
     runs stepped in lockstep (every weight array then gains a leading
@@ -303,34 +326,19 @@ class ForecasterState:
     def w(self) -> np.ndarray | None:
         return None if self.log_w is None else np.exp(self.log_w)
 
-    def round_params(self) -> tuple[float, float]:
-        """(eta_t, alpha_t) governing the update at the current round.
-        Schedule values are read, and so checked, only here; a constant
-        rule's were checked with the rule and the state."""
-        rule, t = self.rule, self.t
-        if rule.variant != "time_varying":
-            return self.eta, rule.alpha
-        eta_t = _check_eta(_schedule_value(rule.eta_schedule, t),
-                           f"eta schedule at t={t}")
-        alpha_t = _check_alpha(_schedule_value(rule.alpha_schedule, t),
-                               f"alpha schedule at t={t}")
-        if self._eta_prev is not None:
-            _check_schedule_step(self._eta_prev, eta_t, self._alpha_prev,
-                                 alpha_t)
-        return eta_t, alpha_t
-
     def update(self, loss) -> None:
         """Observe the loss for the current round and advance one step."""
         loss = np.broadcast_to(as_loss_vector(loss, self.d), self.log_p.shape)
-        eta_t, alpha_t = self.round_params()
+        etas, alphas = _round_params(self.rule, self.eta, self.t, self.t + 1)
+        eta_t, alpha_t = float(etas[0]), float(alphas[0])
         self._advance(eta_t * loss, eta_t, alpha_t)
 
     def _advance(self, eta_loss: np.ndarray, eta_t: float, alpha_t: float,
                  out: np.ndarray | None = None) -> None:
-        """One step with ``round_params()``, overwriting ``eta_loss`` (eta_t
-        times a validated loss of the state's shape); the new log p goes
-        into ``out`` if given.  A constant rate's power eta_t / eta_prev is
-        exactly 1."""
+        """One step at the round's ``_round_params``, overwriting
+        ``eta_loss`` (eta_t times a validated loss of the state's shape);
+        the new log p goes into ``out`` if given.  A constant rate's power
+        eta_t / eta_prev is exactly 1."""
         eta_prev = self._eta_prev if self._eta_prev is not None else eta_t
         sc, variant = self._sc, self.rule.variant
         self.log_v = log_v = _log_loss_step(self.log_p, eta_loss,
@@ -447,16 +455,14 @@ class Trajectory:
         """Log normalizers c_t, (T,) or (R, T), of the loss updates of log
         p_t, formed by the run's kernel in blocks of ``_block_rows(d)``
         rounds; the normalized updates go into ``log_v`` if given."""
-        ratio = ((self.etas / self.eta_prevs)[:, None]
-                 if self.rule.variant == "time_varying" else None)
+        ratio = (self.etas / self.eta_prevs)[:, None]  # 1.0 * x is x
         c = np.empty(self.losses.shape[:-1] + (1,))
         for lo in range(0, self.T, block := _block_rows(self.d)):
             t = slice(lo, min(lo + block, self.T))
             out = None if log_v is None else log_v[..., t, :]
             _log_loss_step(self.log_p[..., t, :],
                            self.etas[t, None] * self.losses[..., t, :],
-                           1.0 if ratio is None else ratio[t], out,
-                           (out, None, c[..., t, :]))
+                           ratio[t], out, (out, None, c[..., t, :]))
         return c[..., 0]
 
     @property
@@ -493,7 +499,7 @@ class Trajectory:
     @property
     def played(self) -> np.ndarray:
         """The distributions actually played, one row per round."""
-        return self.p[..., : self.T, :]
+        return _linear(self.log_p[..., : self.T, :])
 
     @property
     def realized(self) -> np.ndarray:
@@ -515,35 +521,33 @@ class Trajectory:
         return replace(self, log_p=self.log_p[i], losses=self.losses[i])
 
 
-def _rounds(state: ForecasterState, source: LossRows, adversaries,
-            etas: np.ndarray, alphas: np.ndarray, record: np.ndarray,
-            rows: int, done=None) -> None:
-    """Step ``state`` through the rounds of ``source``, one pass read in
-    blocks of ``rows`` rounds, storing each round's (eta_t, alpha_t) and
-    writing log p_1..log p_{T+1} into ``record``.
+def _rounds(rule: MixingRule, eta: float | None, source: LossRows,
+            adversaries, ring: np.ndarray, done
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Play ``rule`` from uniform weights through one pass of ``source``
+    in blocks of ``rows = ring.shape[1] - 1`` rounds; return every round's
+    (eta_t, alpha_t), read and checked before round 1.
 
     Only adversary rows are checked here, row t of a block in round t as
-    it is written; other losses were checked where they entered.  Without
-    ``done``, ``record`` is the whole (R, T+1, d) record.  With it,
-    ``record`` is a ring of rows + 1 rows: after rounds [lo, hi) it holds
-    log p_lo..log p_hi, ``done(lo, hi, ring[:, :hi - lo], block)`` reads
-    the rows played and their losses, and the last row moves to the
-    front for the next block.
+    it is written; other losses were checked where they entered.  Each
+    run's ``rows + 1`` ``ring`` rows hold log p_lo..log p_hi after rounds
+    [lo, hi), ``done(lo, hi, ring[:, :hi - lo], block)`` reads the rows
+    played and their losses, and the last row moves to the front for the
+    next block; a ring of T + 1 rows is the whole record.
     """
     R, T, d = source.R, source.T, source.d
-    record[:, 0] = state.log_p
-    constant = state.rule.variant != "time_varying"
-    if constant:  # one (eta, alpha) for every round
-        etas[:], alphas[:] = eta_t, alpha_t = state.round_params()
-    # A constant eta times the loss is formed ahead in round-major chunks
-    # of at most 2^14 entries; varying rates and adversaries take a round.
-    step = max(1, 16384 // (R * d)) if constant and not adversaries else 1
+    rows = ring.shape[1] - 1
+    state = ForecasterState(d, rule, eta, reps=R)
+    etas, alphas = _round_params(rule, state.eta, 1, T + 1)
+    ring[:, 0] = state.log_p
+    # eta_t times the loss is formed ahead in round-major chunks of at
+    # most 2^14 entries; an adversary's rows come one round at a time.
+    step = 1 if adversaries else max(1, 16384 // (R * d))
     scaled = np.empty((min(step, rows, T), R, d))
-    k = 0
     for lo, hi, loss in source.blocks(rows):
-        off = lo - 1 if done is not None else -1  # record row of p_{t+1}
-        for t in range(lo, hi):
-            i = t - lo  # the round's row of the block
+        for i, (eta_t, alpha_t) in enumerate(zip(etas[lo:hi].tolist(),
+                                                 alphas[lo:hi].tolist())):
+            t = lo + i  # i is the round's row of the block
             if adversaries is not None:
                 p_t = state.p
                 for r, adversary in enumerate(adversaries):
@@ -553,23 +557,21 @@ def _rounds(state: ForecasterState, source: LossRows, adversaries,
                                          f"expected ({d},)")
                     loss[r, i] = row
                 _check_losses(loss[:, i])
-            if not constant:
-                etas[t], alphas[t] = eta_t, alpha_t = state.round_params()
-                np.multiply(eta_t, loss[:, i], scaled[0])
-            elif (k := i % step) == 0:
-                np.multiply(eta_t, loss[:, i:i + step].swapaxes(0, 1),
-                            scaled[:hi - t])
-            state._advance(scaled[k], eta_t, alpha_t, record[:, t - off])
-        if done is not None:
-            done(lo, hi, record[:, :hi - lo], loss)
-            record[:, 0] = record[:, hi - lo]
-            state.log_p = record[:, 0]
+            if (k := i % step) == 0:
+                n = min(step, hi - t)
+                np.multiply(etas[t:t + n, None, None],
+                            loss[:, i:i + n].swapaxes(0, 1), scaled[:n])
+            state._advance(scaled[k], eta_t, alpha_t, ring[:, i + 1])
+        done(lo, hi, ring[:, :hi - lo], loss)
+        if hi < T:
+            ring[:, 0] = ring[:, hi - lo]
+            state.log_p = ring[:, 0]
+    return etas, alphas
 
 
-def _start(rule: MixingRule, eta, losses, d, horizon):
-    """The state, the losses as ``LossRows`` (empty for adversaries, which
-    fill them), the adversaries or None, and whether the input was one
-    run."""
+def _start(losses, d, horizon):
+    """The losses as ``LossRows`` (empty for adversaries, which fill them),
+    the adversaries or None, and whether the input was one run."""
     adversaries = None
     if callable(losses):
         adversaries = [losses]
@@ -597,8 +599,7 @@ def _start(rule: MixingRule, eta, losses, d, horizon):
         if single:
             loss = loss[None]
         _check_losses(loss)
-    state = ForecasterState(d, rule, eta, reps=loss.shape[0])
-    return state, LossRows(loss), adversaries, single
+    return LossRows(loss), adversaries, single
 
 
 def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
@@ -615,12 +616,11 @@ def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
     each callable's output is validated every round.  ``eta`` is
     ignored by the time_varying rule, whose schedules carry the rates.
     """
-    state, source, adversaries, single = _start(rule, eta, losses, d,
-                                                horizon)
+    source, adversaries, single = _start(losses, d, horizon)
     R, T, d = source.R, source.T, source.d
     log_p = np.empty((R, T + 1, d))
-    etas, alphas = np.empty(T), np.empty(T)
-    _rounds(state, source, adversaries, etas, alphas, log_p, max(T, 1))
+    etas, alphas = _rounds(rule, eta, source, adversaries, log_p,
+                           lambda *block: None)
     traj = Trajectory(rule=rule, d=d, T=T, log_p=log_p, losses=source.losses,
                       etas=etas, alphas=alphas)
     return traj.rep(0) if single else traj
@@ -650,17 +650,15 @@ def _run_realized(rule: MixingRule, eta: float | None, source: LossRows,
     ``each_block(lo, hi, rows)`` also reads every block once it is
     played."""
     R, T, d = source.R, source.T, source.d
-    block = _block_rows(R * d)
-    state = ForecasterState(d, rule, eta, reps=R)
-    realized, etas, alphas = np.empty((R, T)), np.empty(T), np.empty(T)
+    realized = np.empty((R, T))
 
     def done(lo, hi, rows, loss):
         for i in range(R):
             realized[i, lo:hi] = _played_losses(rows[i], loss[i])
         each_block(lo, hi, loss)
 
-    _rounds(state, source, adversaries, etas, alphas,
-            np.empty((R, min(block, T) + 1, d)), block, done)
+    ring = np.empty((R, min(_block_rows(R * d), T) + 1, d))
+    etas, alphas = _rounds(rule, eta, source, adversaries, ring, done)
     return RealizedRun(source=source, realized=realized, etas=etas,
                        alphas=alphas)
 

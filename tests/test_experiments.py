@@ -217,7 +217,6 @@ def test_non_finite_config_numbers_fail_at_parse_time(path, section, value):
 
 
 @pytest.mark.parametrize("tune", [
-    {"m0": 1, "U0": 1e308},  # eta 7.5e-153 and an infinite bound
     {"m0": 1e-320, "U0": 1e10},  # eta and alpha underflow to 0
     {"m0": 4, "U0": 1000, "L0": 0},  # an infinite learning rate
 ])
@@ -226,6 +225,24 @@ def test_tune_caps_without_a_usable_tuning_fail_at_parse_time(tune):
     cfg["forecaster"] = {"rule": "fixed_share", "tune": tune}
     with pytest.raises(ConfigError, match="^forecaster.tune: the caps give "):
         parse_experiment(cfg)
+
+
+def test_tune_caps_with_an_infinite_tuned_value_still_certify():
+    """The tuned value, infinite here, only picks (eta, alpha); the rows
+    take their rule's own bound at that rate, finite for one segment."""
+    cfg = {"environment": {"kind": "iid_bernoulli", "d": 4, "T": 200,
+                           "seed": 3, "means": [0.2, 0.5, 0.5, 0.5]},
+           "comparator": {"kind": "piecewise_corner",
+                          "segment_lengths": [200]},
+           "forecaster": {"rule": "fixed_share",
+                          "tune": {"m0": 1, "U0": 1e308}},
+           "regret": {"kind": "shifting"}, "repetitions": 2}
+    spec = parse_experiment(cfg)
+    assert 0.0 < spec.forecaster.eta < 1e-150
+    assert spec.forecaster.rule.alpha == 1e-308
+    reports = run_experiment(spec)
+    assert not any_failed(reports)
+    assert all(math.isfinite(row.bound) for row in reports)
 
 
 def test_comparator_section_is_read_for_shifting_regret_only():

@@ -508,6 +508,21 @@ def test_short_sequence_schedule_names_the_round():
             run_forecaster(rule, None, losses)
 
 
+def test_schedule_errors_surface_before_round_1():
+    """Every (eta_t, alpha_t) is read and checked before the first round
+    is played, so a bad last value costs no adversary call."""
+    calls = []
+
+    def adversary(t, p):
+        calls.append(t)
+        return np.zeros(2)
+
+    rule = MixingRule.time_varying([0.5] * 4 + [np.nan], [0.1] * 5)
+    with pytest.raises(ValueError, match="eta schedule at t=5"):
+        run_forecaster(rule, None, adversary, d=2, horizon=5)
+    assert calls == []
+
+
 def test_time_varying_schedule_violation():
     rule = MixingRule.time_varying(lambda t: float(t), lambda t: 0.1)
     with pytest.raises(ValueError):

@@ -20,6 +20,15 @@ from simplexshare.cli import main as cli_main
 
 P, LOSS, LOSSES = [0.5, 0.5], [0.25, 1.0], [[0.0, 1.0], [1.0, 0.0]]
 
+
+def _stepped(etas, alphas) -> ForecasterState:
+    """A streaming state stepped once per schedule value."""
+    state = ForecasterState(2, MixingRule.time_varying(etas, alphas))
+    for _ in etas:
+        state.update(LOSS)
+    return state
+
+
 ETA_ENTRIES = {
     "loss_update": lambda eta: loss_update(P, LOSS, eta),
     "step_time_varying.eta_t": lambda eta: step_time_varying(P, LOSS, eta,
@@ -32,6 +41,8 @@ ETA_ENTRIES = {
         MixingRule.fixed_share(0.1), eta, LOSSES),
     "run_forecaster.eta_schedule": lambda eta: run_forecaster(
         MixingRule.time_varying([1.0, eta], [0.1, 0.1]), None, LOSSES),
+    "ForecasterState.update.eta_schedule": lambda eta: _stepped(
+        [1.0, eta], [0.1, 0.1]),
     "bound_projected": lambda eta: bound_projected(2, eta, 0.1, 1.0, 10.0,
                                                    1.0),
     "bound_fixed_share": lambda eta: bound_fixed_share(2, eta, 0.1, 1.0, 10.0,
@@ -60,6 +71,8 @@ ALPHA_ENTRIES = {
         a, 0.1),
     "run_forecaster.alpha_schedule": lambda a: run_forecaster(
         MixingRule.time_varying([1.0, 1.0], [0.1, a]), None, LOSSES),
+    "ForecasterState.update.alpha_schedule": lambda a: _stepped(
+        [1.0, 1.0], [0.1, a]),
     "bound_projected": lambda a: bound_projected(2, 1.0, a, 1.0, 10.0, 1.0),
     "bound_fixed_share": lambda a: bound_fixed_share(2, 1.0, a, 1.0, 10.0,
                                                      1.0),
@@ -125,15 +138,19 @@ def test_cli_bound_families_give_one_error_line(capsys, family, flags, eta,
 ])
 def test_forecaster_and_bound_accept_the_same_schedules(etas, alphas, holds):
     """The rise a schedule may take is one definition: eta by a relative
-    1e-12, alpha by an absolute 1e-12.  The bound allowed only an absolute
-    rise of eta, so it refused the run's own etas."""
+    1e-12, alpha by an absolute 1e-12, for the run, the streaming state
+    and the bound.  The bound allowed only an absolute rise of eta, so it
+    refused the run's own etas."""
     rule = MixingRule.time_varying(etas, alphas)
     if not holds:
         with pytest.raises(ValueError, match="^schedule violation: "):
             run_forecaster(rule, None, np.zeros((3, 2)))
         with pytest.raises(ValueError, match="^schedule violation: "):
+            _stepped(etas, alphas)
+        with pytest.raises(ValueError, match="^schedule violation: "):
             bound_time_varying(2, 3, etas, alphas, 1.0, np.ones(3))
         return
+    assert _stepped(etas, alphas).t == 4
     traj = run_forecaster(rule, None, np.zeros((3, 2)))
     assert traj.etas.tolist() == etas and traj.alphas.tolist() == alphas
     assert math.isfinite(bound_time_varying(2, 3, traj.etas, traj.alphas, 1.0,
