@@ -34,11 +34,13 @@ class TuneResult(NamedTuple):
 
 def _coef_log(coefficient: float, num: float, den: float = 1.0) -> float:
     """coefficient * ln(num / den); 0 at a zero coefficient or num = den,
-    +inf at den = 0."""
+    +inf at den = 0, ln(num) - ln(den) where num / den overflows."""
     if coefficient == 0.0 or num == den:
         return 0.0
     if den == 0.0:
         return math.inf
+    if num / den == math.inf:
+        return coefficient * (math.log(num) - math.log(den))
     return coefficient * math.log(num / den)
 
 
@@ -157,15 +159,15 @@ def bound_shared_weights(d: int, T: int, eta: float, alpha: float, m: float,
 
     Covers any update p = (1-alpha) v + alpha w / Z whose weights w
     satisfy v_j <= w_j <= 1 and C w_{j,t+1} >= w_{j,t} with C >= 1;
-    Z_max bounds the normalizers sum_j w_j over the run.
+    Z_max bounds the normalizers sum_j w_j >= sum_j v_j = 1 over the run.
     """
     _check_common(d, eta, alpha, m, U_sum, u1_norm)
     if not n >= 0.0:
         raise ValueError("n must be nonnegative")
     if not C >= 1.0:
         raise ValueError("C must be >= 1")
-    if not Z_max > 0.0:
-        raise ValueError("Z_max must be positive")
+    if not Z_max >= 1.0:
+        raise ValueError("Z_max must be >= 1")
     tail = U_sum - u1_norm - m
     if not tail >= -1e-9:
         raise ValueError("m cannot exceed the comparator mass after round 1")
@@ -179,26 +181,25 @@ def bound_shared_weights(d: int, T: int, eta: float, alpha: float, m: float,
 
 def bound_max_share(d: int, T: int, eta: float, alpha: float, m: float,
                     n: float) -> float:
-    """Running-max share guarantee for probability-vector comparators,
-    at ``_weight_constants``' C and Z_max."""
+    """Running-max share guarantee for probability-vector comparators:
+    decay 0 in ``_weight_constants``, so C = 1 and Z_max = min(d, T)."""
     if not (d >= 1 and T >= 1):
         raise ValueError("need d >= 1 and T >= 1")
     return bound_shared_weights(d, T, eta, alpha, m, n, float(T),
-                                *_weight_constants("max_share", d, T))
+                                *_weight_constants(d, T, 0.0))
 
 
 def bound_decayed_max_share(d: int, T: int, eta: float, alpha: float,
                             m0: float, n0: float) -> float:
     """Decayed-max share guarantee at the tuned decay gamma = m0/(n0 T):
-    C = e^gamma and Z <= min(d, 1/gamma) (``_weight_constants``) trade the
-    running-max variant's T inside the logarithm for min(d, n0 T / m0),
-    which is smaller for sparse comparators."""
+    C = e^gamma costs n0 T ln C = m0, and Z_max = min(d, T, 1/(1 - e^-gamma))
+    ~ min(d, T, n0 T / m0 + 1/2) (``_weight_constants``) is smaller than
+    the running max's min(d, T) for sparse comparators."""
     if not (d >= 1 and T >= 1):
         raise ValueError("need d >= 1 and T >= 1")
     gamma = decayed_max_share_gamma(m0, n0, T)
     return bound_shared_weights(d, T, eta, alpha, m0, n0, float(T),
-                                *_weight_constants("decayed_max_share", d, T,
-                                                   gamma))
+                                *_weight_constants(d, T, gamma))
 
 
 def decayed_max_share_gamma(m0: float, n0: float, T: int) -> float:
@@ -209,18 +210,18 @@ def decayed_max_share_gamma(m0: float, n0: float, T: int) -> float:
     return _check_gamma(gamma, f"gamma = m0/(n0 T) = {gamma:g}")
 
 
-def _weight_constants(variant: str, d: int, T: int,
-                      gamma: float | None = None) -> tuple[float, float]:
-    """(C, Z_max) of a max-share rule, given here only: the running max
-    has C = 1 and Z <= min(d, t) <= min(d, T), the decayed one C = e^gamma
-    (+inf past the float range) and Z <= min(d, 1/gamma)."""
-    if variant == "max_share":
-        return 1.0, float(min(d, T))
+def _weight_constants(d: int, T: int, gamma: float) -> tuple[float, float]:
+    """(C, Z_max) of max share at decay gamma >= 0, the running max at 0:
+    C = e^gamma (+inf past the float range), Z_max = min(d, T, 1/(1 -
+    e^-gamma)) >= 1.  As w_{t+1} = max(e^-gamma w_t, v_{t+1}) <= e^-gamma
+    w_t + v_{t+1} entrywise and Z_1 = 1, Z_t <= sum_{k<t} e^-gamma k <=
+    min(t, 1/(1 - e^-gamma)); w <= 1 gives Z_t <= d."""
     try:
         C = math.exp(gamma)
     except OverflowError:
         C = math.inf
-    return C, min(float(d), 1.0 / gamma)
+    tail = math.inf if gamma == 0.0 else -1.0 / math.expm1(-gamma)
+    return C, min(float(d), float(T), tail)
 
 
 def bound_time_varying(d: int, T: int, etas: Sequence[float],

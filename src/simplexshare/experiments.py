@@ -331,7 +331,7 @@ def _bound(fc: ForecasterConfig, run: RealizedRun, masses: np.ndarray,
     else:
         H = bnd.bound_shared_weights(
             d, T, fc.eta, rule.alpha, m, n, U_sum,
-            *bnd._weight_constants(rule.variant, d, T, rule.gamma), u1_norm)
+            *bnd._weight_constants(d, T, rule._decay), u1_norm)
     return min(H, bnd.small_loss_form(H, fc.eta, U_sum, L_sum))
 
 

@@ -8,7 +8,7 @@ p_{t+1}.  The mixing rules implemented here:
 * ``fixed_share``       -- p = alpha/d + (1-alpha) v
 * ``projected``         -- KL projection of v onto the clipped simplex
 * ``max_share``         -- mix toward the running max of past pre-weights
-* ``decayed_max_share`` -- same with exponential decay of the running max
+* ``decayed_max_share`` -- same, decayed by e^-gamma a round (max share: 0)
 * ``time_varying``      -- fixed share with non-increasing (eta_t, alpha_t)
 
 Weights are stored in the log domain internally and renormalized by
@@ -236,6 +236,12 @@ class MixingRule:
             if self.variant == "decayed_max_share":
                 _check_gamma(self.gamma)
 
+    @property
+    def _decay(self) -> float | None:
+        """The running max's decay: 0.0 for max share, None without one."""
+        return {"max_share": 0.0,
+                "decayed_max_share": self.gamma}.get(self.variant)
+
     @classmethod
     def fixed_share(cls, alpha: float) -> "MixingRule":
         return cls("fixed_share", alpha=alpha)
@@ -307,8 +313,8 @@ class ForecasterState:
         log_u = np.full(shape, -np.log(d))
         self.log_p = log_u
         self.log_v = log_u.copy()
-        self.log_w = log_u.copy() if rule.variant in ("max_share",
-                                                      "decayed_max_share") else None
+        self._gamma = rule._decay
+        self.log_w = None if self._gamma is None else log_u.copy()
         self._eta_prev: float | None = None
         self._alpha_prev: float | None = None
         column = shape[:-1] + (1,)
@@ -351,10 +357,9 @@ class ForecasterState:
             log_p = _log_fixed_share(log_v, alpha_t, self._consts, out, sc,
                                      eta_loss)
         else:
-            gamma = self.rule.gamma if variant == "decayed_max_share" else 0.0
             log_p, self.log_w = _log_max_share(self.log_w, log_v, alpha_t,
-                                               gamma, self._consts, out, sc,
-                                               eta_loss)
+                                               self._gamma, self._consts, out,
+                                               sc, eta_loss)
         if out is not None and log_p is not out:
             out[...] = log_p
             log_p = out
@@ -481,9 +486,8 @@ class Trajectory:
     def log_w(self) -> np.ndarray | None:
         """Log auxiliary weights log w_1..log w_{T+1} (max-share rules
         only), rescanned with ``_log_max_share``'s running decayed max."""
-        if self.rule.variant not in ("max_share", "decayed_max_share"):
+        if (gamma := self.rule._decay) is None:
             return None
-        gamma = 0.0 if self.rule.variant == "max_share" else self.rule.gamma
         log_w = np.full(self.log_p.shape, -np.log(self.d))
         self._loss_updates(log_w[..., 1:, :])
         for t in range(self.T):

@@ -210,7 +210,7 @@ def test_decayed_max_share_tuning_identity():
     tuned = bound_decayed_max_share(d, T, eta, alpha, m0, n0)
     same_z_no_decay = bound_shared_weights(
         d, T, eta, alpha, m0, n0, float(T), 1.0,
-        min(float(d), 1.0 / gamma), 1.0)
+        min(float(d), float(T), 1.0 / (1.0 - math.exp(-gamma))), 1.0)
     assert tuned - same_z_no_decay == pytest.approx(m0 / eta, abs=1e-12)
 
 

@@ -227,22 +227,28 @@ def test_tune_caps_without_a_usable_tuning_fail_at_parse_time(tune):
         parse_experiment(cfg)
 
 
-def test_tune_caps_with_an_infinite_tuned_value_still_certify():
+@pytest.mark.parametrize("segments", [1, 4])
+def test_tune_caps_with_an_infinite_tuned_value_still_certify(segments):
     """The tuned value, infinite here, only picks (eta, alpha); the rows
-    take their rule's own bound at that rate, finite for one segment."""
-    cfg = {"environment": {"kind": "iid_bernoulli", "d": 4, "T": 200,
-                           "seed": 3, "means": [0.2, 0.5, 0.5, 0.5]},
-           "comparator": {"kind": "piecewise_corner",
-                          "segment_lengths": [200]},
-           "forecaster": {"rule": "fixed_share",
-                          "tune": {"m0": 1, "U0": 1e308}},
-           "regret": {"kind": "shifting"}, "repetitions": 2}
+    take their rule's own bound at that rate, finite for one segment and,
+    although d / alpha overflows, for the m = 3 shifts of four."""
+    if segments == 1:
+        cfg = {"environment": {"kind": "iid_bernoulli", "d": 4, "T": 200,
+                               "seed": 3, "means": [0.2, 0.5, 0.5, 0.5]},
+               "comparator": {"kind": "piecewise_corner",
+                              "segment_lengths": [200]},
+               "regret": {"kind": "shifting"}, "repetitions": 2}
+    else:
+        cfg = rotating_best_arm_config(reps=2)
+    cfg["forecaster"] = {"rule": "fixed_share",
+                         "tune": {"m0": 1, "U0": 1e308}}
     spec = parse_experiment(cfg)
     assert 0.0 < spec.forecaster.eta < 1e-150
     assert spec.forecaster.rule.alpha == 1e-308
     reports = run_experiment(spec)
     assert not any_failed(reports)
     assert all(math.isfinite(row.bound) for row in reports)
+    assert {row.m for row in reports} == {segments - 1.0}
 
 
 def test_comparator_section_is_read_for_shifting_regret_only():
@@ -544,8 +550,10 @@ def _rule_bound(spec, row, window, traj=None):
     elif rule.variant == "projected":
         H = bound_projected(d, fc.eta, rule.alpha, row.m, row.U_sum, u1)
     else:
+        # decay gamma: Z_t <= sum_{k<t} e^-gamma k <= 1/(1 - e^-gamma)
         C, Z = ((1.0, float(min(d, T))) if rule.variant == "max_share" else
-                (math.exp(rule.gamma), min(float(d), 1.0 / rule.gamma)))
+                (math.exp(rule.gamma), min(float(d), float(T),
+                                           -1.0 / math.expm1(-rule.gamma))))
         H = bound_shared_weights(d, T, fc.eta, rule.alpha, row.m, row.n,
                                  row.U_sum, C=C, Z_max=Z, u1_norm=u1)
     return min(H, small_loss_form(H, fc.eta, row.U_sum, row.L_sum))
@@ -642,7 +650,7 @@ def test_cli_run_tune_project_bound(tmp_path, capsys):
     ("bound max-share --d 200 --T 100 --eta 2.56 --alpha 0.09 --m 9 --n 2",
      "64.110405483307602\n"),
     ("bound decayed-max-share --d 200 --T 100 --eta 2.56 --alpha 0.09 "
-     "--m0 9 --n0 2", "62.338258385266002\n"),
+     "--m0 9 --n0 2", "62.41706332191211\n"),
     ("bound anytime-adaptive --d 5 --T 500", "91.303927199774407\n"),
 ])
 def test_cli_guarantees_print_exactly(capsys, argv, printed):
@@ -673,6 +681,9 @@ def test_cli_guarantees_print_exactly(capsys, argv, printed):
      "need d >= 1 and T >= 1"),
     ("bound decayed-max-share --d 200 --T 0 --eta 2.56 --alpha 0.09 "
      "--m0 9 --n0 2", "need d >= 1 and T >= 1"),
+    ("bound shared-weights --d 3 --T 50 --eta 1e-320 --alpha 0.1 --m 1 "
+     "--n 2 --U-sum 20 --C 1 --Z-max 1e-320 --u1-norm 1",
+     "Z_max must be >= 1"),
 ])
 def test_cli_bound_domain_errors_name_the_flag(capsys, argv, message):
     assert cli_main(argv.split()) == 2

@@ -8,6 +8,7 @@ from simplexshare import (ForecasterState, MixingRule, as_loss_vector,
                           mix_max_share, mix_projected, run_forecaster,
                           small_loss_certificate_slacks, step_time_varying)
 from simplexshare import forecasters
+from simplexshare.bounds import _weight_constants
 from simplexshare.forecasters import _log_loss_step, _to_linear
 from oracles import (decayed_max_brute, kl_project_argsort,
                      share_rounds_reference)
@@ -531,24 +532,28 @@ def test_time_varying_schedule_violation():
 
 def test_max_share_sandwich_conditions():
     rng = np.random.default_rng(31)
-    d, T = 6, 150
-    losses = rng.random((T, d))
-    for gamma in (None, 0.05, 0.7):
-        if gamma is None:
-            rule, C = MixingRule.max_share(0.15), 1.0
-        else:
-            rule, C = MixingRule.decayed_max_share(0.15, gamma), np.exp(gamma)
-        traj = run_forecaster(rule, 1.5, losses)
-        w = traj.w
-        assert np.all(w[1:] >= traj.v - 1e-12)
-        assert np.all(w <= 1.0 + 1e-12)
-        assert np.all(C * w[1:] >= w[:-1] - 1e-12)
-        z = w.sum(axis=1)
-        if gamma is None:
-            limits = np.minimum(d, np.arange(1, T + 2))
-        else:
-            limits = np.full(T + 1, min(d, 1.0 / gamma))
-        assert np.all(z <= limits + 1e-9)
+    corner = np.zeros((400, 10))  # a loss-1 corner rotating every 5 rounds
+    corner[np.arange(400), np.arange(400) // 5 % 10] = 1.0
+    for losses, eta, alpha in ((rng.random((150, 6)), 1.5, 0.15),
+                               (corner, 2.0, 0.05)):
+        T, d = losses.shape
+        for gamma in (0.0, 0.05, 0.7, 1.0, 2.0, 5.0):
+            if gamma == 0.0:
+                rule = MixingRule.max_share(alpha)
+            else:
+                rule = MixingRule.decayed_max_share(alpha, gamma)
+            traj = run_forecaster(rule, eta, losses)
+            w = traj.w
+            assert np.all(w[1:] >= traj.v - 1e-12)
+            assert np.all(w <= 1.0 + 1e-12)
+            assert np.all(np.exp(gamma) * w[1:] >= w[:-1] - 1e-12)
+            # w_{t+1} <= e^-gamma w_t + v_{t+1} and Z_1 = 1, so Z_t <= min(d,
+            # sum_{k<t} e^-gamma k), the sum being at most t
+            z = w.sum(axis=1)
+            geometric = np.cumsum(np.exp(-gamma * np.arange(T + 1)))
+            assert np.all(z <= np.minimum(d, geometric) + 1e-9)
+            # w_1..w_T make the played p_t
+            assert z[:T].max() <= _weight_constants(d, T, gamma)[1] + 1e-9
 
 
 def test_decayed_max_matches_definitional_brute_force():

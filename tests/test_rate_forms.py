@@ -58,7 +58,7 @@ def _hoeffding(spec, row):
                                1.0)
     return bound_shared_weights(
         row.d, T, fc.eta, rule.alpha, row.m, row.n, row.U_sum,
-        *_weight_constants(rule.variant, row.d, T, rule.gamma))
+        *_weight_constants(row.d, T, rule._decay))
 
 
 @pytest.mark.parametrize("rule", RULES)
