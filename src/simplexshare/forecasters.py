@@ -54,6 +54,8 @@ def as_loss_vector(loss, d: int | None = None) -> np.ndarray:
 # between rules and between single and batched runs hold bitwise).  The
 # optional ``out``, scratch ``sc = (work, m, s)`` (input-shaped, then two
 # (..., 1) columns) and spare input-shaped ``buf`` say where to write.
+# A round normalizes once, in its loss step: a mix sums to 1 in exact
+# arithmetic, and only what is emitted is renormalized, by ``_to_linear``.
 # ---------------------------------------------------------------------------
 
 
@@ -92,42 +94,37 @@ def _share_consts(variant: str, alpha: float, d: int):
 
 
 def _log_fixed_share(log_v: np.ndarray, alpha: float, consts=None, out=None,
-                     sc=(None,) * 3, buf=None) -> np.ndarray:
+                     buf=None) -> np.ndarray:
     d = log_v.shape[-1]
     if alpha == 0.0:
         return log_v
     if alpha == 1.0:
         return np.full(log_v.shape, -np.log(d))
     log_share, log_keep = consts or _share_consts("fixed_share", alpha, d)
-    mixed = np.add(log_keep, log_v, buf)
-    return _log_normalize(np.logaddexp(log_share, mixed, mixed), out, sc)
+    return np.logaddexp(log_share, np.add(log_keep, log_v, buf), out)
 
 
 def _log_projected(log_v: np.ndarray, alpha: float, consts=None) -> np.ndarray:
+    """Projects exp(log v): the projection renormalizes what it floors."""
     if alpha == 0.0:
         return log_v
-    v = _to_linear(log_v)
-    # renormalize as kl_project_clipped does, so the rows match it bitwise
-    return np.log(kl_project_rows(v / v.sum(axis=-1, keepdims=True), alpha,
-                                  consts))
+    return np.log(kl_project_rows(np.exp(log_v), alpha, consts))
 
 
 def _log_max_share(log_w: np.ndarray, log_v_next: np.ndarray, alpha: float,
                    gamma: float, consts=None, out=None, sc=(None,) * 3,
                    buf=None) -> tuple[np.ndarray, np.ndarray]:
     log_w_next = np.maximum(np.subtract(log_w, gamma, buf), log_v_next)
-    log_z = _logsumexp(log_w_next, sc)
     if alpha == 0.0:
-        log_p = log_v_next
-    elif alpha == 1.0:
-        log_p = np.subtract(log_w_next, log_z, buf)
-    else:
-        log_keep, log_alpha = consts or _share_consts("max_share", alpha,
-                                                      log_w.shape[-1])
-        shared = np.add(log_alpha, log_w_next, sc[0])
-        log_p = np.logaddexp(np.add(log_keep, log_v_next, buf),
-                             np.subtract(shared, log_z, shared), buf)
-    return _log_normalize(log_p, out, sc), log_w_next
+        return log_v_next, log_w_next
+    log_z = _logsumexp(log_w_next, sc)
+    if alpha == 1.0:
+        return np.subtract(log_w_next, log_z, out), log_w_next
+    log_keep, log_alpha = consts or _share_consts("max_share", alpha,
+                                                  log_w.shape[-1])
+    shared = np.add(log_alpha, log_w_next, sc[0])
+    return np.logaddexp(np.add(log_keep, log_v_next, buf),
+                        np.subtract(shared, log_z, shared), out), log_w_next
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +351,7 @@ class ForecasterState:
         if variant == "projected":
             log_p = _log_projected(log_v, alpha_t, self._consts)
         elif self.log_w is None:
-            log_p = _log_fixed_share(log_v, alpha_t, self._consts, out, sc,
+            log_p = _log_fixed_share(log_v, alpha_t, self._consts, out,
                                      eta_loss)
         else:
             log_p, self.log_w = _log_max_share(self.log_w, log_v, alpha_t,

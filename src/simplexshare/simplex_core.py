@@ -137,12 +137,15 @@ def kl_project_clipped(v, alpha: float) -> np.ndarray:
     The minimizer floors the k smallest entries at alpha/d and rescales
     the remaining entries by the leftover mass, where k is the smallest
     count for which every unfloored rescaled entry stays at or above the
-    floor.  This is the exact KKT solution, computed in O(d log d).
+    floor.  This is the exact KKT solution, computed in O(d log d).  A
+    zero entry is refused at alpha > 0.
     """
     _check_alpha(alpha)
     p = as_distribution(v)
     if alpha == 0.0:
         return p
+    if np.any(p <= 0.0):
+        raise ValueError("projection requires strictly positive entries")
     return kl_project_rows(p, alpha)
 
 
@@ -155,25 +158,24 @@ def kl_project_rows(p: np.ndarray, alpha: float,
                     numerators: np.ndarray | None = None) -> np.ndarray:
     """Row-wise ``kl_project_clipped`` of an (..., d) array of distributions.
 
-    Rows must already sum to 1 and ``0 < alpha <= 1``; a run may pass its
-    ``clipped_numerators(alpha, d)``.  Each row gets the arithmetic of a
-    single projection, so a stack of rows projects bit for bit like the
-    rows one at a time.  Entries <= x = ps[last] get the floor, so tied
-    entries at the floor are floored together.  Flooring sorted positions
-    0..last gives a copy of x sorted after last max(q, floor), q = fl(scale
-    x): the floor if last >= 1, as ``fits[last - 1]`` tests (1 - last
-    floor) x / (S + x) = floor + S (q - floor) / (S + x), S the mass after
-    x, up to ulps far inside the 1e-13 slack.  At last == 0, q > floor
-    needs a tied minimum within the row sum's rounding below the floor,
-    where flooring by position floors only one copy.
+    Rows must sum to 1 up to rounding and ``0 < alpha <= 1``; a run may
+    pass its ``clipped_numerators(alpha, d)``.  A zero entry (a pre-weight
+    that underflowed) sorts first and is floored.  Each row gets the
+    arithmetic of a single projection, so a stack of rows projects bit for
+    bit like the rows one at a time.  Entries <= x = ps[last] get the
+    floor, so tied entries at the floor are floored together.  Flooring
+    sorted positions 0..last gives a copy of x sorted after last max(q,
+    floor), q = fl(scale x): the floor if last >= 1, as ``fits[last - 1]``
+    tests (1 - last floor) x / (S + x) = floor + S (q - floor) / (S + x),
+    S the mass after x, up to ulps far inside the 1e-13 slack.  At
+    last == 0, q > floor needs a tied minimum within the row sum's
+    rounding below the floor, where flooring by position floors only one
+    copy.
     """
     d = p.shape[-1]
     floor = alpha / d
     flat = p.reshape(-1, d)
-    low = flat.min(axis=1)
-    if np.any(low <= 0.0):
-        raise ValueError("projection requires strictly positive entries")
-    todo = np.flatnonzero(low < floor)
+    todo = np.flatnonzero(flat.min(axis=1) < floor)
     if todo.size == 0:
         return p
     rows = flat[todo]

@@ -104,7 +104,9 @@ def share_rounds_reference(variant: str, losses, etas, alphas,
     operations and their order are those of a direct implementation:
     ``pow_ratio * log_p - eta * loss``, logsumexp normalization, the
     log-domain fixed-share mix, the max-share recursion, and the
-    projection through ``kl_project_argsort(floor_ties=True)``.
+    projection of exp(log v) through ``kl_project_argsort(floor_ties=True)``.
+    A round normalizes once, in its loss step; the mixes sum to 1 in exact
+    arithmetic and are not renormalized.
     """
     losses = np.asarray(losses, dtype=float)
     T, d = losses.shape
@@ -120,25 +122,21 @@ def share_rounds_reference(variant: str, losses, etas, alphas,
             log_w = np.maximum(log_w - gamma, log_v)
             log_z = _logsumexp_rows(log_w)
             if alpha == 0.0:
-                mixed = log_v
+                log_p = log_v
             elif alpha == 1.0:
-                mixed = log_w - log_z
+                log_p = log_w - log_z
             else:
-                mixed = np.logaddexp(np.log1p(-alpha) + log_v,
+                log_p = np.logaddexp(np.log1p(-alpha) + log_v,
                                      np.log(alpha) + log_w - log_z)
-            log_p = mixed - _logsumexp_rows(mixed)
         elif alpha == 0.0:
             log_p = log_v
         elif variant == "projected":
-            e = np.exp(log_v - _logsumexp_rows(log_v))
-            v = e / np.add.reduce(e, axis=-1, keepdims=True)
-            log_p = np.log(kl_project_argsort(v / v.sum(), alpha,
+            log_p = np.log(kl_project_argsort(np.exp(log_v), alpha,
                                               floor_ties=True))
         elif alpha == 1.0:
             log_p = np.full(d, -np.log(d))
         else:
-            mixed = np.logaddexp(np.log(alpha / d), np.log1p(-alpha) + log_v)
-            log_p = mixed - _logsumexp_rows(mixed)
+            log_p = np.logaddexp(np.log(alpha / d), np.log1p(-alpha) + log_v)
         ps.append(log_p)
         ws.append(log_w)
     max_share = variant in ("max_share", "decayed_max_share")

@@ -833,6 +833,27 @@ def test_cli_certify_exit_codes(tmp_path, capsys, monkeypatch):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("eta, alpha", [(800.0, 0.01), (800.0, 1e-300),
+                                        (1e5, 0.01), (1e5, 1e-300)])
+def test_projected_pre_weights_that_underflow_certify(tmp_path, capsys, eta,
+                                                      alpha):
+    # exp(log v) of a loss-1 arm underflows to 0 from eta ~ 745 on; the
+    # projection floors it, where certify used to exit 2 mid-run with
+    # "projection requires strictly positive entries"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "environment": {"kind": "piecewise_stationary", "d": 4, "T": 50,
+                        "segment_lengths": [25, 25],
+                        "means": [[0.0, 1.0, 1.0, 1.0],
+                                  [1.0, 0.0, 1.0, 1.0]]},
+        "comparator": {"kind": "piecewise_corner", "segment_lengths": [25, 25]},
+        "forecaster": {"rule": "projected", "eta": eta, "alpha": alpha},
+        "regret": {"kind": "shifting"}, "repetitions": 2}))
+    assert cli_main(["certify", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert "verdict=pass" in out and err == ""
+
+
 def test_small_loss_tuned_row_certifies_with_its_own_small_loss_form(
         tmp_path, capsys):
     # 20 segments of 100 rounds whose favoured arm has loss 0 and every

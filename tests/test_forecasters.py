@@ -9,7 +9,7 @@ from simplexshare import (ForecasterState, MixingRule, as_loss_vector,
                           small_loss_certificate_slacks, step_time_varying)
 from simplexshare import forecasters
 from simplexshare.bounds import _weight_constants
-from simplexshare.forecasters import _log_loss_step, _to_linear
+from simplexshare.forecasters import _log_loss_step
 from oracles import (decayed_max_brute, kl_project_argsort,
                      share_rounds_reference)
 
@@ -133,8 +133,8 @@ def test_projected_run_at_d1000_matches_sort_order_projection_loop():
     for rep in range(2):
         log_p = [np.full(d, -np.log(d))]
         for loss in losses[rep]:
-            v = _to_linear(_log_loss_step(log_p[-1], eta * loss))
-            log_p.append(np.log(kl_project_argsort(v / v.sum(), alpha)))
+            v = np.exp(_log_loss_step(log_p[-1], eta * loss))
+            log_p.append(np.log(kl_project_argsort(v, alpha)))
         assert np.array_equal(traj.log_p[rep], np.stack(log_p))
     # most rounds floor some entries
     floored = np.isclose(traj.p.min(axis=-1), alpha / d, rtol=1e-12)
@@ -247,6 +247,46 @@ def test_round_step_matches_plain_numpy_reference_bit_for_bit():
                 log_w.append(state.log_w)
             check(np.stack(log_p),
                   None if state.log_w is None else np.stack(log_w), losses[2])
+
+
+@pytest.mark.parametrize("rule", [MixingRule.fixed_share(0.01),
+                                  MixingRule.projected(0.01),
+                                  MixingRule.decayed_max_share(0.01, 0.01)],
+                         ids=lambda rule: rule.variant)
+def test_long_horizon_weights_stay_normalized(rule):
+    """Over 1e5 rounds each log p_t, normalized only by its loss step, has
+    logsumexp within 1e-12 of 0 and each p_t sums to 1 within 1e-12.
+    Time-varying shares fixed share's mix, and max share is decayed max
+    share at gamma = 0."""
+    rng = np.random.default_rng(71)
+    T, d = 100_000, 4
+    losses = (rng.random((T, d)) < [0.2, 0.5, 0.5, 0.5]).astype(float)
+    traj = run_forecaster(rule, 0.5, losses)
+    m = traj.log_p.max(axis=-1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(traj.log_p - m).sum(axis=-1))
+    assert np.abs(lse).max() <= 1e-12
+    assert np.abs(traj.p.sum(axis=-1) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("rule, per_round", [
+    (MixingRule.fixed_share(0.05), 1),
+    (MixingRule.projected(0.3), 1),
+    (MixingRule.time_varying(lambda t: 0.7 / np.sqrt(t),
+                             lambda t: 0.5 / t), 1),
+    (MixingRule.max_share(0.05), 2),
+    (MixingRule.decayed_max_share(0.05, 0.1), 2)],
+    ids=lambda x: getattr(x, "variant", ""))
+def test_each_round_normalizes_once_in_its_loss_step(monkeypatch, rule,
+                                                     per_round):
+    """A round's one logsumexp is its loss step's; the max-share rules add
+    ln Z of the auxiliary weights.  No mix renormalizes."""
+    calls, logsumexp = [], forecasters._logsumexp
+    monkeypatch.setattr(forecasters, "_logsumexp",
+                        lambda *a: calls.append(1) or logsumexp(*a))
+    T = 25
+    losses = np.random.default_rng(73).random((2, T, 5))
+    run_forecaster(rule, 0.7, losses)
+    assert len(calls) == per_round * T
 
 
 def test_round_loop_peak_memory_stays_near_the_record():

@@ -169,7 +169,10 @@ def test_stacked_projection_matches_single_rows_bit_for_bit():
             assert np.array_equal(kl_project_rows(stack[todo], alpha),
                                   expected[todo])
     with pytest.raises(ValueError, match="strictly positive"):
-        kl_project_rows(np.array([[0.5, 0.5], [1.0, 0.0]]), 0.5)
+        kl_project_clipped(np.array([1.0, 0.0]), 0.5)
+    # a run's pre-weight that underflowed to 0 is floored
+    assert np.array_equal(kl_project_rows(np.array([[1.0, 0.0]]), 0.5),
+                          [[0.75, 0.25]])
 
 
 def _projection_rows(rng, d, alpha):
