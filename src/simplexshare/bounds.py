@@ -7,7 +7,9 @@ a realized regret against the returned number.  Conventions:
 * ``m``     -- regularity of the comparator (summed one-sided shifts),
 * ``U_sum`` -- total comparator mass sum_t ||u_t||_1,
 * ``u1_norm`` -- mass ||u_1||_1 of the first comparator vector,
-* ``n``     -- sparsity (summed coordinatewise maxima).
+* ``n``     -- sparsity (summed coordinatewise maxima),
+* ``M``     -- mixing cost (``_mixing_*``): a constant-rate guarantee is
+  M + eta U_sum / 8, and ``small_loss_form`` takes the same M.
 
 Terms coefficient * ln(num / den) are 0 at a zero coefficient or
 num = den and +inf at den = 0, so boundary parameters evaluate to their
@@ -56,49 +58,57 @@ def _check_common(d: int, eta: float, alpha: float, m: float, U_sum: float,
         raise ValueError("u1_norm cannot exceed U_sum")
 
 
+def _mixing_projected(d: int, eta: float, alpha: float, m: float,
+                      U_sum: float, u1_norm: float) -> float:
+    """Projected's mixing cost u1/eta ln d + m/eta ln(d/alpha) + alpha U."""
+    _check_common(d, eta, alpha, m, U_sum, u1_norm)
+    return (_coef_log(u1_norm / eta, d) + _coef_log(m / eta, d, alpha)
+            + (alpha * U_sum if alpha else 0.0))
+
+
 def bound_projected(d: int, eta: float, alpha: float, m: float, U_sum: float,
                     u1_norm: float) -> float:
     """Shifting-regret guarantee of the KL-projected share update."""
-    _check_common(d, eta, alpha, m, U_sum, u1_norm)
-    return (_coef_log(u1_norm / eta, d)
-            + _coef_log(m / eta, d, alpha)
-            + (eta / 8.0 + alpha) * U_sum)
+    return (_mixing_projected(d, eta, alpha, m, U_sum, u1_norm)
+            + eta / 8.0 * U_sum)
+
+
+def _mixing_fixed_share(d: int, eta: float, alpha: float, m: float,
+                        U_sum: float, u1_norm: float) -> float:
+    """Shared weights' mixing cost at w = 1: C = 1, Z = d, n = u1_norm."""
+    return _mixing_shared_weights(d, 1, eta, alpha, m, u1_norm, U_sum, 1.0,
+                                  d, u1_norm)
 
 
 def bound_fixed_share(d: int, eta: float, alpha: float, m: float,
                       U_sum: float, u1_norm: float) -> float:
-    """Shifting-regret guarantee of the fixed-share update: the
-    shared-weights guarantee with w = 1, so C = 1, Z = d and n = u1_norm."""
-    return bound_shared_weights(d, 1, eta, alpha, m, u1_norm, U_sum, C=1.0,
-                                Z_max=d, u1_norm=u1_norm)
+    """Shifting-regret guarantee of the fixed-share update."""
+    return (_mixing_fixed_share(d, eta, alpha, m, U_sum, u1_norm)
+            + eta / 8.0 * U_sum)
 
 
-def small_loss_form(H: float, eta: float, U_sum: float, L_sum: float) -> float:
-    """(k - 1) L_sum + k (H - eta U_sum / 8), k = eta / (1 - e^-eta): the
-    small-loss form of a constant-rate Hoeffding form H at a comparator
-    of loss L_sum.  Both are theorems for every nonnegative comparator u:
-    the loss update gives ((1 - e^-eta)/eta) p_t . l_t - q . l_t <= (1/eta)
-    q . ln(v_{t+1}/p_t) for every q (``small_loss_certificate_slacks``),
-    and summed along u its right side meets the q-independent mixing
-    analysis that H pays as H - eta U_sum / 8.  Projected pays its alpha
-    U_sum through the smoothed comparator's loss, so k multiplies it too."""
+def small_loss_form(M: float, eta: float, L_sum: float) -> float:
+    """(k - 1) L_sum + k M, k = eta / (1 - e^-eta): the small-loss form of
+    the guarantee M + eta U_sum / 8 at a comparator of loss L_sum.  Both
+    are theorems for every nonnegative comparator u: the loss update gives
+    ((1 - e^-eta)/eta) p_t . l_t - q . l_t <= (1/eta) q . ln(v_{t+1}/p_t)
+    for every q (``small_loss_certificate_slacks``), and summed along u its
+    right side meets the q-independent mixing analysis that costs M.
+    Projected pays its alpha U_sum through the smoothed comparator's loss,
+    so k multiplies it too."""
     _check_eta(eta)
-    if H == math.inf:  # not inf - inf = nan when U_sum is infinite too
-        return H
     k = eta / -math.expm1(-eta)
-    return (k - 1.0) * L_sum + k * (H - eta * U_sum / 8.0)
+    return (k - 1.0) * L_sum + k * M
 
 
 def fixed_share_envelope(d: int, m0: float, U0: float, eta: float,
                          alpha: float) -> float:
     """Worst case of the fixed-share guarantee over all comparators with
-    regularity mass at most m0 and total mass at most U0."""
+    regularity mass at most m0 and total mass at most U0: the guarantee
+    at m = m0, U_sum = U0 and ||u_1||_1 = 0."""
     if not 0.0 < m0 <= U0:
         raise ValueError("need 0 < m0 <= U0")
-    _check_eta(eta)
-    _check_alpha(alpha)
-    mix_cost = _coef_log(m0, 1.0, alpha) + _coef_log(U0 - m0, 1.0, 1.0 - alpha)
-    return (m0 * math.log(d) + mix_cost) / eta + eta * U0 / 8.0
+    return bound_fixed_share(d, eta, alpha, m0, U0, 0.0)
 
 
 def tune_fixed_share(d: int, m0: float, U0: float) -> TuneResult:
@@ -152,6 +162,28 @@ def tune_small_loss(d: int, m0: float, U0: float, L0: float) -> TuneResult:
                       bound=math.sqrt(2.0 * L0 * mix) + mix)
 
 
+def _mixing_shared_weights(d: int, T: int, eta: float, alpha: float,
+                           m: float, n: float, U_sum: float, C: float,
+                           Z_max: float, u1_norm: float) -> float:
+    """Shared weights' mixing cost n/eta ln d + n T ln C / eta + m/eta
+    ln(Z_max/alpha) + tail/eta ln(1/(1 - alpha)), tail = U_sum - u1 - m."""
+    _check_common(d, eta, alpha, m, U_sum, u1_norm)
+    if not n >= 0.0:
+        raise ValueError("n must be nonnegative")
+    if not C >= 1.0:
+        raise ValueError("C must be >= 1")
+    if not Z_max >= 1.0:
+        raise ValueError("Z_max must be >= 1")
+    tail = U_sum - u1_norm - m
+    if not tail >= -1e-12 * max(1.0, U_sum):  # rounding in U_sum and m
+        raise ValueError("m cannot exceed the comparator mass after round 1")
+    tail = max(tail, 0.0)
+    return (_coef_log(n / eta, d)
+            + _coef_log(n * T, C) / eta
+            + _coef_log(m / eta, Z_max, alpha)
+            + _coef_log(tail / eta, 1.0, 1.0 - alpha))
+
+
 def bound_shared_weights(d: int, T: int, eta: float, alpha: float, m: float,
                          n: float, U_sum: float, C: float, Z_max: float,
                          u1_norm: float = 1.0) -> float:
@@ -161,22 +193,8 @@ def bound_shared_weights(d: int, T: int, eta: float, alpha: float, m: float,
     satisfy v_j <= w_j <= 1 and C w_{j,t+1} >= w_{j,t} with C >= 1;
     Z_max bounds the normalizers sum_j w_j >= sum_j v_j = 1 over the run.
     """
-    _check_common(d, eta, alpha, m, U_sum, u1_norm)
-    if not n >= 0.0:
-        raise ValueError("n must be nonnegative")
-    if not C >= 1.0:
-        raise ValueError("C must be >= 1")
-    if not Z_max >= 1.0:
-        raise ValueError("Z_max must be >= 1")
-    tail = U_sum - u1_norm - m
-    if not tail >= -1e-9:
-        raise ValueError("m cannot exceed the comparator mass after round 1")
-    tail = max(tail, 0.0)
-    return (_coef_log(n / eta, d)
-            + _coef_log(n * T, C) / eta
-            + eta / 8.0 * U_sum
-            + _coef_log(m / eta, Z_max, alpha)
-            + _coef_log(tail / eta, 1.0, 1.0 - alpha))
+    return _mixing_shared_weights(d, T, eta, alpha, m, n, U_sum, C, Z_max,
+                                  u1_norm) + eta / 8.0 * U_sum
 
 
 def bound_max_share(d: int, T: int, eta: float, alpha: float, m: float,

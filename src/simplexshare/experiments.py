@@ -314,25 +314,27 @@ def _bound(fc: ForecasterConfig, run: RealizedRun, masses: np.ndarray,
     """The rule's shifting guarantee at a row's comparator u (given or
     hindsight, an adaptive row's worst window or a discounted row's corner;
     ``masses`` holds its ||u_t||_1) at the run's rate: at a constant rate
-    the smaller of the Hoeffding form H and ``bounds.small_loss_form``.
-    Tuned rows need no caps: inside them H is at most the tuned value
-    ``fixed_share_envelope(d, m0, U0, eta, alpha)``, as eta H = M ln(d/alpha)
-    - ||u_1||_1 ln(1/alpha) + (U_sum - M) ln(1/(1-alpha)) + eta^2 U_sum/8,
-    M = m + ||u_1||_1, grows in M and U_sum for alpha <= d/(d+1)."""
+    the smaller of H = M + eta U_sum / 8 and ``bounds.small_loss_form`` of
+    the rule's mixing cost M, formed once.  Tuned rows need no caps:
+    inside them H is at most the tuned value ``fixed_share_envelope(d, m0,
+    U0, eta, alpha)``, as eta H = S ln(d/alpha) - ||u_1||_1 ln(1/alpha)
+    + (U_sum - S) ln(1/(1-alpha)) + eta^2 U_sum/8, S = m + ||u_1||_1,
+    grows in S and U_sum for alpha <= d/(d+1)."""
     rule = fc.rule
     d, T = run.source.d, run.source.T
     u1_norm = float(masses[0])
     if rule.variant == "time_varying":
         return bnd.bound_time_varying(d, T, run.etas, run.alphas, m, masses)
     if rule.variant == "fixed_share":
-        H = bnd.bound_fixed_share(d, fc.eta, rule.alpha, m, U_sum, u1_norm)
+        M = bnd._mixing_fixed_share(d, fc.eta, rule.alpha, m, U_sum, u1_norm)
     elif rule.variant == "projected":
-        H = bnd.bound_projected(d, fc.eta, rule.alpha, m, U_sum, u1_norm)
+        M = bnd._mixing_projected(d, fc.eta, rule.alpha, m, U_sum, u1_norm)
     else:
-        H = bnd.bound_shared_weights(
+        M = bnd._mixing_shared_weights(
             d, T, fc.eta, rule.alpha, m, n, U_sum,
             *bnd._weight_constants(d, T, rule._decay), u1_norm)
-    return min(H, bnd.small_loss_form(H, fc.eta, U_sum, L_sum))
+    return min(M + fc.eta / 8.0 * U_sum,
+               bnd.small_loss_form(M, fc.eta, L_sum))
 
 
 def _run_batch(spec: ExperimentSpec, each_block) -> RealizedRun:

@@ -4,6 +4,7 @@ Everything here is deliberately naive (grids, double loops, definitional
 formulas) and shares no code with the library paths it checks.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -274,3 +275,47 @@ def central_difference_gaps(value_fn, p: np.ndarray, eps: float = 1e-6
         step[i], step[0] = eps, -eps
         gaps[i] = (value_fn(p + step) - value_fn(p - step)) / (2.0 * eps)
     return gaps
+
+
+def _times_log(coefficient: Fraction, log_value: float):
+    """coefficient * ln(x) from ln(x) taken in float: 0 at a zero
+    coefficient, +inf where ln(x) is +inf."""
+    if coefficient == 0:
+        return Fraction(0)
+    return math.inf if log_value == math.inf else coefficient * Fraction(
+        log_value)
+
+
+def rate_forms_exact(d: int, eta: float, alpha: float, m: float,
+                     U_sum: float, u1_norm: float, L_sum: float,
+                     shared=None) -> tuple[float, float]:
+    """(Hoeffding form, small-loss form) of a constant-rate share guarantee,
+    M + eta U_sum / 8 and (k - 1) L_sum + k M with k = eta / (1 - e^-eta),
+    summed in rationals from the float inputs (each log and exp in float)
+    and rounded once.  With ``shared`` None, M is the projected mixing
+    cost (u1 ln d + m ln(d / alpha)) / eta + alpha U_sum; with ``shared`` =
+    (n, T, C, Z_max) it is the shared-weights one (n ln d + n T ln C
+    + m ln(Z_max / alpha) + tail ln(1 / (1 - alpha))) / eta, tail =
+    max(U_sum - u1 - m, 0)."""
+    q = Fraction
+    ln_over_alpha = (lambda x: math.inf if alpha == 0.0
+                     else math.log(x) - math.log(alpha))
+    if shared is None:
+        terms = [_times_log(q(u1_norm), math.log(d)),
+                 _times_log(q(m), ln_over_alpha(d))]
+    else:
+        n, T, C, Z_max = shared
+        tail = max(q(U_sum) - q(u1_norm) - q(m), q(0))
+        terms = [_times_log(q(n), math.log(d)),
+                 _times_log(q(n) * T, math.log(C)),
+                 _times_log(q(m), ln_over_alpha(Z_max)),
+                 _times_log(tail, math.inf if alpha == 1.0
+                            else -math.log1p(-alpha))]
+    if math.inf in terms:
+        return math.inf, math.inf
+    M = sum(terms, q(0)) / q(eta)
+    if shared is None:
+        M += q(alpha) * q(U_sum)
+    k = q(eta) / q(-math.expm1(-eta))
+    return (float(M + q(eta) * q(U_sum) / 8),
+            float((k - 1) * q(L_sum) + k * M))

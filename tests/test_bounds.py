@@ -10,6 +10,7 @@ from simplexshare import (anytime_adaptive_bound, anytime_schedules,
                           bound_shared_weights, bound_time_varying,
                           decayed_max_share_gamma, fixed_share_envelope,
                           small_loss_form, tune_fixed_share, tune_small_loss)
+from simplexshare.bounds import _mixing_fixed_share
 
 
 def test_bound_projected_examples():
@@ -36,8 +37,9 @@ def test_bound_fixed_share_examples():
 
 
 def test_bound_fixed_share_is_its_closed_form_bit_for_bit():
-    """u1/eta ln d + eta/8 U + m/eta ln(d/alpha) + tail/eta ln(1/(1-alpha)),
-    written out here in that order, with alpha in (0, 1)."""
+    """(u1/eta ln d + m/eta ln(d/alpha) + tail/eta ln(1/(1-alpha))) + eta/8 U,
+    the mixing cost and then eta U / 8, written out here in that order,
+    with alpha in (0, 1)."""
     rng = np.random.default_rng(21)
     zero_tails = 0
     for trial in range(3000):
@@ -50,9 +52,10 @@ def test_bound_fixed_share_is_its_closed_form_bit_for_bit():
         U = u1 + m + (0.0 if trial % 4 == 0 else float(rng.uniform(0.0, 1e4)))
         tail = max(U - u1 - m, 0.0)
         zero_tails += tail == 0.0
-        expected = (u1 / eta * math.log(d) + eta / 8.0 * U
-                    + m / eta * math.log(d / alpha)
-                    + tail / eta * math.log(1.0 / (1.0 - alpha)))
+        expected = ((u1 / eta * math.log(d)
+                     + m / eta * math.log(d / alpha)
+                     + tail / eta * math.log(1.0 / (1.0 - alpha)))
+                    + eta / 8.0 * U)
         assert bound_fixed_share(d, eta, alpha, m, U, u1) == expected, trial
     assert zero_tails >= 500
 
@@ -163,14 +166,41 @@ def test_tune_small_loss_examples():
 def test_small_loss_form_examples():
     # at eta = ln 2, 1 - e^-eta = 1/2 and k = 2 ln 2
     ln2 = math.log(2.0)
-    assert small_loss_form(5.0, ln2, 8.0, 3.0) == pytest.approx(
-        (2.0 * ln2 - 1.0) * 3.0 + 2.0 * ln2 * (5.0 - ln2), abs=1e-12)
+    assert small_loss_form(4.0, ln2, 3.0) == pytest.approx(
+        (2.0 * ln2 - 1.0) * 3.0 + 2.0 * ln2 * 4.0, abs=1e-12)
     # k -> 1 as eta -> 0, and k ~ eta for a large eta
-    assert small_loss_form(5.0, 1e-12, 8.0, 3.0) == pytest.approx(5.0)
-    assert small_loss_form(5.0, 40.0, 8.0, 0.0) == pytest.approx(
-        40.0 * (5.0 - 40.0), abs=1e-9)
-    assert small_loss_form(math.inf, 1.0, 8.0, 3.0) == math.inf
-    assert small_loss_form(math.inf, 1.0, math.inf, 3.0) == math.inf
+    assert small_loss_form(5.0, 1e-12, 3.0) == pytest.approx(5.0)
+    assert small_loss_form(5.0, 40.0, 0.0) == pytest.approx(40.0 * 5.0,
+                                                            abs=1e-9)
+    assert small_loss_form(math.inf, 1.0, 3.0) == math.inf
+
+
+def test_small_loss_form_keeps_its_digits_at_a_large_rate():
+    # k = eta / (1 - e^-eta) = eta exactly at eta = 1e9, and the mixing
+    # cost of m = 1, ||u_1||_1 = 1, tail 398 at d = 2, alpha = 0.5 is
+    # 401 ln 2 / eta; H - eta U_sum / 8 with U_sum = 400 read 0 here
+    eta, ln2 = 1e9, math.log(2.0)
+    M = _mixing_fixed_share(2, eta, 0.5, 1.0, 400.0, 1.0)
+    assert M == pytest.approx(401.0 * ln2 / eta, rel=1e-15)
+    assert bound_fixed_share(2, eta, 0.5, 1.0, 400.0, 1.0) == M + eta * 50.0
+    assert small_loss_form(M, eta, 0.0) == pytest.approx(401.0 * ln2,
+                                                         rel=1e-15)
+    assert small_loss_form(M, eta, 2.5) == pytest.approx(
+        (eta - 1.0) * 2.5 + eta * M, rel=1e-15)
+
+
+def test_full_shift_comparators_of_any_mass_are_in_the_domain():
+    # m + ||u_1||_1 = U_sum in exact arithmetic when every round shifts the
+    # whole mass; the correctly rounded sums differ by an ulp of U_sum,
+    # which an absolute 1e-9 tolerance refused from U_sum ~ 1e7 on
+    rng = np.random.default_rng(27)
+    below_old_tolerance = 0
+    for _ in range(500):
+        a = rng.uniform(0.0, 1.0, 8) * 10.0 ** rng.uniform(0.0, 12.0)
+        U, u1, m = math.fsum(a), float(a[0]), math.fsum(a[1:])
+        below_old_tolerance += U - u1 - m < -1e-9
+        assert math.isfinite(bound_fixed_share(2, 1.0, 0.1, m, U, u1))
+    assert below_old_tolerance >= 20
 
 
 def test_small_loss_crossover_with_horizon_tuning():

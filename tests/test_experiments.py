@@ -9,10 +9,11 @@ import pytest
 from oracles import (best_window_brute, discounted_regret_details_brute,
                      prefix_sums_brute)
 
-from simplexshare.bounds import (bound_fixed_share, bound_projected,
-                                 bound_shared_weights, bound_time_varying,
-                                 small_loss_form, tune_fixed_share,
-                                 tune_small_loss)
+from simplexshare.bounds import (_mixing_fixed_share, _mixing_projected,
+                                 _mixing_shared_weights, bound_fixed_share,
+                                 bound_projected, bound_shared_weights,
+                                 bound_time_varying, small_loss_form,
+                                 tune_fixed_share, tune_small_loss)
 from simplexshare.cli import main as cli_main
 from simplexshare import cli, experiments, forecasters
 from simplexshare.environments import (EnvironmentSpec, gen_comparator,
@@ -539,24 +540,28 @@ _ADAPTIVE_RULES = {
 def _rule_bound(spec, row, window, traj=None):
     """The rule's shifting guarantee at a row's statistics and comparator
     masses ``window`` (``traj`` gives a time-varying run's schedules), by
-    the public bound functions: at a constant rate, the smaller of the
-    Hoeffding and small-loss forms."""
+    the bounds module: at a constant rate, the smaller of the Hoeffding
+    form M + eta U_sum / 8 and the small-loss form of the mixing cost M."""
     fc, rule, T, d = spec.forecaster, spec.forecaster.rule, row.T, row.d
     u1 = float(window[0])
     if rule.variant == "time_varying":
         return bound_time_varying(d, T, traj.etas, traj.alphas, row.m, window)
     if rule.variant == "fixed_share":
+        M = _mixing_fixed_share(d, fc.eta, rule.alpha, row.m, row.U_sum, u1)
         H = bound_fixed_share(d, fc.eta, rule.alpha, row.m, row.U_sum, u1)
     elif rule.variant == "projected":
+        M = _mixing_projected(d, fc.eta, rule.alpha, row.m, row.U_sum, u1)
         H = bound_projected(d, fc.eta, rule.alpha, row.m, row.U_sum, u1)
     else:
         # decay gamma: Z_t <= sum_{k<t} e^-gamma k <= 1/(1 - e^-gamma)
         C, Z = ((1.0, float(min(d, T))) if rule.variant == "max_share" else
                 (math.exp(rule.gamma), min(float(d), float(T),
                                            -1.0 / math.expm1(-rule.gamma))))
+        M = _mixing_shared_weights(d, T, fc.eta, rule.alpha, row.m, row.n,
+                                   row.U_sum, C, Z, u1)
         H = bound_shared_weights(d, T, fc.eta, rule.alpha, row.m, row.n,
                                  row.U_sum, C=C, Z_max=Z, u1_norm=u1)
-    return min(H, small_loss_form(H, fc.eta, row.U_sum, row.L_sum))
+    return min(H, small_loss_form(M, fc.eta, row.L_sum))
 
 
 @pytest.mark.parametrize("rule", sorted(_ADAPTIVE_RULES))
@@ -640,17 +645,17 @@ def test_cli_run_tune_project_bound(tmp_path, capsys):
      "5.9388794541139358\n"),
     ("bound projected --d 2 --eta 1 --alpha 0 --m 1 --U-sum 10", "inf\n"),
     ("bound fixed-share --d 2 --eta 1 --alpha 0.1 --m 1 --U-sum 10 "
-     "--u1-norm 1", "5.7817635793765465\n"),
+     "--u1-norm 1", "5.7817635793765474\n"),
     ("bound adaptive --d 2 --tau0 8",
      "exact=3.8508744308852449\nrelaxed=3.8846305987775884\n"),
     ("bound small-loss --d 10 --m0 4 --U0 1000 --L0 10",
      "61.865408361581387\n"),
     ("bound shared-weights --d 20 --T 100 --eta 2 --alpha 0.09 --m 9 --n 2 "
-     "--U-sum 100 --C 1 --Z-max 20", "56.556263319686231\n"),
+     "--U-sum 100 --C 1 --Z-max 20", "56.556263319686224\n"),
     ("bound max-share --d 200 --T 100 --eta 2.56 --alpha 0.09 --m 9 --n 2",
      "64.110405483307602\n"),
     ("bound decayed-max-share --d 200 --T 100 --eta 2.56 --alpha 0.09 "
-     "--m0 9 --n0 2", "62.41706332191211\n"),
+     "--m0 9 --n0 2", "62.417063321912117\n"),
     ("bound anytime-adaptive --d 5 --T 500", "91.303927199774407\n"),
 ])
 def test_cli_guarantees_print_exactly(capsys, argv, printed):
@@ -815,6 +820,70 @@ def test_a_decay_beyond_the_float_range_certifies_with_an_infinite_bound():
     assert all(r.bound == math.inf and r.verdict == "pass" for r in reports)
 
 
+def _large_eta_config(rule, eta):
+    """d = 2, T = 400: two 200-round segments whose favoured arm has loss 0
+    and the other loss 1, against the hindsight corners (m = 1, n = 2,
+    U_sum = 400, L_sum = 0), at alpha = 0.5."""
+    forecaster = {"rule": rule, "eta": eta, "alpha": 0.5}
+    if rule == "decayed_max_share":
+        forecaster["gamma"] = 0.1
+    return {"environment": {"kind": "piecewise_stationary", "d": 2, "T": 400,
+                            "segment_lengths": [200, 200],
+                            "means": [[0.0, 1.0], [1.0, 0.0]]},
+            "comparator": {"kind": "piecewise_corner",
+                           "segment_lengths": [200, 200]},
+            "forecaster": forecaster, "regret": {"kind": "shifting"}}
+
+
+# at L_sum = 0 the small-loss form is k M = M eta: n ln 2 + n T gamma
+# + ln(2 / 0.5) + 398 ln 2 for the shared-weights rules (fixed share has
+# n = ||u_1||_1 = 1 and gamma = 0); projected pays k alpha U_sum = 200 eta
+# there, so its Hoeffding form eta U_sum / 8 + alpha U_sum wins
+_LARGE_ETA_BOUNDS = {
+    "fixed_share": lambda eta: 401.0 * math.log(2.0),
+    "max_share": lambda eta: 402.0 * math.log(2.0),
+    "decayed_max_share": lambda eta: 402.0 * math.log(2.0) + 80.0,
+    "projected": lambda eta: eta * 50.0 + 200.0,
+}
+
+
+@pytest.mark.parametrize("rule, eta", [
+    ("fixed_share", 1e7), ("fixed_share", 1e9), ("max_share", 1e9),
+    ("decayed_max_share", 1e9), *[(rule, 1e300) for rule in (
+        "fixed_share", "projected", "max_share", "decayed_max_share")]])
+def test_a_large_rate_certifies_with_the_exact_small_loss_form(
+        tmp_path, capsys, rule, eta):
+    # forming the small-loss form's mixing cost as H - eta U_sum / 8 lost
+    # every digit at a large eta: the bound read 277.758 at eta = 1e7,
+    # below the theorem's 401 ln 2, and 0, a false fail, from eta = 1e9
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_large_eta_config(rule, eta)))
+    assert cli_main(["certify", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert "verdict=pass" in out and err == ""
+    bound = float(out.split("min_bound=")[1].split()[0])
+    assert bound == pytest.approx(_LARGE_ETA_BOUNDS[rule](eta), rel=1e-12)
+
+
+def test_a_full_shift_comparator_of_large_mass_certifies(tmp_path, capsys):
+    # every round shifts the whole mass, so m + ||u_1||_1 = U_sum in exact
+    # arithmetic, but the correctly rounded sums differ by an ulp of
+    # U_sum, past an absolute 1e-9 tolerance: certify ran the forecaster
+    # and then exited 2 with "m cannot exceed the comparator mass"
+    cfg = {"environment": {"kind": "iid_bernoulli", "d": 2, "T": 4,
+                           "seed": 1, "means": [0.3, 0.6]},
+           "comparator": {"kind": "scaled_arbitrary",
+                          "vectors": [[395928.767, 0.0], [0.0, 5285892.633],
+                                      [4593358.829, 0.0], [0.0, 623495.791]]},
+           "forecaster": {"rule": "fixed_share", "eta": 1.0, "alpha": 0.1},
+           "regret": {"kind": "shifting"}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["certify", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert "verdict=pass" in out and err == ""
+
+
 def test_cli_certify_exit_codes(tmp_path, capsys, monkeypatch):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(rotating_best_arm_config(reps=2)))
@@ -881,7 +950,8 @@ def test_small_loss_tuned_row_certifies_with_its_own_small_loss_form(
     tuned = tune_small_loss(100, 20.0, 2000.0, 1.0)
     assert tuned.bound == pytest.approx(224.41605321661908, abs=1e-9)
     H = bound_fixed_share(100, tuned.eta, tuned.alpha, 19.0, 2000.0, 1.0)
-    assert row.bound == small_loss_form(H, tuned.eta, 2000.0, 0.0) < H
+    M = _mixing_fixed_share(100, tuned.eta, tuned.alpha, 19.0, 2000.0, 1.0)
+    assert row.bound == small_loss_form(M, tuned.eta, 0.0) < H
 
 
 def test_cli_config_error_paths(tmp_path, capsys):

@@ -56,7 +56,7 @@ ETA_ENTRIES = {
                                                              eta, 0.1),
     "bound_time_varying": lambda eta: bound_time_varying(
         2, 2, [1.0, eta], [0.1, 0.1], 1.0, [1.0, 1.0]),
-    "small_loss_form": lambda eta: small_loss_form(5.0, eta, 10.0, 1.0),
+    "small_loss_form": lambda eta: small_loss_form(5.0, eta, 1.0),
 }
 
 ALPHA_ENTRIES = {

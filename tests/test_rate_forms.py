@@ -3,15 +3,21 @@ draws: summed along the row's comparator, each per-round certificate
 sits between the row's regret and its form, and the engine's bound is
 the smaller form."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from oracles import rate_forms_exact
 
-from simplexshare import (bound_fixed_share, bound_projected,
+from simplexshare import (MixingRule, bound_fixed_share, bound_projected,
                           bound_shared_weights, certificate_slacks,
                           gen_comparator, gen_losses, run_forecaster,
                           small_loss_certificate_slacks, small_loss_form)
-from simplexshare.bounds import _weight_constants
-from simplexshare.experiments import parse_experiment, run_experiment
+from simplexshare.bounds import (_mixing_fixed_share, _mixing_projected,
+                                 _mixing_shared_weights, _weight_constants)
+from simplexshare.experiments import (ForecasterConfig, _bound,
+                                      parse_experiment, run_experiment)
 
 RULES = ("fixed_share", "projected", "max_share", "decayed_max_share")
 DRAWS = 100
@@ -48,17 +54,18 @@ def _draw(rng, rule, seed):
             "repetitions": 2}
 
 
-def _hoeffding(spec, row):
+def _forms(spec, row):
+    """The Hoeffding form and the mixing cost M of the row's rule."""
     fc, rule, T = spec.forecaster, spec.forecaster.rule, row.T
     if rule.variant == "fixed_share":
-        return bound_fixed_share(row.d, fc.eta, rule.alpha, row.m, row.U_sum,
-                                 1.0)
+        args = (row.d, fc.eta, rule.alpha, row.m, row.U_sum, 1.0)
+        return bound_fixed_share(*args), _mixing_fixed_share(*args)
     if rule.variant == "projected":
-        return bound_projected(row.d, fc.eta, rule.alpha, row.m, row.U_sum,
-                               1.0)
-    return bound_shared_weights(
-        row.d, T, fc.eta, rule.alpha, row.m, row.n, row.U_sum,
-        *_weight_constants(row.d, T, rule._decay))
+        args = (row.d, fc.eta, rule.alpha, row.m, row.U_sum, 1.0)
+        return bound_projected(*args), _mixing_projected(*args)
+    args = (row.d, T, fc.eta, rule.alpha, row.m, row.n, row.U_sum,
+            *_weight_constants(row.d, T, rule._decay), 1.0)
+    return bound_shared_weights(*args), _mixing_shared_weights(*args)
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -79,10 +86,45 @@ def test_both_forms_bound_the_summed_certificates(rule):
             C_sl = k * masses @ (small_loss_certificate_slacks(traj)
                                  - np.expm1(-fc.eta) / fc.eta * realized)
             C_sl -= L_sum
-            H = _hoeffding(spec, row)
-            SL = small_loss_form(H, fc.eta, row.U_sum, L_sum)
+            H, M = _forms(spec, row)
+            SL = small_loss_form(M, fc.eta, L_sum)
             assert row.bound == min(H, SL)
             # a valid run's slacks are >= -1e-9 per round up to float error
             tol = 1e-9 * env.T * (1.0 + abs(row.regret) + abs(H) + abs(SL))
             assert row.regret <= C + tol and C <= H + tol
             assert row.regret <= C_sl + tol and C_sl <= SL + tol
+
+
+def test_the_engine_bound_is_the_exact_smaller_form_at_any_rate():
+    """``experiments._bound`` at ~300 drawn statistics, eta log-uniform in
+    [1e-3, 1e300], against both forms summed in rationals
+    (``oracles.rate_forms_exact``): a mixing cost recovered as H - eta
+    U_sum / 8 loses every digit once eta U_sum / 8 dominates H."""
+    rng = np.random.default_rng(26)
+    for draw in range(300):
+        variant = RULES[draw % 4]
+        d = int(np.exp(rng.uniform(np.log(2), np.log(1e6))))
+        T = int(rng.integers(2, 10_000))
+        eta = float(10.0 ** rng.uniform(-3.0, 300.0))
+        alpha = (0.0, 1.0, float(rng.random()))[min(draw % 10, 2)]
+        U_sum = float(rng.uniform(1.0, 1e4))
+        # a full shift (m = U_sum - u1, no tail) at u1 = 1, where the
+        # difference is exact
+        u1 = 1.0 if draw % 3 == 1 else float(rng.random())
+        m = (0.0, U_sum - u1, float(rng.uniform(0.0, U_sum - u1)))[draw % 3]
+        n = float(rng.uniform(0.0, 10.0))
+        L_sum = 0.0 if draw % 3 == 1 else float(rng.uniform(0.0, U_sum))
+        gamma = float(10.0 ** rng.uniform(-3.0, np.log10(0.5)))
+        rule = (MixingRule.decayed_max_share(alpha, gamma)
+                if variant == "decayed_max_share"
+                else getattr(MixingRule, variant)(alpha))
+        run = SimpleNamespace(source=SimpleNamespace(d=d, T=T))
+        got = _bound(ForecasterConfig(rule, eta), run, np.array([u1]), m, n,
+                     U_sum, L_sum)
+        shared = {"fixed_share": (u1, 1, 1.0, d), "projected": None,
+                  "max_share": (n, T, 1.0, min(d, T)),
+                  "decayed_max_share": (n, T, math.exp(gamma), min(
+                      d, T, 1.0 / (1.0 - math.exp(-gamma))))}[variant]
+        want = min(rate_forms_exact(d, eta, alpha, m, U_sum, u1, L_sum,
+                                    shared))
+        assert got == want or math.isclose(got, want, rel_tol=1e-12), draw
