@@ -42,7 +42,7 @@ from .environments import (INDEX_MAX, ComparatorSpec, EnvironmentSpec,
 from .forecasters import MixingRule, RealizedRun, _run_realized
 from .regret_eval import (Segment, _adaptive_details, as_discounts,
                           comparator_stats)
-from .simplex_core import _check_eta
+from .simplex_core import _check_eta, _check_floor
 
 VERDICT_SLACK = 1e-6
 
@@ -256,6 +256,8 @@ def _parse_forecaster(cfg, d: int, regret_kind: str,
     with _reported_as(where):
         _check_eta(eta)
         rule = MixingRule(variant, alpha=alpha, gamma=gamma)
+        if variant == "projected":
+            _check_floor(alpha, d)
     return ForecasterConfig(rule=rule, eta=eta)
 
 

@@ -5,7 +5,7 @@ observes a loss vector in [0,1]^d, forms exponentially reweighted
 pre-weights v_{t+1}, and then applies a *mixing rule* to produce
 p_{t+1}.  The mixing rules implemented here:
 
-* ``fixed_share``       -- p = alpha/d + (1-alpha) v
+* ``fixed_share``       -- p = alpha/d + (1-alpha) v (max share's mix at w = 1)
 * ``projected``         -- KL projection of v onto the clipped simplex
 * ``max_share``         -- mix toward the running max of past pre-weights
 * ``decayed_max_share`` -- same, decayed by e^-gamma a round (max share: 0)
@@ -23,13 +23,14 @@ takes one round loop, ``_rounds``, which reads them before round 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .simplex_core import (_check_alpha, _check_eta, _check_gamma,
-                           _check_losses, _check_schedule_step,
+from .simplex_core import (_check_alpha, _check_eta, _check_floor,
+                           _check_gamma, _check_losses, _check_schedule_step,
                            as_distribution, clipped_numerators,
                            kl_project_clipped, kl_project_rows)
 
@@ -56,6 +57,7 @@ def as_loss_vector(loss, d: int | None = None) -> np.ndarray:
 # (..., 1) columns) and spare input-shaped ``buf`` say where to write.
 # A round normalizes once, in its loss step: a mix sums to 1 in exact
 # arithmetic, and only what is emitted is renormalized, by ``_to_linear``.
+# The shared-weights mix takes no alpha branch: a -inf term drops out exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -84,24 +86,22 @@ def _log_loss_step(log_p, eta_loss, pow_ratio=1.0, out=None, sc=(None,) * 3):
 
 
 def _share_consts(variant: str, alpha: float, d: int):
-    """What a rule's mixing step computes from alpha alone, or None."""
+    """What a rule's mix computes from alpha alone: projected's numerators
+    (None at alpha 0), else ln(1 - alpha), ln(alpha) and ln(alpha) - ln(d)."""
     if variant == "projected":
         return None if alpha == 0.0 else clipped_numerators(alpha, d)
-    if 0.0 < alpha < 1.0 and variant in ("max_share", "decayed_max_share"):
-        return np.log1p(-alpha), np.log(alpha)
-    if 0.0 < alpha < 1.0:
-        return np.log(alpha / d), np.log1p(-alpha)
+    # -inf at alpha 1 and 0 without numpy's divide warning, or the
+    # microsecond that np.errstate costs each round of a time-varying run
+    log_keep = float(np.log1p(-alpha)) if alpha < 1.0 else -math.inf
+    log_alpha = float(np.log(alpha)) if alpha > 0.0 else -math.inf
+    return log_keep, log_alpha, log_alpha - math.log(d)
 
 
-def _log_fixed_share(log_v: np.ndarray, alpha: float, consts=None, out=None,
-                     buf=None) -> np.ndarray:
-    d = log_v.shape[-1]
-    if alpha == 0.0:
-        return log_v
-    if alpha == 1.0:
-        return np.full(log_v.shape, -np.log(d))
-    log_share, log_keep = consts or _share_consts("fixed_share", alpha, d)
-    return np.logaddexp(log_share, np.add(log_keep, log_v, buf), out)
+def _log_fixed_share(log_v, consts, out=None, buf=None) -> np.ndarray:
+    """Max share's mix at log w = 0, log Z = ln d: its share term is the
+    constant ln(alpha) - ln(d), finite at every alpha > 0."""
+    log_keep, _, log_share = consts
+    return np.logaddexp(np.add(log_keep, log_v, buf), log_share, out)
 
 
 def _log_projected(log_v: np.ndarray, alpha: float, consts=None) -> np.ndarray:
@@ -111,17 +111,12 @@ def _log_projected(log_v: np.ndarray, alpha: float, consts=None) -> np.ndarray:
     return np.log(kl_project_rows(np.exp(log_v), alpha, consts))
 
 
-def _log_max_share(log_w: np.ndarray, log_v_next: np.ndarray, alpha: float,
-                   gamma: float, consts=None, out=None, sc=(None,) * 3,
-                   buf=None) -> tuple[np.ndarray, np.ndarray]:
+def _log_max_share(log_w: np.ndarray, log_v_next: np.ndarray, gamma: float,
+                   consts, out=None, sc=(None,) * 3, buf=None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     log_w_next = np.maximum(np.subtract(log_w, gamma, buf), log_v_next)
-    if alpha == 0.0:
-        return log_v_next, log_w_next
     log_z = _logsumexp(log_w_next, sc)
-    if alpha == 1.0:
-        return np.subtract(log_w_next, log_z, out), log_w_next
-    log_keep, log_alpha = consts or _share_consts("max_share", alpha,
-                                                  log_w.shape[-1])
+    log_keep, log_alpha, _ = consts
     shared = np.add(log_alpha, log_w_next, sc[0])
     return np.logaddexp(np.add(log_keep, log_v_next, buf),
                         np.subtract(shared, log_z, shared), out), log_w_next
@@ -148,7 +143,8 @@ def mix_fixed_share(v, alpha: float) -> np.ndarray:
     vv = as_distribution(v)
     with np.errstate(divide="ignore"):
         log_v = np.log(vv)
-    return _to_linear(_log_fixed_share(log_v, alpha))
+    consts = _share_consts("fixed_share", alpha, vv.size)
+    return _to_linear(_log_fixed_share(log_v, consts))
 
 
 def mix_projected(v, alpha: float) -> np.ndarray:
@@ -177,7 +173,8 @@ def mix_max_share(w, v_next, alpha: float, gamma: float = 0.0
         raise ValueError("dimension mismatch")
     if not np.all((wv > 0.0) & (wv <= 1.0 + 1e-12)):  # NaN fails too
         raise ValueError("auxiliary weights must lie in (0, 1]")
-    log_p, log_w = _log_max_share(np.log(wv), np.log(vv), alpha, gamma)
+    log_p, log_w = _log_max_share(np.log(wv), np.log(vv), gamma,
+                                  _share_consts("max_share", alpha, vv.size))
     return _to_linear(log_p), np.exp(log_w)
 
 
@@ -200,7 +197,8 @@ def step_time_varying(p, loss, eta_t: float, eta_prev: float, alpha_t: float
     lv = as_loss_vector(loss, pv.size)
     log_v = _log_loss_step(np.log(pv), eta_t * lv, eta_t / eta_prev)
     v_next = _to_linear(log_v)
-    p_next = _to_linear(_log_fixed_share(log_v, alpha_t))
+    consts = _share_consts("fixed_share", alpha_t, pv.size)
+    p_next = _to_linear(_log_fixed_share(log_v, consts))
     return p_next, v_next
 
 
@@ -299,6 +297,8 @@ class ForecasterState:
                  reps: int | None = None):
         if d < 1:
             raise ValueError("dimension must be >= 1")
+        if rule.variant == "projected":
+            _check_floor(rule.alpha, d)
         self.d = d
         self.rule = rule
         if rule.variant == "time_varying":
@@ -351,12 +351,10 @@ class ForecasterState:
         if variant == "projected":
             log_p = _log_projected(log_v, alpha_t, self._consts)
         elif self.log_w is None:
-            log_p = _log_fixed_share(log_v, alpha_t, self._consts, out,
-                                     eta_loss)
+            log_p = _log_fixed_share(log_v, self._consts, out, eta_loss)
         else:
-            log_p, self.log_w = _log_max_share(self.log_w, log_v, alpha_t,
-                                               self._gamma, self._consts, out,
-                                               sc, eta_loss)
+            log_p, self.log_w = _log_max_share(self.log_w, log_v, self._gamma,
+                                               self._consts, out, sc, eta_loss)
         if out is not None and log_p is not out:
             out[...] = log_p
             log_p = out

@@ -22,10 +22,6 @@ from . import forecasters
 from .forecasters import LossRows, Trajectory, _one_run, _played_losses
 from .simplex_core import as_nonneg_vector
 
-# Prefix sums switch to compensated summation at this length: window
-# differences of large prefix sums would otherwise lose precision.
-KAHAN_MIN_LENGTH = 10_000
-
 
 def as_comparator(u) -> np.ndarray:
     """Validate a (T, d) matrix of nonnegative comparator vectors."""
@@ -187,41 +183,35 @@ def _kahan_sums(cols: np.ndarray, sums: np.ndarray, carries: np.ndarray
 
 
 class _RunningSums:
-    """Prefix sums of a stream of (n, k) row blocks, T rows in all, under
-    a leading zero row, carried from block to block.
-
-    Below ``KAHAN_MIN_LENGTH`` rows they are numpy's sequential sums bit
-    for bit; from there on Kahan's, but only the columns that need them
-    are compensated.  Kahan's step i forms y = a_i - c, s_i = s_{i-1} + y
-    and c = (s_i - s_{i-1}) - y, from s_0 = c = +0.0.  While c is +0.0, y
-    is a_i (signed zeros too) and s_i the plain running sum of [0; a]; c
-    stays +0.0 iff fl(s_i - s_{i-1}) - a_i is zero, as x - x is +0.0 and
-    no s_i is -0.0.  So a column keeps numpy's sums until a block has a
-    step with a nonzero carry, and from that block on runs Kahan's loop,
-    which gives the same sums up to that step.
+    """Prefix sums of a stream of (n, k) row blocks under a leading zero
+    row, carried from block to block: Kahan's, so that window differences
+    of large prefix sums keep their precision, but only the columns that
+    need them are compensated.  Kahan's step i forms y = a_i - c, s_i =
+    s_{i-1} + y and c = (s_i - s_{i-1}) - y, from s_0 = c = +0.0.  While c
+    is +0.0, y is a_i (signed zeros too) and s_i the plain running sum of
+    [0; a]; c stays +0.0 iff fl(s_i - s_{i-1}) - a_i is zero, as x - x is
+    +0.0 and no s_i is -0.0.  So a column keeps numpy's sums until a block
+    has a step with a nonzero carry, and from that block on runs Kahan's
+    loop, which gives the same sums up to that step.
     """
 
-    def __init__(self, T: int, k: int):
+    def __init__(self, k: int):
         self.sums, self.carry = np.zeros(k), np.zeros(k)
-        self.compensated = (np.zeros(k, dtype=bool)
-                            if T >= KAHAN_MIN_LENGTH else None)
-        self.skip = int(T < KAHAN_MIN_LENGTH)  # plain sums start at a_0
+        self.compensated = np.zeros(k, dtype=bool)
 
     def extend(self, a: np.ndarray) -> np.ndarray:
         """(n + 1, k): the sums so far, then the sums through each row of
         the block ``a``."""
         out = np.empty((a.shape[0] + 1, a.shape[1]))
         out[0], out[1:] = self.sums, a
-        np.cumsum(out[self.skip:], axis=0, out=out[self.skip:])
-        self.skip = 0
-        if self.compensated is not None:
-            carries = np.subtract(out[1:], out[:-1])
-            np.subtract(carries, a, out=carries)
-            self.compensated |= (carries != 0.0).any(axis=0)
-            cols = np.flatnonzero(self.compensated)
-            sums, self.carry[cols] = _kahan_sums(a[:, cols].T, out[0, cols],
-                                                 self.carry[cols])
-            out[1:, cols] = sums.T
+        np.cumsum(out, axis=0, out=out)
+        carries = np.subtract(out[1:], out[:-1])
+        np.subtract(carries, a, out=carries)
+        self.compensated |= (carries != 0.0).any(axis=0)
+        cols = np.flatnonzero(self.compensated)
+        sums, self.carry[cols] = _kahan_sums(a[:, cols].T, out[0, cols],
+                                             self.carry[cols])
+        out[1:, cols] = sums.T
         self.sums = out[-1].copy()
         return out
 
@@ -349,7 +339,7 @@ def _adaptive_details(realized: np.ndarray, losses: LossRows, tau0: int
     scan.  It holds the scan's O(tau0 d) and four arrays of a block, whose
     2^13 entries keep them below a batched run's ring and loss block."""
     T, d = losses.T, losses.d
-    fore, sums = _RunningSums(T, 1), _RunningSums(T, d)
+    fore, sums = _RunningSums(1), _RunningSums(d)
     scan = _WindowScan(T, d, tau0)
     for lo, hi, rows in losses.blocks(forecasters._block_rows(4 * d)):
         gains = sums.extend(rows[0])

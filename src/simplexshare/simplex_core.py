@@ -6,9 +6,10 @@ bounded below by ``alpha / d``).  All functions are pure and safe to
 call concurrently.
 
 The ``_check_*`` functions are the one checker of each hypothesis the
-guarantees rest on (eta, alpha, gamma, the loss entries, the schedule
-step), called where the value enters the library.  Each takes a number
-or an array, every entry of which must pass; NaN and None fail them.
+guarantees rest on (eta, alpha, a projected alpha's floor alpha/d, gamma,
+the loss entries, the schedule step), called where the value enters the
+library.  Each takes a number or an array, every entry of which must
+pass; NaN and None fail them.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ def _check_alpha(alpha, name: str = "alpha"):
     if alpha is None or not _holds((alpha >= 0.0) & (alpha <= 1.0)):
         raise ValueError(f"{name} must be in [0, 1]")
     return alpha
+
+
+def _check_floor(alpha, d: int) -> None:
+    """Refuse an alpha > 0 whose projection floor alpha/d underflows to 0."""
+    if alpha > 0.0 and alpha / d == 0.0:
+        raise ValueError("alpha/d underflows to 0: the projection's floor "
+                         "must be positive")
 
 
 def _check_gamma(gamma, name: str = "gamma", zero: bool = False):
@@ -142,6 +150,7 @@ def kl_project_clipped(v, alpha: float) -> np.ndarray:
     """
     _check_alpha(alpha)
     p = as_distribution(v)
+    _check_floor(alpha, p.size)
     if alpha == 0.0:
         return p
     if np.any(p <= 0.0):

@@ -104,8 +104,10 @@ def share_rounds_reference(variant: str, losses, etas, alphas,
     step raises p_t to the power eta_t / eta_{t-1} (eta_0 = eta_1).  The
     operations and their order are those of a direct implementation:
     ``pow_ratio * log_p - eta * loss``, logsumexp normalization, the
-    log-domain fixed-share mix, the max-share recursion, and the
-    projection of exp(log v) through ``kl_project_argsort(floor_ties=True)``.
+    log-domain fixed-share mix (share term ln(alpha) - ln(d), the
+    max-share mix at log w = 0 and log Z = ln d), the max-share recursion,
+    and the projection of exp(log v) through
+    ``kl_project_argsort(floor_ties=True)``.
     A round normalizes once, in its loss step; the mixes sum to 1 in exact
     arithmetic and are not renormalized.
     """
@@ -137,7 +139,8 @@ def share_rounds_reference(variant: str, losses, etas, alphas,
         elif alpha == 1.0:
             log_p = np.full(d, -np.log(d))
         else:
-            log_p = np.logaddexp(np.log(alpha / d), np.log1p(-alpha) + log_v)
+            log_p = np.logaddexp(np.log1p(-alpha) + log_v,
+                                 np.log(alpha) - np.log(d))
         ps.append(log_p)
         ws.append(log_w)
     max_share = variant in ("max_share", "decayed_max_share")
@@ -169,26 +172,18 @@ def adaptive_regret_details_brute(p: np.ndarray, losses: np.ndarray,
     return best
 
 
-def prefix_sums_brute(a: np.ndarray, compensated: bool) -> np.ndarray:
-    """Column-wise running sums of a (T, k) matrix under a leading zero
-    row, one Python float at a time.
-
-    Plain sums start from the first entry (as a cumulative sum does);
-    compensated ones are Kahan's, starting from a +0.0 total and carry.
-    """
+def prefix_sums_brute(a: np.ndarray) -> np.ndarray:
+    """Column-wise Kahan running sums of a (T, k) matrix under a leading
+    zero row, one Python float at a time from a +0.0 total and carry."""
     T, k = a.shape
     out = np.zeros((T + 1, k))
     for j in range(k):
         total = carry = 0.0
         for i in range(T):
-            x = float(a[i, j])
-            if not compensated:
-                total = x if i == 0 else total + x
-            else:
-                y = x - carry
-                t = total + y
-                carry = (t - total) - y
-                total = t
+            y = float(a[i, j]) - carry
+            t = total + y
+            carry = (t - total) - y
+            total = t
             out[i + 1, j] = total
     return out
 

@@ -3,6 +3,7 @@ import math
 import pathlib
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from simplexshare.experiments import (CSV_COLUMNS, ConfigError, VERDICT_SLACK,
                                       parse_experiment, report_rows,
                                       run_experiment, write_report_csv)
 from simplexshare.forecasters import run_forecaster
-from simplexshare.regret_eval import (KAHAN_MIN_LENGTH, _adaptive_details,
+from simplexshare.regret_eval import (_adaptive_details,
                                       adaptive_regret_details,
                                       discounted_regret_details,
                                       generalized_shifting_regret,
@@ -923,6 +924,38 @@ def test_projected_pre_weights_that_underflow_certify(tmp_path, capsys, eta,
     assert "verdict=pass" in out and err == ""
 
 
+@pytest.mark.parametrize("rule, code", [("fixed_share", 0), ("max_share", 0),
+                                        ("projected", 2)])
+def test_an_alpha_whose_share_underflows_certifies_or_is_refused(
+        tmp_path, capsys, rule, code):
+    # alpha/d is 0 at alpha = 5e-324, d = 2.  Fixed share mixed with ln(alpha
+    # / d) = -inf, no floor, so arm 1 took the whole second segment to
+    # recover: regret 1000.5 against bound 995.83, exit 1 with a
+    # RuntimeWarning.  Its share term is now ln(alpha) - ln(d), finite as
+    # max share's is (regret 745.83).  The projection floors in the linear
+    # domain, so it refuses that alpha at parse time; it read regret 1001.0
+    # and exited 1.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "environment": {"kind": "piecewise_stationary", "d": 2, "T": 2000,
+                        "segment_lengths": [1000, 1000],
+                        "means": [[0.0, 1.0], [1.0, 0.0]]},
+        "comparator": {"kind": "piecewise_corner",
+                       "segment_lengths": [1000, 1000]},
+        "forecaster": {"rule": rule, "eta": 1.0, "alpha": 5e-324},
+        "regret": {"kind": "shifting"}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["certify", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "verdict=pass" in out and err == ""
+    else:
+        assert out == "" and err == ("error: forecaster: alpha/d underflows "
+                                     "to 0: the projection's floor must be "
+                                     "positive\n")
+
+
 def test_small_loss_tuned_row_certifies_with_its_own_small_loss_form(
         tmp_path, capsys):
     # 20 segments of 100 rounds whose favoured arm has loss 0 and every
@@ -1085,11 +1118,11 @@ def test_a_long_adaptive_row_holds_its_window_not_its_losses():
 @pytest.mark.parametrize("rows", [1, 7, None])
 def test_adaptive_rows_stream_compensated_sums_bit_for_bit(
         tmp_path, monkeypatch, rows):
-    # a loss file of T >= KAHAN_MIN_LENGTH rounds: arm 0 is 0/1 for the
+    # a loss file of T = 10,000 rounds: arm 0 is 0/1 for the
     # first half and float after, so its Kahan loop starts mid-stream, arm
     # 1 stays exact and arm 2 is float.  The scan over blocks of 1, 7 or
     # the default rows equals a brute window scan over plain-Python sums.
-    T, tau0 = KAHAN_MIN_LENGTH, 40
+    T, tau0 = 10_000, 40
     rng = np.random.default_rng(67)
     losses = (rng.random((T, 3)) < 0.4).astype(float)
     losses[T // 2:, 0] = rng.random(T - T // 2)
@@ -1104,7 +1137,7 @@ def test_adaptive_rows_stream_compensated_sums_bit_for_bit(
         "regret": {"kind": "adaptive", "tau0": tau0}})
     realized = run_forecaster(spec.forecaster.rule, spec.forecaster.eta,
                               losses).realized
-    sums = prefix_sums_brute(np.column_stack([realized, losses]), True)
+    sums = prefix_sums_brute(np.column_stack([realized, losses]))
     want = best_window_brute(sums[:, :1] - sums[:, 1:], tau0)
     value, r, s, arm = want
     assert value > 0.0 and s - r + 1 < tau0

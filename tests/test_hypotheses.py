@@ -17,6 +17,7 @@ from simplexshare import (ForecasterState, MixingRule, bound_decayed_max_share,
                           step_time_varying)
 from simplexshare import simplex_core
 from simplexshare.cli import main as cli_main
+from simplexshare.experiments import parse_experiment
 
 P, LOSS, LOSSES = [0.5, 0.5], [0.25, 1.0], [[0.0, 1.0], [1.0, 0.0]]
 
@@ -110,6 +111,39 @@ def test_every_entry_point_rejects_a_bad_parameter(entry, value):
         entry(value)
 
 
+FLOOR_ENTRIES = {
+    "kl_project_clipped": lambda a: kl_project_clipped(P, a),
+    "mix_projected": lambda a: mix_projected(P, a),
+    "ForecasterState": lambda a: ForecasterState(2, MixingRule.projected(a),
+                                                 1.0),
+    "run_forecaster": lambda a: run_forecaster(MixingRule.projected(a), 1.0,
+                                               LOSSES),
+    "parse_experiment": lambda a: parse_experiment({
+        "environment": {"kind": "iid_bernoulli", "d": 2, "T": 2,
+                        "means": [0.5, 0.5]},
+        "forecaster": {"rule": "projected", "eta": 1.0, "alpha": a},
+        "regret": {"kind": "adaptive", "tau0": 1}}),
+}
+
+
+@pytest.mark.parametrize("entry", FLOOR_ENTRIES.values(), ids=FLOOR_ENTRIES)
+def test_every_projected_entry_point_refuses_an_alpha_without_a_floor(entry):
+    # at d = 2, alpha = 5e-324 gives alpha/d = 0, and 1e-323 the least
+    # positive floor
+    with pytest.raises(ValueError, match=r"^(forecaster: )?alpha/d underflows "
+                                         r"to 0: the projection's floor must "
+                                         r"be positive$"):
+        entry(5e-324)
+    entry(1e-323)
+
+
+def test_cli_project_refuses_an_alpha_without_a_floor(capsys):
+    assert cli_main(["project", "--alpha", "5e-324", "--v", "0.5,0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: alpha/d underflows to 0: the "
+                                 "projection's floor must be positive\n")
+
+
 @pytest.mark.parametrize("family, flags", [
     ("projected", "--d 2 --eta {eta} --alpha {alpha} --m 1 --U-sum 10"),
     ("fixed-share", "--d 2 --eta {eta} --alpha {alpha} --m 1 --U-sum 10"),
@@ -175,7 +209,8 @@ def test_only_the_checker_module_spells_out_a_hypothesis():
                 _message(core._check_losses, np.array([nan])),
                 _message(core._check_losses, np.array([2.0])),
                 _message(core._check_schedule_step, 1.0, 2.0, 0.5, 0.5),
-                _message(core._check_schedule_step, 1.0, 1.0, 0.5, 1.0)]
+                _message(core._check_schedule_step, 1.0, 1.0, 0.5, 1.0),
+                _message(core._check_floor, 5e-324, 2)]
     assert len(set(messages)) == len(messages)
     src = pathlib.Path(core.__file__).parent
 

@@ -16,7 +16,7 @@ from simplexshare import (MixingRule, bound_fixed_share, bound_projected,
                           small_loss_certificate_slacks, small_loss_form)
 from simplexshare.bounds import (_mixing_fixed_share, _mixing_projected,
                                  _mixing_shared_weights, _weight_constants)
-from simplexshare.experiments import (ForecasterConfig, _bound,
+from simplexshare.experiments import (ConfigError, ForecasterConfig, _bound,
                                       parse_experiment, run_experiment)
 
 RULES = ("fixed_share", "projected", "max_share", "decayed_max_share")
@@ -68,31 +68,65 @@ def _forms(spec, row):
     return bound_shared_weights(*args), _mixing_shared_weights(*args)
 
 
+def _check_forms(spec):
+    """Each row's regret <= C <= H and regret <= C_sl <= the small-loss
+    form, C and C_sl being the summed per-round certificates."""
+    env, fc = spec.environment, spec.forecaster
+    k = fc.eta / -np.expm1(-fc.eta)
+    for rep, row in enumerate(run_experiment(spec)[:-1]):
+        traj = run_forecaster(fc.rule, fc.eta, gen_losses(env, stream=rep))
+        u = gen_comparator(spec.comparator, env.d, env.T, losses=traj.losses)
+        masses = u.sum(axis=1)
+        realized, L_sum = traj.realized, row.L_sum
+        C = masses @ (certificate_slacks(traj) + realized) - L_sum
+        C_sl = k * masses @ (small_loss_certificate_slacks(traj)
+                             - np.expm1(-fc.eta) / fc.eta * realized)
+        C_sl -= L_sum
+        H, M = _forms(spec, row)
+        SL = small_loss_form(M, fc.eta, L_sum)
+        assert row.bound == min(H, SL)
+        # a valid run's slacks are >= -1e-9 per round up to float error
+        tol = 1e-9 * env.T * (1.0 + abs(row.regret) + abs(H) + abs(SL))
+        assert row.regret <= C + tol and C <= H + tol
+        assert row.regret <= C_sl + tol and C_sl <= SL + tol
+
+
 @pytest.mark.parametrize("rule", RULES)
 def test_both_forms_bound_the_summed_certificates(rule):
     rng = np.random.default_rng(RULES.index(rule))
     for draw in range(DRAWS):
-        spec = parse_experiment(_draw(rng, rule, draw))
-        env, fc = spec.environment, spec.forecaster
-        k = fc.eta / -np.expm1(-fc.eta)
-        for rep, row in enumerate(run_experiment(spec)[:-1]):
-            traj = run_forecaster(fc.rule, fc.eta,
-                                  gen_losses(env, stream=rep))
-            u = gen_comparator(spec.comparator, env.d, env.T,
-                               losses=traj.losses)
-            masses = u.sum(axis=1)
-            realized, L_sum = traj.realized, row.L_sum
-            C = masses @ (certificate_slacks(traj) + realized) - L_sum
-            C_sl = k * masses @ (small_loss_certificate_slacks(traj)
-                                 - np.expm1(-fc.eta) / fc.eta * realized)
-            C_sl -= L_sum
-            H, M = _forms(spec, row)
-            SL = small_loss_form(M, fc.eta, L_sum)
-            assert row.bound == min(H, SL)
-            # a valid run's slacks are >= -1e-9 per round up to float error
-            tol = 1e-9 * env.T * (1.0 + abs(row.regret) + abs(H) + abs(SL))
-            assert row.regret <= C + tol and C <= H + tol
-            assert row.regret <= C_sl + tol and C_sl <= SL + tol
+        _check_forms(parse_experiment(_draw(rng, rule, draw)))
+
+
+EDGE_ALPHAS = (5e-324, 1e-323, 1e-300, 1.0 - 2.0 ** -53)
+
+
+@pytest.mark.parametrize("alpha", EDGE_ALPHAS)
+@pytest.mark.parametrize("rule", RULES)
+def test_both_forms_hold_at_the_edges_of_the_float_alphas(rule, alpha):
+    """The drawn configs at alpha 5e-324 (alpha/d is 0 for every d >= 2),
+    1e-323, 1e-300 and 1 - 2^-53, and two 1000-round segments at d = 2
+    and eta = 1, where a share term ln(alpha/d) = -inf gives no floor,
+    so the second arm's weight takes the whole second segment to recover
+    (regret 1000.5 against H = 995.83).  The projection floors alpha/d in
+    the linear domain and refuses an alpha whose floor is 0."""
+    rng = np.random.default_rng([RULES.index(rule), EDGE_ALPHAS.index(alpha)])
+    configs = [_draw(rng, rule, draw) for draw in range(11)]
+    configs[-1].update(
+        environment={"kind": "piecewise_stationary", "d": 2, "T": 2000,
+                     "segment_lengths": [1000, 1000],
+                     "means": [[0.0, 1.0], [1.0, 0.0]]},
+        comparator={"kind": "piecewise_corner",
+                    "segment_lengths": [1000, 1000]})
+    configs[-1]["forecaster"]["eta"] = 1.0
+    for config in configs:
+        config["forecaster"]["alpha"] = alpha
+        if rule == "projected" and alpha / config["environment"]["d"] == 0.0:
+            with pytest.raises(ConfigError, match="^forecaster: alpha/d "
+                                                  "underflows to 0"):
+                parse_experiment(config)
+        else:
+            _check_forms(parse_experiment(config))
 
 
 def test_the_engine_bound_is_the_exact_smaller_form_at_any_rate():

@@ -10,8 +10,8 @@ from simplexshare import (MixingRule, adaptive_regret, adaptive_regret_details,
                           generalized_shifting_regret, linear_down_discounts,
                           linear_up_discounts, regularity_m, run_forecaster,
                           sparsity_n, total_variation)
-from simplexshare.regret_eval import (KAHAN_MIN_LENGTH, Segment, _RunningSums,
-                                      as_comparator, comparator_stats)
+from simplexshare.regret_eval import (Segment, _RunningSums, as_comparator,
+                                      comparator_stats)
 from oracles import (adaptive_regret_brute, adaptive_regret_details_brute,
                      comparator_sums_exact, discounted_regret_details_brute,
                      prefix_sums_brute)
@@ -299,7 +299,7 @@ def test_adaptive_regret_wide_windows_match_brute_force():
 
 def test_adaptive_regret_float_losses_on_the_compensated_path():
     rng = np.random.default_rng(47)
-    T, d, tau0 = KAHAN_MIN_LENGTH, 3, 3
+    T, d, tau0 = 10_000, 3, 3
     losses = rng.random((T, d))
     traj = run_forecaster(MixingRule.fixed_share(0.02), 0.3, losses)
     p = traj.played
@@ -325,7 +325,7 @@ def test_evaluators_refuse_a_batch():
 
 def test_evaluators_leave_their_inputs_unchanged():
     rng = np.random.default_rng(53)
-    T, d = KAHAN_MIN_LENGTH, 4
+    T, d = 10_000, 4
     losses = rng.random((T, d))
     u = rng.random((T, d))
     traj = run_forecaster(MixingRule.fixed_share(0.05), 0.5, losses)
@@ -409,7 +409,7 @@ def _prefix(values, rows=None):
     """Prefix sums of ``values`` under a zero row, streamed through
     ``_RunningSums`` in blocks of ``rows`` rows (one block by default)."""
     T, k = values.shape
-    sums, rows = _RunningSums(T, k), rows or T
+    sums, rows = _RunningSums(k), rows or T
     parts = [sums.extend(values[lo:lo + rows]) for lo in range(0, T, rows)]
     return np.concatenate([parts[0][:1]] + [part[1:] for part in parts])
 
@@ -442,12 +442,12 @@ def _prefix_cases(T: int) -> dict[str, np.ndarray]:
     }
 
 
-@pytest.mark.parametrize("T", [KAHAN_MIN_LENGTH - 1, KAHAN_MIN_LENGTH])
+@pytest.mark.parametrize("T", [9_999, 10_000])
 def test_prefix_matches_plain_python_sums_bit_for_bit(T):
     # blocks of 1 and 7 rows carry the sums, and a column's switch to
-    # Kahan's loop, across blocks
+    # Kahan's loop, across blocks; every length takes Kahan's sums
     for name, values in _prefix_cases(T).items():
-        want = prefix_sums_brute(values, compensated=T >= KAHAN_MIN_LENGTH)
+        want = prefix_sums_brute(values)
         for rows in (1, 7, None):
             got = _prefix(values, rows)
             assert np.array_equal(got, want), (name, rows)
