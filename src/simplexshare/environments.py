@@ -4,9 +4,10 @@ Randomness comes from numpy's PCG64 generator seeded through
 ``SeedSequence((seed, stream))``, so repetitions get independent,
 reproducible streams.  Loss entries are always in [0, 1].
 
-The specs check their own fields, and every error message starts with
-the offending field (``means[1][3]: must be in [0, 1]``), so a config
-parser can report it under the field's config path.
+The specs check their own fields, ``comparator_segments`` a comparator's
+against d and T, and every error message starts with the offending
+field (``means[1][3]: must be in [0, 1]``), so a config parser can
+report it under the field's config path.
 """
 
 from __future__ import annotations
@@ -270,44 +271,6 @@ class ComparatorSpec:
             raise ValueError(f"kind: unknown kind {self.kind!r}")
 
 
-def check_comparator(spec: ComparatorSpec, d: int, T: int) -> None:
-    """Check a comparator spec against the dimension and the horizon.
-
-    Each message starts with the offending field, e.g. ``corners[3]``.
-    """
-    if spec.kind == "piecewise_corner":
-        _check_segment_lengths(spec.segment_lengths, T)
-        if spec.corners is not None:
-            if not _is_list(spec.corners) or (
-                    len(spec.corners) != len(spec.segment_lengths)):
-                raise ValueError("corners: expected one corner per segment")
-            for i, j in enumerate(spec.corners):
-                _check_index(j, d, f"corners[{i}]")
-    elif spec.kind == "adaptive_window":
-        for name in ("r", "s"):
-            if not _is_int(getattr(spec, name)):
-                raise ValueError(f"{name}: expected an integer")
-        if not 1 <= spec.r <= spec.s <= T:
-            raise ValueError("r: window must satisfy 1 <= r <= s <= T")
-        if np.ndim(spec.q) == 0:
-            _check_index(spec.q, d, "q")
-        else:
-            q = _floats(spec.q, "q")
-            if q.shape != (d,) or not np.all(np.isfinite(q) & (q >= 0.0)):
-                raise ValueError("q: expected a finite nonnegative d-vector")
-    elif spec.kind == "discounted":
-        try:
-            as_discounts(spec.betas, T)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"betas: {exc}") from exc
-        if spec.corner is not None:
-            _check_index(spec.corner, d, "corner")
-    else:  # scaled_arbitrary
-        u = _floats(spec.vectors, "vectors")
-        if u.shape != (T, d) or not np.all(np.isfinite(u) & (u >= 0.0)):
-            raise ValueError("vectors: expected a nonnegative (T, d) matrix")
-
-
 class SegmentCorners:
     """The hindsight corners of ``Segment`` rows ``u`` (those whose
     ``vec`` is None, in round order: the summed losses' argmin, each round
@@ -360,20 +323,21 @@ def _with_corners(u: list[Segment], losses) -> list[Segment]:
 
 def hindsight_segment_corners(losses, segment_lengths) -> list[int]:
     """Best arm per segment in hindsight (summed losses argmin) of a
-    (T, d) matrix or one run's ``LossRows``, read in one pass."""
-    _check_segment_lengths(segment_lengths, _one_run(losses).T)
-    ends = np.cumsum(segment_lengths).tolist()
-    u = [Segment(b - n, b, None) for n, b in zip(segment_lengths, ends)]
-    return [seg.vec for seg in _with_corners(u, losses)]
+    (T, d) matrix or one run's ``LossRows``, read in one pass; the
+    lengths are checked as a ``piecewise_corner`` comparator's."""
+    spec = ComparatorSpec(kind="piecewise_corner",
+                          segment_lengths=segment_lengths)
+    source = _one_run(losses)
+    u = comparator_segments(spec, source.d, source.T)
+    return [seg.vec for seg in _with_corners(u, source)]
 
 
 def gen_comparator(spec: ComparatorSpec, d: int, T: int,
                    losses: np.ndarray | None = None) -> np.ndarray:
     """Materialize a (T, d) comparator matrix: the rows of
-    ``comparator_segments``, whose hindsight corners (piecewise_corner
-    without corners, discounted without a corner) are found in
-    ``losses``."""
-    check_comparator(spec, d, T)
+    ``comparator_segments`` (which checks the spec), whose hindsight
+    corners (piecewise_corner without corners, discounted without a
+    corner) are found in ``losses``."""
     u = comparator_segments(spec, d, T)
     if any(seg.vec is None for seg in u):
         if losses is None:
@@ -384,23 +348,51 @@ def gen_comparator(spec: ComparatorSpec, d: int, T: int,
 
 def comparator_segments(spec: ComparatorSpec, d: int, T: int
                         ) -> list[Segment]:
-    """The comparator of a checked spec as ``regret_eval.Segment`` rows;
-    ``scaled_arbitrary`` is one block of T rows.  A hindsight corner
-    (piecewise_corner without corners, discounted without a corner) is
-    ``Segment(a, b, None, scale)``, for ``SegmentCorners`` to find."""
+    """The comparator of ``spec`` as ``regret_eval.Segment`` rows, each
+    kind checked against the dimension and the horizon where its rows are
+    laid out; every message starts with the offending field, e.g.
+    ``corners[3]``.  ``scaled_arbitrary`` is one block of T rows.  A
+    hindsight corner (piecewise_corner without corners, discounted
+    without a corner) is ``Segment(a, b, None, scale)``, for
+    ``SegmentCorners`` to find."""
     if spec.kind == "scaled_arbitrary":
-        return [Segment(0, T, np.ascontiguousarray(spec.vectors, dtype=float))]
+        u = _floats(spec.vectors, "vectors")
+        if u.shape != (T, d) or not np.all(np.isfinite(u) & (u >= 0.0)):
+            raise ValueError("vectors: expected a nonnegative (T, d) matrix")
+        return [Segment(0, T, np.ascontiguousarray(u))]
     if spec.kind == "adaptive_window":
-        q = spec.q if np.ndim(spec.q) == 0 else np.asarray(spec.q, dtype=float)
+        for name in ("r", "s"):
+            if not _is_int(getattr(spec, name)):
+                raise ValueError(f"{name}: expected an integer")
+        if not 1 <= spec.r <= spec.s <= T:
+            raise ValueError("r: window must satisfy 1 <= r <= s <= T")
+        q = spec.q
+        if np.ndim(q) == 0:
+            _check_index(q, d, "q")
+        else:
+            q = _floats(q, "q")
+            if q.shape != (d,) or not np.all(np.isfinite(q) & (q >= 0.0)):
+                raise ValueError("q: expected a finite nonnegative d-vector")
         return [Segment(spec.r - 1, spec.s, q)]
     if spec.kind == "discounted":
-        return [Segment(0, T, spec.corner, as_discounts(spec.betas, T))]
-    corners = spec.corners
+        try:
+            betas = as_discounts(spec.betas, T)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"betas: {exc}") from exc
+        if spec.corner is not None:
+            _check_index(spec.corner, d, "corner")
+        return [Segment(0, T, spec.corner, betas)]
+    lengths, corners = spec.segment_lengths, spec.corners
+    _check_segment_lengths(lengths, T)
     if corners is None:
-        corners = [None] * len(spec.segment_lengths)
-    ends = np.cumsum(spec.segment_lengths).tolist()
-    return [Segment(b - n, b, j)
-            for n, b, j in zip(spec.segment_lengths, ends, corners)]
+        corners = [None] * len(lengths)
+    else:
+        if not _is_list(corners) or len(corners) != len(lengths):
+            raise ValueError("corners: expected one corner per segment")
+        for i, j in enumerate(corners):
+            _check_index(j, d, f"corners[{i}]")
+    ends = np.cumsum(lengths).tolist()
+    return [Segment(b - n, b, j) for n, b, j in zip(lengths, ends, corners)]
 
 
 def linear_up_discounts(T: int) -> np.ndarray:

@@ -4,10 +4,11 @@ An experiment config is a JSON document with top-level keys
 ``environment``, ``comparator`` (shifting regret only), ``forecaster``,
 ``regret``, ``repetitions``, and ``output``.  ``parse_experiment``
 turns it into the library's own objects (``EnvironmentSpec``,
-``ComparatorSpec``, ``MixingRule``), whose constructors and the
-``simplex_core`` checkers are the only validation.  Their errors come
-back as ``ConfigError`` with the config path before anything runs, and
-so does a config with an array numpy cannot index.
+``ComparatorSpec``, ``MixingRule``), whose constructors,
+``environments.comparator_segments`` (a comparator against d and T)
+and the ``simplex_core`` checkers are the only validation.  Their
+errors come back as ``ConfigError`` with the config path before
+anything runs, and so does a config with an array numpy cannot index.
 
 Each repetition runs the forecaster on a freshly seeded loss stream,
 evaluates the requested regret notion, and gets its rule's shifting
@@ -25,6 +26,7 @@ scan, then the worst window's statistics) with O(tau0 d) scan state.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -35,10 +37,9 @@ import numpy as np
 
 from . import bounds as bnd
 from .environments import (INDEX_MAX, ComparatorSpec, EnvironmentSpec,
-                           SegmentCorners, check_comparator,
-                           comparator_segments, linear_down_discounts,
-                           linear_up_discounts, load_losses_csv, loss_rows,
-                           make_adversary)
+                           SegmentCorners, comparator_segments,
+                           linear_down_discounts, linear_up_discounts,
+                           load_losses_csv, loss_rows, make_adversary)
 from .forecasters import MixingRule, RealizedRun, _run_realized
 from .regret_eval import (Segment, _adaptive_details, as_discounts,
                           comparator_stats)
@@ -172,7 +173,7 @@ def _parse_environment(cfg) -> EnvironmentSpec:
 def _parse_comparator(cfg, d: int, T: int) -> ComparatorSpec:
     spec = _spec(ComparatorSpec, cfg, "comparator", ("kind",))
     with _reported_as("comparator."):
-        check_comparator(spec, d, T)
+        comparator_segments(spec, d, T)
     return spec
 
 
@@ -213,9 +214,11 @@ def _parse_forecaster(cfg, d: int, regret_kind: str,
                               "schedule family is supported")
         with _reported_as("forecaster.schedules: "):
             bnd.anytime_schedules(d, 1)  # the family's own domain check
+        # both schedules read round t's pair, computed once
+        pair = functools.lru_cache(maxsize=1)(
+            lambda t: bnd.anytime_schedules(d, t))
         return ForecasterConfig(rule=MixingRule.time_varying(
-            lambda t: bnd.anytime_schedules(d, t)[0],
-            lambda t: bnd.anytime_schedules(d, t)[1]))
+            lambda t: pair(t)[0], lambda t: pair(t)[1]))
     caps = gamma = None
     tune = cfg.get("tune")
     if tune is not None:

@@ -127,23 +127,25 @@ def _log_max_share(log_w: np.ndarray, log_v_next: np.ndarray, gamma: float,
 # ---------------------------------------------------------------------------
 
 
+def _log_distribution(p) -> np.ndarray:
+    """The log of a checked distribution, -inf at its zero entries."""
+    with np.errstate(divide="ignore"):
+        return np.log(as_distribution(p))
+
+
 def loss_update(p, loss, eta: float) -> np.ndarray:
     """Exponential reweighting: v_j = p_j exp(-eta l_j) / normalizer."""
     _check_eta(eta)
-    pv = as_distribution(p)
-    lv = as_loss_vector(loss, pv.size)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(pv)
+    log_p = _log_distribution(p)
+    lv = as_loss_vector(loss, log_p.size)
     return _to_linear(_log_loss_step(log_p, eta * lv))
 
 
 def mix_fixed_share(v, alpha: float) -> np.ndarray:
     """Fixed-share mixing p_j = alpha/d + (1-alpha) v_j."""
     _check_alpha(alpha)
-    vv = as_distribution(v)
-    with np.errstate(divide="ignore"):
-        log_v = np.log(vv)
-    consts = _share_consts("fixed_share", alpha, vv.size)
+    log_v = _log_distribution(v)
+    consts = _share_consts("fixed_share", alpha, log_v.size)
     return _to_linear(_log_fixed_share(log_v, consts))
 
 
@@ -168,13 +170,13 @@ def mix_max_share(w, v_next, alpha: float, gamma: float = 0.0
     _check_alpha(alpha)
     _check_gamma(gamma, zero=True)
     wv = np.asarray(w, dtype=float)
-    vv = as_distribution(v_next)
-    if wv.shape != vv.shape:
+    log_v = _log_distribution(v_next)
+    if wv.shape != log_v.shape:
         raise ValueError("dimension mismatch")
     if not np.all((wv > 0.0) & (wv <= 1.0 + 1e-12)):  # NaN fails too
         raise ValueError("auxiliary weights must lie in (0, 1]")
-    log_p, log_w = _log_max_share(np.log(wv), np.log(vv), gamma,
-                                  _share_consts("max_share", alpha, vv.size))
+    consts = _share_consts("max_share", alpha, log_v.size)
+    log_p, log_w = _log_max_share(np.log(wv), log_v, gamma, consts)
     return _to_linear(log_p), np.exp(log_w)
 
 
@@ -191,13 +193,13 @@ def step_time_varying(p, loss, eta_t: float, eta_prev: float, alpha_t: float
     _check_eta(eta_prev, "eta_prev")
     _check_alpha(alpha_t, "alpha_t")
     _check_schedule_step(eta_prev, eta_t, alpha_t, alpha_t)  # no alpha_prev
-    pv = as_distribution(p)
-    if np.any(pv <= 0.0):
+    log_p = _log_distribution(p)
+    if np.any(log_p == -math.inf):
         raise ValueError("time-varying step requires strictly positive p")
-    lv = as_loss_vector(loss, pv.size)
-    log_v = _log_loss_step(np.log(pv), eta_t * lv, eta_t / eta_prev)
+    lv = as_loss_vector(loss, log_p.size)
+    log_v = _log_loss_step(log_p, eta_t * lv, eta_t / eta_prev)
     v_next = _to_linear(log_v)
-    consts = _share_consts("fixed_share", alpha_t, pv.size)
+    consts = _share_consts("fixed_share", alpha_t, log_p.size)
     p_next = _to_linear(_log_fixed_share(log_v, consts))
     return p_next, v_next
 
@@ -584,10 +586,6 @@ def _start(losses, d, horizon):
         loss = np.empty((len(adversaries), int(horizon), d))
     else:
         loss = np.asarray(losses, dtype=float)
-        if loss.size == 0 and loss.ndim < 2:
-            raise ValueError("empty loss sequence: dimension cannot be inferred")
-        if loss.ndim == 1:
-            loss = loss.reshape(1, -1)
         if loss.ndim not in (2, 3):
             raise ValueError("losses must be a (T, d) or (R, T, d) array")
         if d is None:

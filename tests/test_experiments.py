@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 import time
 import tracemalloc
 import warnings
@@ -16,10 +17,11 @@ from simplexshare.bounds import (_mixing_fixed_share, _mixing_projected,
                                  bound_time_varying, small_loss_form,
                                  tune_fixed_share, tune_small_loss)
 from simplexshare.cli import main as cli_main
-from simplexshare import cli, experiments, forecasters
-from simplexshare.environments import (EnvironmentSpec, gen_comparator,
-                                       gen_losses, load_losses_csv,
-                                       loss_rows, make_adversary, make_rng)
+from simplexshare import bounds, cli, experiments, forecasters
+from simplexshare.environments import (ComparatorSpec, EnvironmentSpec,
+                                       gen_comparator, gen_losses,
+                                       load_losses_csv, loss_rows,
+                                       make_adversary, make_rng)
 from simplexshare.experiments import (CSV_COLUMNS, ConfigError, VERDICT_SLACK,
                                       _run_batch, any_failed,
                                       parse_experiment, report_rows,
@@ -164,6 +166,78 @@ def test_comparator_errors_raise_at_parse_time():
         cfg["comparator"] = {"kind": "scaled_arbitrary", "vectors": vectors}
         with pytest.raises(ConfigError, match="comparator.vectors"):
             parse_experiment(json.loads(json.dumps(cfg)))
+
+
+@pytest.mark.parametrize("comparator, message", [
+    ({"kind": "piecewise_corner", "segment_lengths": [500, 500],
+      "corners": [0]}, "corners: expected one corner per segment"),
+    ({"kind": "piecewise_corner", "segment_lengths": [500, 500],
+      "corners": 1}, "corners: expected one corner per segment"),
+    ({"kind": "adaptive_window", "r": 1.5, "s": 5, "q": 0},
+     "r: expected an integer"),
+    ({"kind": "adaptive_window", "r": 1, "s": "5", "q": 0},
+     "s: expected an integer"),
+    ({"kind": "discounted", "betas": [1.5] + [1.0] * 999},
+     "betas: discounts must lie in [0, 1]"),
+    ({"kind": "discounted", "betas": [1.0] * 999},
+     "betas: discount schedule has length 999, expected 1000"),
+])
+def test_comparator_errors_name_their_field(comparator, message):
+    """The same message from the parser, under ``comparator.``, and from
+    ``gen_comparator``: both read it where the rows are laid out."""
+    cfg = rotating_best_arm_config()  # d = 10, T = 1000
+    cfg["comparator"] = comparator
+    pattern = re.escape(message) + "$"
+    with pytest.raises(ConfigError, match=r"^comparator\." + pattern):
+        parse_experiment(cfg)
+    with pytest.raises(ValueError, match="^" + pattern):
+        gen_comparator(ComparatorSpec(**comparator), d=10, T=1000)
+
+
+def _edited(**sections):
+    """The rotating config with whole sections replaced; None drops one."""
+    cfg = rotating_best_arm_config()
+    for key, value in sections.items():
+        if value is None:
+            del cfg[key]
+        else:
+            cfg[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("config, message", [
+    ([], "config: expected a JSON object"),
+    (_edited(environment={"kind": "from_file", "d": 0, "T": 1000,
+                          "path": "losses.csv"}),
+     "environment: from_file needs d >= 1 and T >= 1"),
+    (_edited(regret={"kind": "regretful"}),
+     "regret.kind: unknown kind 'regretful'"),
+    (_edited(regret={"kind": "discounted", "schedule": "flat"},
+             comparator=None),
+     "regret.schedule: expected 'linear_up', 'linear_down', or a list of "
+     "discounts"),
+    (_edited(forecaster=[]), "forecaster: expected an object"),
+    (_edited(forecaster={"rule": "fixed_share", "eta": "1", "alpha": 0.1}),
+     "forecaster.eta: expected a number"),
+    (_edited(forecaster={"rule": "time_varying", "schedules": "harmonic"}),
+     "forecaster.schedules: only the 'anytime' schedule family is "
+     "supported"),
+    (_edited(forecaster={"rule": "max_share", "tune": {"m0": 4, "U0": 1000}}),
+     "forecaster.tune: tuning is only defined for fixed_share and projected "
+     "rules"),
+    (_edited(regret={"kind": "discounted",
+                     "schedule": [1.0] + [0.5] * 998 + [1.0]},
+             comparator=None, forecaster={"rule": "fixed_share"}),
+     "forecaster: auto-tuning for discounted regret needs a monotone "
+     "schedule"),
+    (_edited(repetitions=2.5), "repetitions: expected an integer"),
+    (_edited(repetitions=0), "repetitions: must be >= 1"),
+    (_edited(output={"include_timing": "yes"}),
+     "output.include_timing: expected a boolean"),
+])
+def test_config_errors_name_their_path(config, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_experiment(config)
 
 
 _BASE = rotating_best_arm_config()
@@ -525,6 +599,33 @@ def test_adaptive_and_discounted_engine_paths():
         "repetitions": 2,
     })
     assert not any_failed(run_experiment(discounted_max_share))
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+def test_time_varying_runs_compute_each_rounds_schedules_once(monkeypatch,
+                                                              rows):
+    """The anytime rule's two schedules read one (eta_t, alpha_t) pair a
+    round, also where a block starts again from the round before it: T
+    calls in the run and the parser's domain check."""
+    calls = []
+
+    def counted(d, t):
+        calls.append(t)
+        return schedules(d, t)
+
+    schedules = bounds.anytime_schedules
+    monkeypatch.setattr(bounds, "anytime_schedules", counted)
+    if rows is not None:
+        monkeypatch.setattr(forecasters, "_block_rows", lambda d: rows)
+    spec = parse_experiment({
+        "environment": {"kind": "iid_bernoulli", "d": 3, "T": 50, "seed": 11,
+                        "means": [0.2, 0.5, 0.8]},
+        "forecaster": {"rule": "time_varying", "schedules": "anytime"},
+        "regret": {"kind": "adaptive", "tau0": 50},
+        "repetitions": 2,
+    })
+    assert not any_failed(run_experiment(spec))
+    assert calls == [1] + list(range(1, 51))
 
 
 _ADAPTIVE_RULES = {

@@ -75,6 +75,11 @@ def test_mix_max_share_examples():
         mix_max_share([0.5, 0.5], [0.8, 0.2], 0.5, gamma=-1.0)
     with pytest.raises(ValueError, match="auxiliary weights"):  # gave nan
         mix_max_share([np.nan, 0.5], [0.8, 0.2], 0.5)
+    # a zero pre-weight is read as mix_fixed_share reads it, without a
+    # divide warning: p = 0.9 (1, 0) + 0.1 (1, 0.5) / 1.5
+    p, w = mix_max_share([0.5, 0.5], [1.0, 0.0], 0.1)
+    assert np.allclose(p, [29 / 30, 1 / 30], rtol=0.0, atol=1e-15)
+    assert np.array_equal(w, [1.0, 0.5])
     p, w = mix_max_share([0.5, 0.5], [0.8, 0.2], 0.5, gamma=0.0)
     assert np.allclose(w, [0.8, 0.5])  # gamma = 0: the plain running max
 
@@ -112,6 +117,14 @@ def test_run_forecaster_initialization_and_degenerate_cases():
 
     with pytest.raises(ValueError):
         run_forecaster(MixingRule.fixed_share(0.1), 1.0, [])
+    for losses in ([0.5, 0.5], np.zeros((1, 2, 3, 4))):  # no 1-d rounds
+        with pytest.raises(ValueError, match=r"^losses must be a \(T, d\) "
+                           r"or \(R, T, d\) array$"):
+            run_forecaster(MixingRule.fixed_share(0.1), 1.0, losses)
+    with pytest.raises(ValueError, match="^losses do not match the "
+                       "requested dimension$"):
+        run_forecaster(MixingRule.fixed_share(0.1), 1.0, np.zeros((3, 2)),
+                       d=3)
 
 
 def test_run_forecaster_chained_example():
