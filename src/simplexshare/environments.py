@@ -7,7 +7,8 @@ reproducible streams.  Loss entries are always in [0, 1].
 The specs check their own fields, ``comparator_segments`` a comparator's
 against d and T, and every error message starts with the offending
 field (``means[1][3]: must be in [0, 1]``), so a config parser can
-report it under the field's config path.
+report it under the field's config path.  The engine's
+``regret_eval.SegmentCorners`` finds hindsight corners.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .forecasters import LossRows, _one_run
-from .regret_eval import Segment, _rows, as_discounts
+from .regret_eval import Segment, _rows, _with_corners, as_discounts
 from .simplex_core import _check_losses
 
 
@@ -271,56 +272,6 @@ class ComparatorSpec:
             raise ValueError(f"kind: unknown kind {self.kind!r}")
 
 
-class SegmentCorners:
-    """The hindsight corners of ``Segment`` rows ``u`` (those whose
-    ``vec`` is None, in round order: the summed losses' argmin, each round
-    scaled by ``scale`` when given) in R runs, found as blocks pass:
-    ``add(lo, hi, rows)`` takes rounds [lo, hi) as an (R, hi - lo, d)
-    array, in round order, and ``runs[i]`` is run i's ``u`` with its
-    corners once every round is added.  With no hindsight corner,
-    ``add`` returns at once.
-
-    A segment's column sums are carried across blocks in the order of
-    ``(scale[a:b, None] * losses[a:b]).sum(axis=0)``, which adds the rows
-    in turn for d >= 2: the carried sum joins the block's first row.  (At
-    d = 1 that sum is pairwise, but one arm is the corner whatever its
-    sum.)
-    """
-
-    def __init__(self, u: list[Segment], R: int):
-        self.runs = [list(u) for _ in range(R)]
-        self._open = [k for k, seg in enumerate(u) if seg.vec is None]
-        self._total = None  # the sums of the first open segment
-
-    def add(self, lo: int, hi: int, rows: np.ndarray) -> None:
-        while self._open and self.runs[0][self._open[0]].a < hi:
-            k = self._open[0]
-            a, b, _, scale = self.runs[0][k]
-            x, y = max(a, lo), min(b, hi)
-            part = rows[:, x - lo:y - lo]
-            if scale is not None:
-                part = part * scale[x:y, None]
-            elif self._total is not None:
-                part = part.copy()
-            if self._total is not None:
-                part[:, 0] += self._total
-            self._total = part.sum(axis=1)
-            if y < b:
-                return
-            for run, j in zip(self.runs, np.argmin(self._total, axis=1)):
-                run[k] = run[k]._replace(vec=int(j))
-            self._open, self._total = self._open[1:], None
-
-
-def _with_corners(u: list[Segment], losses) -> list[Segment]:
-    """``u`` with its hindsight corners in the losses of one run, a (T, d)
-    matrix or ``LossRows``, read in one pass."""
-    corners = SegmentCorners(u, 1)
-    for block in _one_run(losses).blocks():
-        corners.add(*block)
-    return corners.runs[0]
-
-
 def hindsight_segment_corners(losses, segment_lengths) -> list[int]:
     """Best arm per segment in hindsight (summed losses argmin) of a
     (T, d) matrix or one run's ``LossRows``, read in one pass; the
@@ -337,12 +288,17 @@ def gen_comparator(spec: ComparatorSpec, d: int, T: int,
     """Materialize a (T, d) comparator matrix: the rows of
     ``comparator_segments`` (which checks the spec), whose hindsight
     corners (piecewise_corner without corners, discounted without a
-    corner) are found in ``losses``."""
+    corner) are found in ``losses``, a (T, d) matrix or one run's
+    ``LossRows``."""
     u = comparator_segments(spec, d, T)
     if any(seg.vec is None for seg in u):
         if losses is None:
             raise ValueError("hindsight corners need the losses")
-        u = _with_corners(u, losses)
+        source = _one_run(losses)
+        if (source.T, source.d) != (T, d):
+            raise ValueError(f"losses: expected a ({T}, {d}) matrix, found "
+                             f"({source.T}, {source.d})")
+        u = _with_corners(u, source)
     return _rows(u, 0, T, d)
 
 
@@ -354,7 +310,7 @@ def comparator_segments(spec: ComparatorSpec, d: int, T: int
     ``corners[3]``.  ``scaled_arbitrary`` is one block of T rows.  A
     hindsight corner (piecewise_corner without corners, discounted
     without a corner) is ``Segment(a, b, None, scale)``, for
-    ``SegmentCorners`` to find."""
+    ``regret_eval.SegmentCorners`` to find."""
     if spec.kind == "scaled_arbitrary":
         u = _floats(spec.vectors, "vectors")
         if u.shape != (T, d) or not np.all(np.isfinite(u) & (u >= 0.0)):

@@ -18,10 +18,10 @@ from the emitted columns alone.  All repetitions of a config run as one
 lockstep batch (``forecasters._run_realized`` says what it holds), and
 each row is bit for bit the row its repetition would give alone.  A
 discounted row is a shifting row against its arm, a hindsight corner;
-hindsight corners are found as the batch's blocks pass.  Evaluation
-then replays a repetition's losses in blocks, never as a (T, d) matrix:
-a shifting or discounted row once, an adaptive row twice (the window
-scan, then the worst window's statistics) with O(tau0 d) scan state.
+hindsight corners are summed as the blocks pass (``SegmentCorners``).
+Evaluation then replays a repetition's losses in blocks, never as a
+(T, d) matrix: a shifting or discounted row once, an adaptive row twice
+(the window scan, in O(tau0 d), then the worst window's statistics).
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ import numpy as np
 
 from . import bounds as bnd
 from .environments import (INDEX_MAX, ComparatorSpec, EnvironmentSpec,
-                           SegmentCorners, comparator_segments,
-                           linear_down_discounts, linear_up_discounts,
-                           load_losses_csv, loss_rows, make_adversary)
+                           comparator_segments, linear_down_discounts,
+                           linear_up_discounts, load_losses_csv, loss_rows,
+                           make_adversary)
 from .forecasters import MixingRule, RealizedRun, _run_realized
-from .regret_eval import (Segment, _adaptive_details, as_discounts,
-                          comparator_stats)
+from .regret_eval import (Segment, SegmentCorners, _adaptive_details,
+                          as_discounts, comparator_stats)
 from .simplex_core import _check_eta, _check_floor
 
 VERDICT_SLACK = 1e-6

@@ -404,18 +404,23 @@ def _one_run(losses) -> LossRows:
     matrix."""
     if isinstance(losses, LossRows):
         return losses
-    return LossRows(np.asarray(losses, dtype=float)[None])
+    matrix = np.asarray(losses, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError("losses: expected a (T, d) matrix")
+    return LossRows(matrix[None])
 
 
 def _played_losses(log_p: np.ndarray, losses: np.ndarray) -> np.ndarray:
-    """p_t . l_t of (T, d) log-weight rows and their loss rows, formed in
-    blocks of ``_block_rows(d)`` rows: the one p_t . l_t of the library."""
-    out = np.empty(losses.shape[0])
-    block = _block_rows(losses.shape[1])
-    for lo in range(0, losses.shape[0], block):
-        out[lo:lo + block] = np.einsum("td,td->t",
-                                       _to_linear(log_p[lo:lo + block]),
-                                       losses[lo:lo + block])
+    """p_t . l_t of (..., T, d) log-weight rows and their loss rows, in
+    blocks of ``_block_rows(2 R d)`` rounds, R the leading axes' runs: the
+    one p_t . l_t of the library.  Blocks of 2^15 entries ran d = 1000
+    batches 5-10% slower (fresh processes, 2-core x86-64 host)."""
+    out = np.empty(losses.shape[:-1])
+    block = _block_rows(2 * math.prod(losses.shape[:-2]) * losses.shape[-1])
+    for lo in range(0, losses.shape[-2], block):
+        t = slice(lo, lo + block)
+        out[..., t] = np.einsum("...td,...td->...t", _to_linear(
+            log_p[..., t, :]), losses[..., t, :])
     return out
 
 
@@ -504,11 +509,8 @@ class Trajectory:
 
     @property
     def realized(self) -> np.ndarray:
-        """The forecaster's loss p_t . l_t in each round."""
-        if self.log_p.ndim == 3:
-            return np.stack([self.rep(i).realized
-                             for i in range(len(self.log_p))])
-        return _played_losses(self.log_p[: self.T], self.losses)
+        """The forecaster's loss p_t . l_t in each round, (T,) or (R, T)."""
+        return _played_losses(self.log_p[..., : self.T, :], self.losses)
 
     @property
     def eta_prevs(self) -> np.ndarray:
@@ -650,8 +652,7 @@ def _run_realized(rule: MixingRule, eta: float | None, source: LossRows,
     realized = np.empty((R, T))
 
     def done(lo, hi, rows, loss):
-        for i in range(R):
-            realized[i, lo:hi] = _played_losses(rows[i], loss[i])
+        realized[:, lo:hi] = _played_losses(rows, loss)
         each_block(lo, hi, loss)
 
     ring = np.empty((R, min(_block_rows(R * d), T) + 1, d))

@@ -7,7 +7,8 @@ arbitrary sequence of nonnegative comparator vectors u_1..u_T:
 
 Adaptive (best window) and discounted regret are special cases obtained
 by specific comparator constructions (the worst window, and u_t = beta_t
-e_j at the best arm j); they get direct evaluators here.
+e_j at the best arm j); they get direct evaluators here.  Hindsight
+corners have one finder, ``SegmentCorners``, the engine's too.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ class Segment(NamedTuple):
     action), the d-vector ``vec`` in every round, or the (b - a, d) rows
     ``vec``.  A corner is scaled by ``scale[t]`` in round t, or by 1 when
     ``scale`` is None.  A ``vec`` of None is a hindsight corner still to
-    be found (``environments.SegmentCorners``); the statistics take found
-    corners."""
+    be found (``SegmentCorners``); the statistics take found corners."""
 
     a: int
     b: int
@@ -149,6 +149,56 @@ def comparator_stats(u: list[Segment], losses
         incs[t] = np.maximum(after - before, 0.0).sum()
     return (masses, math.fsum(incs), float(peaks.sum()), math.fsum(masses),
             math.fsum(row_losses))
+
+
+class SegmentCorners:
+    """The hindsight corners of ``Segment`` rows ``u`` (those whose
+    ``vec`` is None, in round order: the summed losses' argmin, each round
+    scaled by ``scale`` when given) in R runs, found as blocks pass:
+    ``add(lo, hi, rows)`` takes rounds [lo, hi) as an (R, hi - lo, d)
+    array, in round order, and ``runs[i]`` is run i's ``u`` with its
+    corners once every round is added.  With no hindsight corner,
+    ``add`` returns at once.
+
+    A segment's column sums are carried across blocks in the order of
+    ``(scale[a:b, None] * losses[a:b]).sum(axis=0)``, which adds the rows
+    in turn for d >= 2: the carried sum joins the block's first row.  (At
+    d = 1 that sum is pairwise, but one arm is the corner whatever its
+    sum.)
+    """
+
+    def __init__(self, u: list[Segment], R: int):
+        self.runs = [list(u) for _ in range(R)]
+        self._open = [k for k, seg in enumerate(u) if seg.vec is None]
+        self._total = None  # the sums of the first open segment
+
+    def add(self, lo: int, hi: int, rows: np.ndarray) -> None:
+        while self._open and self.runs[0][self._open[0]].a < hi:
+            k = self._open[0]
+            a, b, _, scale = self.runs[0][k]
+            x, y = max(a, lo), min(b, hi)
+            part = rows[:, x - lo:y - lo]
+            if scale is not None:
+                part = part * scale[x:y, None]
+            elif self._total is not None:
+                part = part.copy()
+            if self._total is not None:
+                part[:, 0] += self._total
+            self._total = part.sum(axis=1)
+            if y < b:
+                return
+            for run, j in zip(self.runs, np.argmin(self._total, axis=1)):
+                run[k] = run[k]._replace(vec=int(j))
+            self._open, self._total = self._open[1:], None
+
+
+def _with_corners(u: list[Segment], losses) -> list[Segment]:
+    """``u`` with its hindsight corners in the losses of one run, a (T, d)
+    matrix or ``LossRows``, read in one pass."""
+    corners = SegmentCorners(u, 1)
+    for block in _one_run(losses).blocks():
+        corners.add(*block)
+    return corners.runs[0]
 
 
 def generalized_shifting_regret(p_traj, losses, u) -> float:
@@ -369,13 +419,13 @@ def discounted_regret(p_traj, losses, betas) -> float:
 
 def discounted_regret_details(p_traj, losses, betas) -> tuple[float, int]:
     """Discounted regret and the maximizing corner (linear objective): the
-    arm j of least discounted loss, summed over the rounds in turn, and
-    betas . realized - sum_t beta_t l_{t,j}, the latter summed exactly
-    (``math.fsum``).  This is the shifting regret against u_t = beta_t e_j,
-    as the engine scores a discounted row."""
+    arm j of least discounted loss, ``SegmentCorners``' hindsight corner
+    of u_t = beta_t e_j, and betas . realized - sum_t beta_t l_{t,j}, the
+    latter summed exactly (``math.fsum``).  This is the shifting regret
+    against u_t = beta_t e_j, as the engine scores a discounted row."""
     realized, l = _realized(p_traj, losses)
     betas = as_discounts(betas, l.shape[0])
-    j = int(np.argmin((betas[:, None] * l).sum(axis=0)))
+    j = _with_corners([Segment(0, l.shape[0], None, betas)], l)[0].vec
     return float(betas @ realized - math.fsum(betas * l[:, j])), j
 
 

@@ -115,6 +115,29 @@ def test_hindsight_segment_corners_checks_its_lengths():
     assert hindsight_segment_corners(losses, np.array([1, 5])) == [1, 0]
 
 
+@pytest.mark.parametrize("finder, losses, message", [
+    ("gen_comparator", [[1, 1, 0], [1, 1, 0]],
+     r"losses: expected a \(2, 2\) matrix, found \(2, 3\)"),
+    ("gen_comparator", [[1, 0], [1, 0], [0, 1]],
+     r"losses: expected a \(2, 2\) matrix, found \(3, 2\)"),
+    ("gen_comparator", [1, 0], r"losses: expected a \(T, d\) matrix"),
+    ("hindsight_segment_corners", [1, 0],
+     r"losses: expected a \(T, d\) matrix")],
+    ids=["wider", "longer", "vector", "vector-segment-corners"])
+def test_hindsight_corners_refuse_losses_of_another_shape(finder, losses,
+                                                          message):
+    """A one-segment hindsight comparator at d = 2, T = 2: a wider matrix
+    would find an arm the comparator does not have, a longer one would be
+    read silently, and a vector has no rounds."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if finder == "gen_comparator":
+            gen_comparator(ComparatorSpec(kind="piecewise_corner",
+                                          segment_lengths=[2]),
+                           d=2, T=2, losses=losses)
+        else:
+            hindsight_segment_corners(losses, [2])
+
+
 def test_adaptive_window_comparator_statistics():
     full = gen_comparator(ComparatorSpec(kind="adaptive_window", r=1, s=8,
                                          q=0), d=2, T=8)

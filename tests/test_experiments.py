@@ -426,6 +426,7 @@ def test_batched_run_equals_single_runs():
             batch = run_forecaster(rule, fc.eta, [gen_losses(env, stream=i)
                                                   for i in range(reps)])
         engine = _run_batch(spec, lambda lo, hi, rows: None)
+        realized = batch.realized  # the batched reader, not rep(i)'s
         for rep in range(reps):
             if env.kind == "adversarial_flip":
                 traj = run_forecaster(rule, fc.eta,
@@ -448,8 +449,61 @@ def test_batched_run_equals_single_runs():
             if env.kind != "adversarial_flip":
                 assert np.array_equal(replayed, gen_losses(env, stream=rep))
             assert np.array_equal(engine.realized[rep], traj.realized)
+            assert np.array_equal(realized[rep], traj.realized)
         assert np.array_equal(engine.etas, batch.etas)
         assert np.array_equal(engine.alphas, batch.alphas)
+
+
+def test_certify_csvs_hold_under_pass_through_wrappers(tmp_path, monkeypatch):
+    """The benchmark's traced pass certifies every grid_d10 shape in one
+    process, each adversary from ``make_adversary`` wrapped in a plain
+    function and every public ``bounds`` callable in a pass-through: the
+    same CSV bytes as plain passes before and after it."""
+    configs = _rule_configs(reps=3)
+    T = 200
+    for cfg in configs:
+        env = cfg["environment"]
+        env["T"] = T
+        if env["kind"] == "piecewise_stationary":
+            env["segment_lengths"] = [T // 4] * 4
+            cfg["comparator"]["segment_lengths"] = [T // 4] * 4
+            if "tune" in cfg["forecaster"]:
+                cfg["forecaster"]["tune"]["U0"] = T
+
+    def certify_all(tag):
+        csvs = []
+        for i, cfg in enumerate(configs):
+            csv = tmp_path / f"{i}.{tag}.csv"
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps(dict(
+                cfg, output={"csv": str(csv), "include_timing": False})))
+            assert cli_main(["certify", str(path)]) == 0, (tag, cfg)
+            csvs.append(csv.read_bytes())
+        return csvs
+
+    called = set()
+
+    def plain(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    before = certify_all("before")
+    with monkeypatch.context() as patch:
+        make = experiments.make_adversary
+        patch.setattr(experiments, "make_adversary", lambda *args, **kwargs:
+                      plain("adversary", make(*args, **kwargs)))
+        for name, value in list(vars(bounds).items()):
+            if (not name.startswith("_") and callable(value)
+                    and not isinstance(value, type)
+                    and getattr(value, "__module__", None) == bounds.__name__):
+                patch.setattr(bounds, name, plain(name, value))
+        wrapped = certify_all("wrapped")
+    assert {"adversary", "anytime_schedules", "bound_time_varying",
+            "small_loss_form", "tune_fixed_share"} <= called
+    assert wrapped == before
+    assert certify_all("after") == before
 
 
 def test_summary_wall_ms_is_elapsed_time():

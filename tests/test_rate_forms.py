@@ -1,7 +1,8 @@
 """Both rate forms of each constant-rate rule's guarantee, on fixed-seed
 draws: summed along the row's comparator, each per-round certificate
 sits between the row's regret and its form, and the engine's bound is
-the smaller form."""
+the smaller form.  The anytime time-varying rule has one form, the
+row's bound."""
 
 import math
 from types import SimpleNamespace
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 from oracles import rate_forms_exact
 
-from simplexshare import (MixingRule, bound_fixed_share, bound_projected,
-                          bound_shared_weights, certificate_slacks,
-                          gen_comparator, gen_losses, run_forecaster,
+from simplexshare import (ComparatorSpec, MixingRule, bound_fixed_share,
+                          bound_projected, bound_shared_weights,
+                          certificate_slacks, gen_comparator, gen_losses,
+                          make_adversary, run_forecaster,
                           small_loss_certificate_slacks, small_loss_form)
 from simplexshare.bounds import (_mixing_fixed_share, _mixing_projected,
                                  _mixing_shared_weights, _weight_constants)
@@ -54,35 +56,55 @@ def _draw(rng, rule, seed):
             "repetitions": 2}
 
 
-def _forms(spec, row):
+def _forms(spec, row, u1_norm):
     """The Hoeffding form and the mixing cost M of the row's rule."""
     fc, rule, T = spec.forecaster, spec.forecaster.rule, row.T
     if rule.variant == "fixed_share":
-        args = (row.d, fc.eta, rule.alpha, row.m, row.U_sum, 1.0)
+        args = (row.d, fc.eta, rule.alpha, row.m, row.U_sum, u1_norm)
         return bound_fixed_share(*args), _mixing_fixed_share(*args)
     if rule.variant == "projected":
-        args = (row.d, fc.eta, rule.alpha, row.m, row.U_sum, 1.0)
+        args = (row.d, fc.eta, rule.alpha, row.m, row.U_sum, u1_norm)
         return bound_projected(*args), _mixing_projected(*args)
     args = (row.d, T, fc.eta, rule.alpha, row.m, row.n, row.U_sum,
-            *_weight_constants(row.d, T, rule._decay), 1.0)
+            *_weight_constants(row.d, T, rule._decay), u1_norm)
     return bound_shared_weights(*args), _mixing_shared_weights(*args)
+
+
+def _comparator_masses(spec, rep):
+    """Repetition ``rep`` run alone, and ||u_t||_1 of its row's comparator
+    with its hindsight corners: a shifting row's, or a discounted row's
+    arm scaled by the discounts."""
+    env, fc = spec.environment, spec.forecaster
+    if env.kind == "adversarial_flip":
+        traj = run_forecaster(fc.rule, fc.eta, make_adversary(env, rep),
+                              d=env.d, horizon=env.T)
+    else:
+        traj = run_forecaster(fc.rule, fc.eta, gen_losses(env, stream=rep))
+    comparator = spec.comparator
+    if spec.regret_kind == "discounted":
+        comparator = ComparatorSpec(kind="discounted", betas=spec.betas)
+    u = gen_comparator(comparator, env.d, env.T, losses=traj.losses)
+    return traj, u.sum(axis=1)
 
 
 def _check_forms(spec):
     """Each row's regret <= C <= H and regret <= C_sl <= the small-loss
-    form, C and C_sl being the summed per-round certificates."""
+    form, C and C_sl being the summed per-round certificates; a
+    time-varying row's regret <= C <= its bound."""
     env, fc = spec.environment, spec.forecaster
-    k = fc.eta / -np.expm1(-fc.eta)
     for rep, row in enumerate(run_experiment(spec)[:-1]):
-        traj = run_forecaster(fc.rule, fc.eta, gen_losses(env, stream=rep))
-        u = gen_comparator(spec.comparator, env.d, env.T, losses=traj.losses)
-        masses = u.sum(axis=1)
+        traj, masses = _comparator_masses(spec, rep)
         realized, L_sum = traj.realized, row.L_sum
         C = masses @ (certificate_slacks(traj) + realized) - L_sum
+        if fc.eta is None:  # the anytime schedules
+            tol = 1e-9 * env.T * (1.0 + abs(row.regret) + abs(row.bound))
+            assert row.regret <= C + tol and C <= row.bound + tol
+            continue
+        k = fc.eta / -np.expm1(-fc.eta)
         C_sl = k * masses @ (small_loss_certificate_slacks(traj)
                              - np.expm1(-fc.eta) / fc.eta * realized)
         C_sl -= L_sum
-        H, M = _forms(spec, row)
+        H, M = _forms(spec, row, masses[0])
         SL = small_loss_form(M, fc.eta, L_sum)
         assert row.bound == min(H, SL)
         # a valid run's slacks are >= -1e-9 per round up to float error
@@ -96,6 +118,45 @@ def test_both_forms_bound_the_summed_certificates(rule):
     rng = np.random.default_rng(RULES.index(rule))
     for draw in range(DRAWS):
         _check_forms(parse_experiment(_draw(rng, rule, draw)))
+
+
+def test_the_anytime_rule_bounds_the_summed_certificate():
+    rng = np.random.default_rng(len(RULES))
+    for draw in range(DRAWS):
+        config = _draw(rng, "fixed_share", draw)
+        config["forecaster"] = {"rule": "time_varying", "schedules": "anytime"}
+        _check_forms(parse_experiment(config))
+
+
+def _monotone_discounts(rng, T):
+    """Sorted draws in [0, 1), rising or falling, with a positive end."""
+    betas = np.sort(rng.random(T))
+    betas[-1] = max(betas[-1], 0.5)
+    return (betas if rng.random() < 0.5 else betas[::-1]).tolist()
+
+
+DISCOUNTED_KINDS = ("piecewise_stationary", "iid_bernoulli",
+                    "adversarial_flip")
+
+
+@pytest.mark.parametrize("kind", DISCOUNTED_KINDS)
+def test_discounted_rows_bound_the_summed_certificates(kind):
+    """Auto-tuned fixed share at the row's arm u_t = beta_t e_j, under
+    each discount schedule family."""
+    rng = np.random.default_rng(10 + DISCOUNTED_KINDS.index(kind))
+    for draw in range(DRAWS):
+        env = _draw(rng, "fixed_share", draw)["environment"]
+        if kind == "iid_bernoulli":
+            env = {"kind": kind, "d": env["d"], "T": env["T"], "seed": draw,
+                   "means": env["means"][0]}
+        elif kind == "adversarial_flip":
+            env = {"kind": kind, "d": env["d"], "T": env["T"], "seed": draw}
+        schedule = (("linear_up", "linear_down")[draw % 3] if draw % 3 < 2
+                    else _monotone_discounts(rng, env["T"]))
+        _check_forms(parse_experiment({
+            "environment": env, "forecaster": {"rule": "fixed_share"},
+            "regret": {"kind": "discounted", "schedule": schedule},
+            "repetitions": 2}))
 
 
 EDGE_ALPHAS = (5e-324, 1e-323, 1e-300, 1.0 - 2.0 ** -53)

@@ -390,6 +390,26 @@ def test_discounted_regret_details_equal_the_exact_oracle(d):
             assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def test_discounted_regret_details_form_no_loss_sized_temporary():
+    """The arm is the hindsight corner of u_t = beta_t e_j, summed in
+    blocks, so the evaluator holds O(T) beside the inputs."""
+    rng = np.random.default_rng(30)
+    T, d = 20_000, 50
+    losses = (rng.random((T, d)) < 0.3) * 1.0
+    p = np.full((T, d), 1.0 / d)
+    betas = linear_down_discounts(T)
+    want = discounted_regret_details_brute(p, losses, betas)
+    tracemalloc.start()
+    try:
+        value, arm = discounted_regret_details(p, losses, betas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arm == want[1]
+    assert value == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+    assert peak < 0.25 * losses.nbytes
+
+
 def test_discount_regularity_identity():
     rng = np.random.default_rng(23)
     T = 50
