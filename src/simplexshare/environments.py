@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forecasters import LossRows, _one_run
+from .forecasters import LossRows, _called, _one_run
 from .regret_eval import Segment, _rows, _with_corners, as_discounts
 from .simplex_core import _check_losses
 
@@ -145,10 +145,11 @@ def loss_rows(spec: EnvironmentSpec, reps: int = 1) -> LossRows:
     """The losses of ``reps`` runs of ``spec``, run i on stream i, as
     ``LossRows`` to replay.  A random kind is redrawn on every pass, a
     loss file is read once and its one matrix serves every run, and the
-    adaptive adversary's runs get empty (R, T, d) rows for the run to
-    record."""
+    adaptive adversary is ``_called`` over one ``make_adversary`` per run,
+    whose (R, T, d) rows the run records as it plays."""
     if spec.kind == "adversarial_flip":
-        return LossRows(np.empty((reps, spec.T, spec.d)))
+        return _called([make_adversary(spec, rep) for rep in range(reps)],
+                       spec.T, spec.d)
     if spec.kind == "from_file":
         losses = gen_losses(spec)
         return LossRows(np.broadcast_to(losses, (reps,) + losses.shape))

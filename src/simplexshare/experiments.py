@@ -10,15 +10,15 @@ and the ``simplex_core`` checkers are the only validation.  Their
 errors come back as ``ConfigError`` with the config path before
 anything runs, and so does a config with an array numpy cannot index.
 
-Each repetition runs the forecaster on a freshly seeded loss stream,
-evaluates the requested regret notion, and gets its rule's shifting
-guarantee at the row's comparator (``_bound``); a summary row (worst
-regret vs. smallest bound) is appended.  Every verdict is recomputable
-from the emitted columns alone.  All repetitions of a config run as one
-lockstep batch (``forecasters._run_realized`` says what it holds), and
-each row is bit for bit the row its repetition would give alone.  A
-discounted row is a shifting row against its arm, a hindsight corner;
-hindsight corners are summed as the blocks pass (``SegmentCorners``).
+Each repetition runs the forecaster on its own seeded stream or
+adversary, evaluates the requested regret notion, and gets its rule's
+shifting guarantee at the row's comparator (``_bound``); a summary row
+(worst regret vs. smallest bound) is appended.  Every verdict is
+recomputable from the emitted columns alone.  The repetitions run as
+one lockstep batch over ``environments.loss_rows``, adaptive or not
+(``forecasters._run_realized`` says what it holds), each row bit for
+bit its repetition's alone.  A discounted row is a shifting row against
+its arm, a hindsight corner, summed as the blocks pass (``SegmentCorners``).
 Evaluation then replays a repetition's losses in blocks, never as a
 (T, d) matrix: a shifting or discounted row once, an adaptive row twice
 (the window scan, in O(tau0 d), then the worst window's statistics).
@@ -38,8 +38,7 @@ import numpy as np
 from . import bounds as bnd
 from .environments import (INDEX_MAX, ComparatorSpec, EnvironmentSpec,
                            comparator_segments, linear_down_discounts,
-                           linear_up_discounts, load_losses_csv, loss_rows,
-                           make_adversary)
+                           linear_up_discounts, load_losses_csv, loss_rows)
 from .forecasters import MixingRule, RealizedRun, _run_realized
 from .regret_eval import (Segment, SegmentCorners, _adaptive_details,
                           as_discounts, comparator_stats)
@@ -342,18 +341,6 @@ def _bound(fc: ForecasterConfig, run: RealizedRun, masses: np.ndarray,
                bnd.small_loss_form(M, fc.eta, L_sum))
 
 
-def _run_batch(spec: ExperimentSpec, each_block) -> RealizedRun:
-    """All repetitions in lockstep over one pass of their losses
-    (``environments.loss_rows``; repetition i reads stream i, or its own
-    adversary), which ``each_block`` (as in ``_run_realized``) also reads."""
-    env, fc, reps = spec.environment, spec.forecaster, spec.repetitions
-    adversaries = None
-    if env.kind == "adversarial_flip":
-        adversaries = [make_adversary(env, stream=rep) for rep in range(reps)]
-    return _run_realized(fc.rule, fc.eta, loss_rows(env, reps), adversaries,
-                         each_block)
-
-
 def _evaluate(spec: ExperimentSpec, run: RealizedRun, rep: int,
               shared_ms: float, u: list[Segment]) -> RegretReport:
     """The report row of one repetition; ``shared_ms`` is its share of
@@ -385,10 +372,10 @@ def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
     worst (largest) regret against the smallest bound, its verdict
     recomputed by the standard rule, so a passing summary is conservative.
     Its ``wall_ms`` is the elapsed time of this call; a repetition's is its
-    own evaluation time plus 1/R of the batched generation, forecaster and
-    realized-loss time.  Hindsight corners, a discounted row's arm among
-    them, are summed as the run's blocks pass (``SegmentCorners``), so
-    evaluation need not replay the losses for them."""
+    own evaluation time plus 1/R of the batch's run over ``loss_rows``
+    (an adversary's too), realized losses included.  Hindsight corners, a
+    discounted row's arm among them, are summed as the run's blocks pass
+    (``SegmentCorners``), so evaluation need not replay losses for them."""
     start = time.perf_counter()
     reps, T, d = spec.repetitions, spec.environment.T, spec.environment.d
     if spec.regret_kind == "shifting":
@@ -398,7 +385,8 @@ def run_experiment(spec: ExperimentSpec) -> list[RegretReport]:
     else:  # adaptive: the worst window, found in evaluation
         u = []
     corners = SegmentCorners(u, reps)
-    batch = _run_batch(spec, corners.add)
+    batch = _run_realized(spec.forecaster.rule, spec.forecaster.eta,
+                          loss_rows(spec.environment, reps), corners.add)
     shared_ms = (time.perf_counter() - start) * 1e3 / reps
     reports = [_evaluate(spec, batch, rep, shared_ms, corners.runs[rep])
                for rep in range(reps)]

@@ -16,9 +16,9 @@ subtracting the max log-weight before exponentiation: eta * T can reach
 the hundreds, where naive exponentials underflow.  ``simplex_core``'s
 checkers test each parameter and loss once, where it enters: in the
 rule, the state, the public ops, ``_round_params`` (schedule values),
-``_start`` (a loss array) and ``_rounds`` (each adversary row).  Every
-rule is the time-varying update at its (eta_t, alpha_t), so every run
-takes one round loop, ``_rounds``, which reads them before round 1.
+``_start`` (a loss array) and ``_called`` (each adversary row).  Every
+rule is the time-varying update at its (eta_t, alpha_t), and every loss
+a ``LossRows`` row, so every run takes one round loop, ``_rounds``.
 """
 
 from __future__ import annotations
@@ -381,8 +381,10 @@ class LossRows:
     holds at most 2^15 entries per run; the batched run asks for
     ``_block_rows(R d)``, 2^15 in all.  ``run(i)`` is run i alone.  This
     class reads an (R, T, d) array, which may broadcast one (T, d) matrix
-    to every run.
+    to every run.  An adaptive source (``_called``) has ``play(t, p,
+    rows)``: it writes round t's (R, d) ``rows`` from the runs' p_t.
     """
+    play = None
 
     def __init__(self, losses: np.ndarray):
         self.losses = losses
@@ -403,6 +405,8 @@ def _one_run(losses) -> LossRows:
     """One run's losses as ``LossRows``: the rows themselves, or a (T, d)
     matrix."""
     if isinstance(losses, LossRows):
+        if losses.R != 1:
+            raise ValueError(f"losses: expected one run, found {losses.R}")
         return losses
     matrix = np.asarray(losses, dtype=float)
     if matrix.ndim != 2:
@@ -525,14 +529,13 @@ class Trajectory:
 
 
 def _rounds(rule: MixingRule, eta: float | None, source: LossRows,
-            adversaries, ring: np.ndarray, done
-            ) -> tuple[np.ndarray, np.ndarray]:
+            ring: np.ndarray, done) -> tuple[np.ndarray, np.ndarray]:
     """Play ``rule`` from uniform weights through one pass of ``source``
     in blocks of ``rows = ring.shape[1] - 1`` rounds; return every round's
     (eta_t, alpha_t), read and checked before round 1.
 
-    Only adversary rows are checked here, row t of a block in round t as
-    it is written; other losses were checked where they entered.  Each
+    An adaptive source plays row i of a block in round lo + i, before
+    the round reads it; every loss was checked where it entered.  Each
     run's ``rows + 1`` ``ring`` rows hold log p_lo..log p_hi after rounds
     [lo, hi), ``done(lo, hi, ring[:, :hi - lo], block)`` reads the rows
     played and their losses, and the last row moves to the front for the
@@ -544,22 +547,15 @@ def _rounds(rule: MixingRule, eta: float | None, source: LossRows,
     etas, alphas = _round_params(rule, state.eta, 1, T + 1)
     ring[:, 0] = state.log_p
     # eta_t times the loss is formed ahead in round-major chunks of at
-    # most 2^14 entries; an adversary's rows come one round at a time.
-    step = 1 if adversaries else max(1, 16384 // (R * d))
+    # most 2^14 entries; an adaptive source's rows come one round at a time.
+    step = 1 if source.play else max(1, 16384 // (R * d))
     scaled = np.empty((min(step, rows, T), R, d))
     for lo, hi, loss in source.blocks(rows):
         for i, (eta_t, alpha_t) in enumerate(zip(etas[lo:hi].tolist(),
                                                  alphas[lo:hi].tolist())):
             t = lo + i  # i is the round's row of the block
-            if adversaries is not None:
-                p_t = state.p
-                for r, adversary in enumerate(adversaries):
-                    row = np.asarray(adversary(t + 1, p_t[r]), dtype=float)
-                    if row.shape != (d,):
-                        raise ValueError(f"loss has shape {row.shape}, "
-                                         f"expected ({d},)")
-                    loss[r, i] = row
-                _check_losses(loss[:, i])
+            if source.play:
+                source.play(t, state.p, loss[:, i])
             if (k := i % step) == 0:
                 n = min(step, hi - t)
                 np.multiply(etas[t:t + n, None, None],
@@ -572,9 +568,27 @@ def _rounds(rule: MixingRule, eta: float | None, source: LossRows,
     return etas, alphas
 
 
+def _called(adversaries, T: int, d: int) -> LossRows:
+    """The adaptive ``LossRows`` of one ``(t, p_t) -> loss`` callable per
+    run, called in run order each round; each row is checked as written."""
+    source = LossRows(np.empty((len(adversaries), T, d)))
+
+    def play(t, p, rows):
+        for r, adversary in enumerate(adversaries):
+            row = np.asarray(adversary(t + 1, p[r]), dtype=float)
+            if row.shape != (d,):
+                raise ValueError(f"loss has shape {row.shape}, "
+                                 f"expected ({d},)")
+            rows[r] = row
+        _check_losses(rows)
+
+    source.play = play
+    return source
+
+
 def _start(losses, d, horizon):
-    """The losses as ``LossRows`` (empty for adversaries, which fill them),
-    the adversaries or None, and whether the input was one run."""
+    """The losses as ``LossRows`` (``_called`` for callables) and whether
+    the input was one run."""
     adversaries = None
     if callable(losses):
         adversaries = [losses]
@@ -584,21 +598,19 @@ def _start(losses, d, horizon):
     if adversaries is not None:
         if d is None or horizon is None:
             raise ValueError("callable losses require d and horizon")
-        single = callable(losses)
-        loss = np.empty((len(adversaries), int(horizon), d))
-    else:
-        loss = np.asarray(losses, dtype=float)
-        if loss.ndim not in (2, 3):
-            raise ValueError("losses must be a (T, d) or (R, T, d) array")
-        if d is None:
-            d = loss.shape[-1]
-        elif d != loss.shape[-1]:
-            raise ValueError("losses do not match the requested dimension")
-        single = loss.ndim == 2
-        if single:
-            loss = loss[None]
-        _check_losses(loss)
-    return LossRows(loss), adversaries, single
+        return _called(adversaries, int(horizon), d), callable(losses)
+    loss = np.asarray(losses, dtype=float)
+    if loss.ndim not in (2, 3):
+        raise ValueError("losses must be a (T, d) or (R, T, d) array")
+    if d is None:
+        d = loss.shape[-1]
+    elif d != loss.shape[-1]:
+        raise ValueError("losses do not match the requested dimension")
+    single = loss.ndim == 2
+    if single:
+        loss = loss[None]
+    _check_losses(loss)
+    return LossRows(loss), single
 
 
 def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
@@ -615,11 +627,10 @@ def run_forecaster(rule: MixingRule, eta: float | None, losses, *,
     each callable's output is validated every round.  ``eta`` is
     ignored by the time_varying rule, whose schedules carry the rates.
     """
-    source, adversaries, single = _start(losses, d, horizon)
+    source, single = _start(losses, d, horizon)
     R, T, d = source.R, source.T, source.d
     log_p = np.empty((R, T + 1, d))
-    etas, alphas = _rounds(rule, eta, source, adversaries, log_p,
-                           lambda *block: None)
+    etas, alphas = _rounds(rule, eta, source, log_p, lambda *block: None)
     traj = Trajectory(rule=rule, d=d, T=T, log_p=log_p, losses=source.losses,
                       etas=etas, alphas=alphas)
     return traj.rep(0) if single else traj
@@ -639,15 +650,14 @@ class RealizedRun:
 
 
 def _run_realized(rule: MixingRule, eta: float | None, source: LossRows,
-                  adversaries, each_block) -> RealizedRun:
+                  each_block) -> RealizedRun:
     """``run_forecaster`` over one pass of ``source`` (checked losses),
     without the record: each block of at most 2^15 losses across the R
     runs is played through a ring of as many log p entries and becomes
     realized losses, so a batch holds O(2^15 + R T) besides ``source``:
     nothing for a drawn kind, a loss file's one matrix, or the (R, T, d)
-    rows that ``adversaries`` (one per run, or None) write.
-    ``each_block(lo, hi, rows)`` also reads every block once it is
-    played."""
+    rows that an adaptive source writes.  ``each_block(lo, hi, rows)``
+    also reads every block once it is played."""
     R, T, d = source.R, source.T, source.d
     realized = np.empty((R, T))
 
@@ -656,7 +666,7 @@ def _run_realized(rule: MixingRule, eta: float | None, source: LossRows,
         each_block(lo, hi, loss)
 
     ring = np.empty((R, min(_block_rows(R * d), T) + 1, d))
-    etas, alphas = _rounds(rule, eta, source, adversaries, ring, done)
+    etas, alphas = _rounds(rule, eta, source, ring, done)
     return RealizedRun(source=source, realized=realized, etas=etas,
                        alphas=alphas)
 

@@ -210,13 +210,14 @@ def discounted_regret_details_brute(p: np.ndarray, losses: np.ndarray,
                                     betas) -> tuple[float, int]:
     """Every arm's discounted loss sum_t beta_t l_{t,j} in rationals, one
     round at a time: the arm of least total, the lowest on exact ties,
-    and sum_t beta_t p_t . l_t minus its total, rounded once."""
+    and sum_t beta_t p_t . l_t minus its total, rounded once.  A zero
+    loss adds exactly 0 to every sum, so only nonzero entries are read."""
     T, d = p.shape
     totals = [Fraction(0)] * d
     fore = Fraction(0)
     for t in range(T):
         beta = Fraction(float(betas[t]))
-        for j in range(d):
+        for j in np.flatnonzero(losses[t]).tolist():
             loss = Fraction(float(losses[t, j]))
             totals[j] += beta * loss
             fore += beta * Fraction(float(p[t, j])) * loss

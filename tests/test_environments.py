@@ -6,6 +6,8 @@ from simplexshare import (ComparatorSpec, EnvironmentSpec, MixingRule,
                           hindsight_segment_corners, linear_up_discounts,
                           load_losses_csv, make_adversary, make_rng,
                           regularity_m, run_forecaster, sparsity_n)
+from simplexshare.forecasters import LossRows
+from simplexshare.regret_eval import Segment, comparator_stats
 
 
 def test_iid_bernoulli_zero_means_and_determinism():
@@ -136,6 +138,26 @@ def test_hindsight_corners_refuse_losses_of_another_shape(finder, losses,
                            d=2, T=2, losses=losses)
         else:
             hindsight_segment_corners(losses, [2])
+
+
+@pytest.mark.parametrize("reader", ["hindsight_segment_corners",
+                                    "gen_comparator", "comparator_stats"])
+def test_one_run_readers_refuse_the_rows_of_several_runs(reader):
+    """Two 4-round runs at d = 2, run 0 losing on arm 0 and run 1 on arm
+    1: a one-run reader would see run 0's rows and drop run 1's."""
+    losses = np.zeros((2, 4, 2))
+    losses[0, :, 0] = losses[1, :, 1] = 1.0
+    rows = LossRows(losses)
+    with pytest.raises(ValueError,
+                       match="^losses: expected one run, found 2$"):
+        if reader == "hindsight_segment_corners":
+            hindsight_segment_corners(rows, [4])
+        elif reader == "gen_comparator":
+            gen_comparator(ComparatorSpec(kind="piecewise_corner",
+                                          segment_lengths=[4]),
+                           d=2, T=4, losses=rows)
+        else:
+            comparator_stats([Segment(0, 4, 0)], rows)
 
 
 def test_adaptive_window_comparator_statistics():

@@ -17,16 +17,16 @@ from simplexshare.bounds import (_mixing_fixed_share, _mixing_projected,
                                  bound_time_varying, small_loss_form,
                                  tune_fixed_share, tune_small_loss)
 from simplexshare.cli import main as cli_main
-from simplexshare import bounds, cli, experiments, forecasters
+from simplexshare import bounds, cli, environments, experiments, forecasters
 from simplexshare.environments import (ComparatorSpec, EnvironmentSpec,
                                        gen_comparator, gen_losses,
                                        load_losses_csv, loss_rows,
                                        make_adversary, make_rng)
 from simplexshare.experiments import (CSV_COLUMNS, ConfigError, VERDICT_SLACK,
-                                      _run_batch, any_failed,
-                                      parse_experiment, report_rows,
-                                      run_experiment, write_report_csv)
-from simplexshare.forecasters import run_forecaster
+                                      any_failed, parse_experiment,
+                                      report_rows, run_experiment,
+                                      write_report_csv)
+from simplexshare.forecasters import _run_realized, run_forecaster
 from simplexshare.regret_eval import (_adaptive_details,
                                       adaptive_regret_details,
                                       discounted_regret_details,
@@ -425,7 +425,8 @@ def test_batched_run_equals_single_runs():
         else:
             batch = run_forecaster(rule, fc.eta, [gen_losses(env, stream=i)
                                                   for i in range(reps)])
-        engine = _run_batch(spec, lambda lo, hi, rows: None)
+        engine = _run_realized(rule, fc.eta, loss_rows(env, reps),
+                               lambda lo, hi, rows: None)
         realized = batch.realized  # the batched reader, not rep(i)'s
         for rep in range(reps):
             if env.kind == "adversarial_flip":
@@ -456,9 +457,10 @@ def test_batched_run_equals_single_runs():
 
 def test_certify_csvs_hold_under_pass_through_wrappers(tmp_path, monkeypatch):
     """The benchmark's traced pass certifies every grid_d10 shape in one
-    process, each adversary from ``make_adversary`` wrapped in a plain
-    function and every public ``bounds`` callable in a pass-through: the
-    same CSV bytes as plain passes before and after it."""
+    process, each adversary from ``environments.make_adversary`` (where
+    ``loss_rows`` looks it up) wrapped in a plain function and every
+    public ``bounds`` callable in a pass-through: the same CSV bytes as
+    plain passes before and after it."""
     configs = _rule_configs(reps=3)
     T = 200
     for cfg in configs:
@@ -491,8 +493,8 @@ def test_certify_csvs_hold_under_pass_through_wrappers(tmp_path, monkeypatch):
 
     before = certify_all("before")
     with monkeypatch.context() as patch:
-        make = experiments.make_adversary
-        patch.setattr(experiments, "make_adversary", lambda *args, **kwargs:
+        make = environments.make_adversary
+        patch.setattr(environments, "make_adversary", lambda *args, **kwargs:
                       plain("adversary", make(*args, **kwargs)))
         for name, value in list(vars(bounds).items()):
             if (not name.startswith("_") and callable(value)
@@ -504,6 +506,27 @@ def test_certify_csvs_hold_under_pass_through_wrappers(tmp_path, monkeypatch):
             "small_loss_form", "tune_fixed_share"} <= called
     assert wrapped == before
     assert certify_all("after") == before
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda d: np.zeros(d + 1), "loss has shape"),
+    (lambda d: np.full(d, 2.0), "loss entries must lie in [0, 1]")],
+    ids=["shape", "range"])
+def test_engine_adversary_rows_are_checked_every_round(tmp_path, capsys,
+                                                       monkeypatch, bad,
+                                                       message):
+    # the engine's adversaries reach the round loop through the source
+    # that checks run_forecaster's callables
+    monkeypatch.setattr(environments, "make_adversary",
+                        lambda spec, stream=0: lambda t, p: bad(spec.d))
+    path = tmp_path / "flip.json"
+    path.write_text(json.dumps({
+        "environment": {"kind": "adversarial_flip", "d": 3, "T": 20,
+                        "seed": 1},
+        "forecaster": {"rule": "fixed_share", "eta": 0.5, "alpha": 0.1},
+        "regret": {"kind": "adaptive", "tau0": 5}, "repetitions": 2}))
+    assert cli_main(["certify", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_summary_wall_ms_is_elapsed_time():
@@ -1392,6 +1415,13 @@ def _oracle_configs(floats):
     configs["discounted_flip_projected"] = {
         **configs["discounted_flip"],
         "forecaster": {"rule": "projected", "eta": 0.4, "alpha": 0.05}}
+    configs["adaptive_flip_max_share"] = {
+        **configs["adaptive_flip"],
+        "forecaster": {"rule": "max_share", "eta": 0.3, "alpha": 0.02}}
+    configs["discounted_flip_decayed_max_share"] = {
+        **configs["discounted_flip"],
+        "forecaster": {"rule": "decayed_max_share", "eta": 0.3,
+                       "alpha": 0.02, "gamma": 0.01}}
     return configs
 
 
